@@ -15,6 +15,7 @@ from granite import (
     PROCESS_METRIC_NAMES,
     FileSnapshot,
     assemble,
+    class_hierarchy,
     class_product_metrics,
     extract_modules,
     label_change_prone,
@@ -56,7 +57,7 @@ for m in modules:
 # product metrics at both granularities
 classes = [m for m in modules if m.id.kind == "class"]
 methods = [m for m in modules if m.id.kind == "method"]
-vec = class_product_metrics(classes[0], modules)
+vec = class_product_metrics(classes[0], class_hierarchy(modules))
 print("\nclass metrics:")
 for name, value in zip(CLASS_METRIC_NAMES, vec):
     print(f"  {name:22s} {value:g}")

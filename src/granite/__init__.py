@@ -32,12 +32,12 @@ from granite.metrics import (
     CLASS_METRIC_NAMES,
     METHOD_METRIC_NAMES,
     PROCESS_METRIC_NAMES,
+    class_hierarchy,
     class_product_metrics,
     method_product_metrics,
     process_metrics,
 )
 from granite.dataset import (
-    FeatureRow,
     LabeledDataset,
     assemble,
     feature_names_for,

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands:
-  granite run  --config FILE [--jobs N] [--seed S]   full experiment
+  granite run  --config FILE [--seed S]              full experiment
   granite mine REPO --tags GLOB [--out FILE]         change histories only
   granite eval --predictions FILE --k LIST           effort ratios for external scores
 
@@ -36,8 +36,6 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    if args.jobs is not None:
-        config = dataclasses.replace(config, jobs=args.jobs)
     return run_experiment(config)
 
 
@@ -127,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the full experiment from a config file")
     p_run.add_argument("--config", required=True, help="JSON config file")
-    p_run.add_argument("--jobs", type=int, default=None, help="parallel release pairs")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.set_defaults(func=_cmd_run)
 

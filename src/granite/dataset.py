@@ -19,14 +19,6 @@ from granite.metrics import CLASS_METRIC_NAMES, METHOD_METRIC_NAMES, PROCESS_MET
 
 
 @dataclass(frozen=True)
-class FeatureRow:
-    module: ModuleId
-    features: np.ndarray
-    label: int
-    loc: int
-
-
-@dataclass(frozen=True)
 class LabeledDataset:
     release: str  # release pair label, e.g. "1.0..1.1"
     granularity: str  # "class" | "method"
@@ -38,13 +30,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return len(self.modules)
-
-    @property
-    def rows(self) -> List[FeatureRow]:
-        return [
-            FeatureRow(m, self.X[i], int(self.y[i]), int(self.loc[i]))
-            for i, m in enumerate(self.modules)
-        ]
 
     def subset(self, indices: Sequence[int]) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)

@@ -8,7 +8,6 @@ and emits deterministic CSV reports plus cross-granularity statistics.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import hashlib
 import json
@@ -36,7 +35,7 @@ from granite.evaluation import (
 from granite.forest import CrossValResult, ForestParams, cross_validate
 from granite.gitrepo import GitRepo, ReleasePair
 from granite.javaparse import ModuleId
-from granite.metrics import class_product_metrics, method_product_metrics, process_metrics
+from granite.metrics import class_hierarchy, class_product_metrics, method_product_metrics, process_metrics
 from granite.stats import compare_paired
 from granite.tracking import ChangeHistory, HistoryScanner, count_changes_between, module_loc
 
@@ -63,7 +62,6 @@ class ExperimentConfig:
     k_values: Tuple[int, ...] = DEFAULT_K
     seed: int = 0
     folds: int = 10
-    jobs: int = 1
 
     def as_dict(self) -> dict:
         return {
@@ -72,12 +70,14 @@ class ExperimentConfig:
             "k_values": list(self.k_values),
             "seed": self.seed,
             "folds": self.folds,
-            "jobs": self.jobs,
         }
 
     @property
     def config_hash(self) -> str:
-        canon = json.dumps(self.as_dict(), sort_keys=True)
+        """sha256 over the fields that affect results; output_dir does not."""
+        fields = self.as_dict()
+        del fields["output_dir"]
+        canon = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -102,7 +102,6 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         k_values=k_values,
         seed=int(raw.get("seed", 0)),
         folds=int(raw.get("folds", 10)),
-        jobs=int(raw.get("jobs", 1)),
     )
 
 
@@ -154,6 +153,7 @@ def analyze_release_pair(
 
     start_defs = pair_scan.start_defs
     class_context = [d for d in start_defs.values() if d.id.kind == "class"]
+    hierarchy = class_hierarchy(class_context)
 
     results: Dict[str, GranularityResult] = {}
     for granularity in GRANULARITIES:
@@ -172,7 +172,7 @@ def analyze_release_pair(
         for m in mods:
             d = start_defs[m]
             if granularity == "class":
-                product[m] = class_product_metrics(d, class_context)
+                product[m] = class_product_metrics(d, hierarchy)
             else:
                 product[m] = method_product_metrics(d)
             history = pre_history_at_r.get(m)
@@ -233,34 +233,17 @@ def analyze_release_pair(
 
 
 def analyze_repository(
-    spec: RepoSpec, k_values: Sequence[int], seed: int, folds: int, jobs: int = 1
+    spec: RepoSpec, k_values: Sequence[int], seed: int, folds: int
 ) -> List[ReleaseResult]:
     with GitRepo(spec.path) as repo:
-        pairs = repo.release_pairs(spec.tags)
-        if not pairs:
-            return []
-        if jobs <= 1:
-            scanner = HistoryScanner(repo)
-            out = []
-            for pair in pairs:
-                try:
-                    out.append(analyze_release_pair(repo, scanner, pair, k_values, seed, folds))
-                except Exception as exc:  # keep one bad pair from sinking the repo
-                    log.warning("%s %s: release pair failed: %s", spec.path, pair.label, exc)
-            return out
-
-    def run_pair(pair: ReleasePair) -> Optional[ReleaseResult]:
-        # parallel pairs get their own repository handle (single-threaded each)
-        with GitRepo(spec.path) as own:
+        scanner = HistoryScanner(repo)
+        out = []
+        for pair in repo.release_pairs(spec.tags):
             try:
-                return analyze_release_pair(own, HistoryScanner(own), pair, k_values, seed, folds)
-            except Exception as exc:
+                out.append(analyze_release_pair(repo, scanner, pair, k_values, seed, folds))
+            except Exception as exc:  # keep one bad pair from sinking the repo
                 log.warning("%s %s: release pair failed: %s", spec.path, pair.label, exc)
-                return None
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(run_pair, pairs))
-    return [r for r in results if r is not None]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +399,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     status: Dict[str, str] = {}
     for spec in config.repos:
         try:
-            results = analyze_repository(spec, config.k_values, config.seed, config.folds, config.jobs)
+            results = analyze_repository(spec, config.k_values, config.seed, config.folds)
             all_results.extend(results)
             status[spec.name] = f"ok:{len(results)} release pairs"
         except Exception as exc:

@@ -89,11 +89,17 @@ def parse_module_id(text: str) -> ModuleId:
 
 @dataclass(frozen=True)
 class ModuleDef:
-    """An extracted code segment: module identity plus its exact source lines."""
+    """An extracted code segment: module identity plus its exact source lines.
+
+    A class module also carries its parsed declaration (spans relative to the
+    file); a method module carries none.  The declaration takes no part in
+    equality or hashing.
+    """
 
     id: ModuleId
     span: Tuple[int, int]  # 1-based inclusive line numbers
     body: Tuple[str, ...]
+    decl: Optional[TypeDecl] = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +174,6 @@ class _Tok:
 
 def _tokenize(masked: str) -> List[_Tok]:
     return [_Tok(m.group(), m.start()) for m in _TOKEN_RE.finditer(masked)]
-
-
-def code_words(masked_fragment: str) -> List[str]:
-    """Identifier-ish tokens of a masked code fragment (keywords included)."""
-    return _WORD_RE.findall(masked_fragment)
 
 
 # ---------------------------------------------------------------------------
@@ -785,13 +786,14 @@ def extract_modules(snapshot: FileSnapshot) -> List[ModuleDef]:
     seen: Dict[ModuleId, bool] = {}
 
     def segment(span: Tuple[int, int]) -> Tuple[str, ...]:
-        return tuple(parsed.lines[span[0] - 1:span[1]])
+        # the blob's own line strings, so a cached module holds no second copy
+        return tuple(snapshot.lines[span[0] - 1:span[1]])
 
     for t in parsed.all_types():
         cid = ModuleId("class", snapshot.path, t.qualified)
         if cid not in seen:
             seen[cid] = True
-            defs.append(ModuleDef(cid, t.span, segment(t.span)))
+            defs.append(ModuleDef(cid, t.span, segment(t.span), t))
         else:
             log.warning("%s: duplicate type %s; keeping first", snapshot.path, t.qualified)
         for m in t.methods:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,9 +21,7 @@ from granite.javaparse import (
     MethodDecl,
     ModuleDef,
     ModuleId,
-    TypeDecl,
     mask_source,
-    parse_source,
 )
 from granite.tracking import ChangeHistory
 
@@ -263,41 +262,56 @@ def method_product_metrics(mdef: ModuleDef) -> np.ndarray:
 # class product metrics
 
 
-def _segment_type(mdef: ModuleDef) -> Optional[TypeDecl]:
-    parsed = parse_source("\n".join(mdef.body), mdef.id.file_path)
-    if parsed.error or not parsed.types:
-        return None
-    simple = mdef.id.qualified_class.rsplit(".", 1)[-1]
-    for t in parsed.types:
-        if t.name == simple:
-            return t
-    return parsed.types[0]
-
-
-def _method_segment(mdef: ModuleDef, method: MethodDecl) -> str:
-    return "\n".join(mdef.body[method.span[0] - 1:method.span[1]])
-
-
 def _simple_name(qualified: str) -> str:
     return qualified.rsplit(".", 1)[-1]
 
 
-def class_product_metrics(
-    mdef: ModuleDef, snapshot_context: Sequence[ModuleDef]
-) -> np.ndarray:
-    """15 product metrics of one class segment, ordered as CLASS_METRIC_NAMES.
+def class_hierarchy(defs: Sequence[ModuleDef]) -> Dict[ModuleId, Tuple[int, int]]:
+    """(inheritance depth, number of children) of every class module in defs.
 
-    snapshot_context supplies the other modules at the release so inheritance
-    depth and child counts resolve within the project; external supertypes
-    contribute nothing.
+    A supertype resolves by simple name to the first class of that name in
+    module sort order.  An external supertype ends the chain, and so does a
+    cycle.
+    """
+    classes = sorted((d for d in defs if d.id.kind == "class"), key=lambda d: d.id.sort_key)
+    by_simple: Dict[str, ModuleId] = {}
+    for d in classes:
+        by_simple.setdefault(_simple_name(d.id.qualified_class), d.id)
+    parent: Dict[ModuleId, Optional[ModuleId]] = {}
+    for d in classes:
+        name = d.decl.extends_name
+        parent[d.id] = by_simple.get(_simple_name(name)) if name else None
+    children = Counter(p for mid, p in parent.items() if p is not None and p != mid)
+
+    out: Dict[ModuleId, Tuple[int, int]] = {}
+    for mid, cursor in parent.items():
+        depth, seen = 0, {mid}
+        while cursor is not None and cursor not in seen:
+            depth += 1
+            seen.add(cursor)
+            cursor = parent[cursor]
+        out[mid] = (depth, children[mid])
+    return out
+
+
+def _method_segment(mdef: ModuleDef, method: MethodDecl) -> str:
+    first = mdef.span[0]  # method spans count lines of the whole file
+    return "\n".join(mdef.body[method.span[0] - first:method.span[1] - first + 1])
+
+
+def class_product_metrics(
+    mdef: ModuleDef, hierarchy: Mapping[ModuleId, Tuple[int, int]]
+) -> np.ndarray:
+    """15 product metrics of one class module, ordered as CLASS_METRIC_NAMES.
+
+    hierarchy is class_hierarchy() of the release snapshot, so inheritance
+    depth and child counts resolve within the project.
     """
     text = "\n".join(mdef.body)
     masked, literals = mask_source(text)
     words = _words(masked)
-    decl = _segment_type(mdef)
-
-    methods = decl.methods if decl is not None else []
-    fields = decl.fields if decl is not None else []
+    methods = mdef.decl.methods
+    fields = mdef.decl.fields
     field_names = {n for f in fields for n in f.names}
 
     wmc = 0
@@ -331,7 +345,7 @@ def class_product_metrics(
     body = masked[body_off:] if body_off is not None else masked
     rfc = len(methods) + len(set(_invocation_names(body)))
 
-    dit, noc = _inheritance_metrics(mdef, decl, snapshot_context)
+    dit, noc = hierarchy[mdef.id]
 
     num_static = sum(1 for m in methods if "static" in m.modifiers) + sum(
         len(f.names) for f in fields if "static" in f.modifiers
@@ -358,55 +372,6 @@ def class_product_metrics(
         float(_comparisons(masked)),
     )
     return np.array(values, dtype=np.float64)
-
-
-def _inheritance_metrics(
-    mdef: ModuleDef, decl: Optional[TypeDecl], context: Sequence[ModuleDef]
-) -> Tuple[int, int]:
-    """(depth of the project-internal extends chain, number of direct children)."""
-    class_defs = [d for d in context if d.id.kind == "class"]
-    by_simple: Dict[str, List[ModuleDef]] = {}
-    for d in class_defs:
-        by_simple.setdefault(_simple_name(d.id.qualified_class), []).append(d)
-
-    extends_cache: Dict[ModuleId, Optional[str]] = {}
-
-    def extends_of(d: ModuleDef) -> Optional[str]:
-        if d.id not in extends_cache:
-            t = _segment_type(d)
-            extends_cache[d.id] = t.extends_name if t is not None else None
-        return extends_cache[d.id]
-
-    if decl is not None:
-        extends_cache[mdef.id] = decl.extends_name
-
-    def resolve(name: Optional[str]) -> Optional[ModuleDef]:
-        if not name:
-            return None
-        candidates = by_simple.get(_simple_name(name))
-        if not candidates:
-            return None
-        return sorted(candidates, key=lambda d: d.id.sort_key)[0]
-
-    depth = 0
-    seen = {mdef.id}
-    cursor: Optional[ModuleDef] = resolve(decl.extends_name if decl else None)
-    while cursor is not None and cursor.id not in seen:
-        depth += 1
-        seen.add(cursor.id)
-        cursor = resolve(extends_of(cursor))
-
-    simple = _simple_name(mdef.id.qualified_class)
-    children = 0
-    for d in class_defs:
-        if d.id == mdef.id:
-            continue
-        parent = extends_of(d)
-        if parent is not None and _simple_name(parent) == simple:
-            resolved = resolve(parent)
-            if resolved is not None and resolved.id == mdef.id:
-                children += 1
-    return depth, children
 
 
 # ---------------------------------------------------------------------------

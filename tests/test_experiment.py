@@ -1,9 +1,11 @@
 import csv
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from granite import javaparse
 from granite.cli import main
 from granite.experiment import (
     ExperimentConfig,
@@ -12,16 +14,16 @@ from granite.experiment import (
     load_config,
     run_experiment,
 )
+from granite.gitrepo import GitRepo
 
 
-def make_config(fixture_repo, out_dir, seed=7, k_values=(50, 100, 500, 1000, 5000), jobs=1):
+def make_config(fixture_repo, out_dir, seed=7, k_values=(50, 100, 500, 1000, 5000)):
     return ExperimentConfig(
         repos=(RepoSpec(str(fixture_repo.root), "v*"),),
         output_dir=str(out_dir),
         k_values=tuple(k_values),
         seed=seed,
         folds=10,
-        jobs=jobs,
     )
 
 
@@ -61,8 +63,10 @@ def test_manifest_hash_changes_iff_config_changes(tmp_path, fixture_repo):
     a = make_config(fixture_repo, tmp_path / "a", seed=1)
     b = make_config(fixture_repo, tmp_path / "a", seed=1)
     c = make_config(fixture_repo, tmp_path / "a", seed=2)
+    d = make_config(fixture_repo, tmp_path / "d", seed=1)
     assert a.config_hash == b.config_hash
     assert a.config_hash != c.config_hash
+    assert a.config_hash == d.config_hash  # output_dir does not affect results
 
 
 # -- full runs ---------------------------------------------------------------
@@ -168,8 +172,6 @@ def test_same_seed_byte_identical_reports(fixture_repo, tmp_path, first_run):
     first = _file_bytes(first_out)
     second = _file_bytes(rerun_out)
     for name in first:
-        if name == "manifest.json":
-            continue  # differs in config_hash because output_dir differs
         assert first[name] == second[name], f"{name} not reproducible"
 
 
@@ -204,12 +206,33 @@ def test_all_repos_failing_nonzero_exit(tmp_path):
     assert run_experiment(config) == 1
 
 
-def test_parallel_jobs_match_serial(fixture_repo, tmp_path, first_run):
-    _, first_out, config = first_run
-    par_out = tmp_path / "par"
-    par = make_config(fixture_repo, par_out, seed=config.seed, jobs=2)
-    assert run_experiment(par) == 0
-    assert (first_out / "releases.csv").read_bytes() == (par_out / "releases.csv").read_bytes()
+def test_each_blob_is_parsed_once(fixture_repo, tmp_path, monkeypatch):
+    parse, extract = javaparse.parse_source, javaparse.extract_modules
+    parses = 0
+    snapshots = set()
+
+    def counting_parse(*args, **kwargs):
+        nonlocal parses
+        parses += 1
+        return parse(*args, **kwargs)
+
+    def recording_extract(snapshot):
+        snapshots.add((snapshot.commit, snapshot.path))
+        return extract(snapshot)
+
+    # `from x import f` copies the binding, so replace it in every granite module
+    for name, module in list(sys.modules.items()):
+        if name == "granite" or name.startswith("granite."):
+            for attr, value in list(vars(module).items()):
+                if value is parse:
+                    monkeypatch.setattr(module, attr, counting_parse)
+                elif value is extract:
+                    monkeypatch.setattr(module, attr, recording_extract)
+    assert run_experiment(make_config(fixture_repo, tmp_path / "out")) == 0
+    with GitRepo(fixture_repo.root) as repo:
+        blobs = {(repo.source_files(commit)[path], path) for commit, path in snapshots}
+    assert blobs
+    assert parses == len(blobs)
 
 
 # -- CLI ------------------------------------------------------------------------

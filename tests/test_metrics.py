@@ -8,6 +8,7 @@ from granite.metrics import (
     CLASS_METRIC_NAMES,
     METHOD_METRIC_NAMES,
     PROCESS_METRIC_NAMES,
+    class_hierarchy,
     class_product_metrics,
     method_product_metrics,
     process_metrics,
@@ -23,7 +24,7 @@ def modules_of(source, path="src/T.java"):
 def class_vec(source, qualified, extra_context=()):
     defs = modules_of(source)
     target = next(d for d in defs if d.id.kind == "class" and d.id.qualified_class == qualified)
-    vec = class_product_metrics(target, list(defs) + list(extra_context))
+    vec = class_product_metrics(target, class_hierarchy(list(defs) + list(extra_context)))
     return dict(zip(CLASS_METRIC_NAMES, vec))
 
 
@@ -62,18 +63,31 @@ def test_inheritance_chain_within_project():
     class D extends External {}
     """
     defs = modules_of(src)
+    hierarchy = class_hierarchy(defs)
     byname = {d.id.qualified_class: d for d in defs if d.id.kind == "class"}
-    depth = lambda q: dict(zip(CLASS_METRIC_NAMES, class_product_metrics(byname[q], defs)))[
+    depth = lambda q: dict(zip(CLASS_METRIC_NAMES, class_product_metrics(byname[q], hierarchy)))[
         "inheritance_depth"
     ]
     assert depth("A") == 0
     assert depth("B") == 1
     assert depth("C") == 2
     assert depth("D") == 0  # external supertype contributes nothing
-    children = dict(zip(CLASS_METRIC_NAMES, class_product_metrics(byname["A"], defs)))[
+    children = dict(zip(CLASS_METRIC_NAMES, class_product_metrics(byname["A"], hierarchy)))[
         "num_children"
     ]
     assert children == 1
+
+
+def test_nested_type_on_its_enclosing_line_is_measured_from_its_own_declaration():
+    src = """\
+    class Base { void b() {} }
+    class Outer { static class Inner extends Base { void x() {} void y() {} } int z; }
+    """
+    inner = class_vec(src, "Outer.Inner")
+    assert inner["num_methods"] == 2
+    assert inner["num_fields"] == 0
+    assert inner["inheritance_depth"] == 1
+    assert class_vec(src, "Base")["num_children"] == 1
 
 
 CBO_FIXTURE = """\
@@ -256,8 +270,8 @@ def test_unique_identifiers_excludes_keywords():
 def test_metric_vectors_are_pure():
     defs = modules_of(CBO_FIXTURE)
     cls = next(d for d in defs if d.id.kind == "class")
-    first = class_product_metrics(cls, defs)
-    second = class_product_metrics(cls, defs)
+    first = class_product_metrics(cls, class_hierarchy(defs))
+    second = class_product_metrics(cls, class_hierarchy(defs))
     assert np.array_equal(first, second)
     method = next(d for d in defs if d.id.kind == "method")
     assert np.array_equal(method_product_metrics(method), method_product_metrics(method))
@@ -266,7 +280,7 @@ def test_metric_vectors_are_pure():
 def test_every_method_vector_is_finite_nonnegative():
     defs = modules_of(CBO_FIXTURE)
     for d in defs:
-        vec = method_product_metrics(d) if d.id.kind == "method" else class_product_metrics(d, defs)
+        vec = method_product_metrics(d) if d.id.kind == "method" else class_product_metrics(d, class_hierarchy(defs))
         assert np.all(np.isfinite(vec))
         assert np.all(vec >= 0)
 
