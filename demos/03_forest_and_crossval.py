@@ -45,5 +45,6 @@ print(f"  recall    {pooled.recall:.3f}")
 print(f"  f1        {pooled.f1:.3f}")
 print(f"  accuracy  {pooled.accuracy:.3f}")
 print(f"  auc       {pooled.auc:.3f}")
-per_fold = [f"{f.scores.accuracy:.2f}" for f in result.folds if f.scores is not None]
+correct = (result.out_of_fold_scores >= 0.5) == (ds.y == 1)
+per_fold = [f"{correct[result.fold_assignment == f.fold].mean():.2f}" for f in result.folds if not f.skipped]
 print("  per-fold accuracy:", " ".join(per_fold))

@@ -21,6 +21,7 @@ from typing import List, Optional
 from granite import __version__
 from granite.evaluation import ChangeSizes, change_sizes, rank_by_score, top_k_change_ratio, top_k_cutoff
 from granite.experiment import DEFAULT_K, load_config, run_experiment
+from granite.forest import PredictionScore
 from granite.gitrepo import GitRepo
 from granite.javaparse import parse_module_id
 from granite.tracking import HistoryScanner, count_changes_between, dump_modules_jsonl, module_loc
@@ -83,21 +84,14 @@ def _cmd_eval(args) -> int:
         print("--k must be a strictly increasing list of positive integers", file=sys.stderr)
         return 2
 
-    class _Scored:
-        __slots__ = ("module", "score")
-
-        def __init__(self, module, score):
-            self.module = module
-            self.score = score
-
-    scored: List[_Scored] = []
+    scored: List[PredictionScore] = []
     locs = {}
     sizes = {}
     with open(args.predictions, encoding="utf-8", newline="") as fp:
         reader = csv.DictReader(fp)
         for row in reader:
             module = parse_module_id(row["module_id"])
-            scored.append(_Scored(module, float(row["score"])))
+            scored.append(PredictionScore(module, float(row["score"])))
             locs[module] = int(row["loc"])
             sizes[module] = ChangeSizes(
                 module, int(row["delta_release"]), int(row["delta_commit"])

@@ -8,9 +8,10 @@ the realized change a top-k LOC budget of the ranking would have covered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from granite.javaparse import ModuleId
+from granite.stats import average_ranks
 from granite.textdiff import line_churn
 from granite.tracking import ChangeHistory
 
@@ -54,9 +55,9 @@ class ChangeSizes:
 
 
 def confusion_counts(
-    preds: Set[ModuleId], truth: Set[ModuleId], universe: Iterable[ModuleId]
+    preds: Set[Hashable], truth: Set[Hashable], universe: Iterable[Hashable]
 ) -> ConfusionCounts:
-    """Set-intersection confusion counts over the module universe."""
+    """Set-intersection confusion counts over a universe of modules (or row indices)."""
     all_modules = set(universe)
     tp = len(preds & truth)
     fp = len(preds - truth)
@@ -76,22 +77,12 @@ def classification_scores(c: ConfusionCounts) -> EvalScores:
 
 def auc_roc(scored: Sequence[Tuple[float, int]]) -> Optional[float]:
     """Rank-based AUC (ties count one half); None when one label is missing."""
-    pos = [s for s, label in scored if label == 1]
-    neg = [s for s, label in scored if label == 0]
-    if not pos or not neg:
+    labels = [label for _, label in scored]
+    n_pos, n_neg = labels.count(1), labels.count(0)
+    if not n_pos or not n_neg:
         return None
-    values = sorted(s for s, _ in scored)
-    # average ranks, 1-based, with ties averaged
-    ranks: Dict[float, float] = {}
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[j + 1] == values[i]:
-            j += 1
-        ranks[values[i]] = (i + j + 2) / 2.0
-        i = j + 1
-    rank_sum = sum(ranks[s] for s in pos)
-    n_pos, n_neg = len(pos), len(neg)
+    ranks = average_ranks([s for s, _ in scored])
+    rank_sum = sum(r for r, label in zip(ranks, labels) if label == 1)
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 

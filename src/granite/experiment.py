@@ -125,6 +125,7 @@ class ReleaseResult:
     pair: ReleasePair
     by_granularity: Dict[str, GranularityResult]
     projected: Optional[EvalScores]  # class predictions scored on method truth
+    skipped: Dict[str, str]  # granularity -> why it has no result
 
     @property
     def label(self) -> str:
@@ -156,12 +157,14 @@ def analyze_release_pair(
     hierarchy = class_hierarchy(class_context)
 
     results: Dict[str, GranularityResult] = {}
+    skipped: Dict[str, str] = {}
     for granularity in GRANULARITIES:
         mods = sorted(
             (m for m in start_defs if m.kind == granularity), key=lambda m: m.sort_key
         )
         if not mods:
-            log.warning("%s %s: no %s modules at release", repo.path, pair.label, granularity)
+            skipped[granularity] = f"no {granularity} modules at release"
+            log.warning("%s %s: %s", repo.path, pair.label, skipped[granularity])
             continue
         counts = {m: count_changes_between(pair_scan.histories[m]) for m in mods}
         labels = label_change_prone(counts)
@@ -184,7 +187,8 @@ def analyze_release_pair(
         try:
             cv = cross_validate(ds, folds=folds, params=ForestParams(seed=seed))
         except ValueError as exc:
-            log.warning("%s %s %s: cross-validation impossible: %s", repo.path, pair.label, granularity, exc)
+            skipped[granularity] = f"cross-validation impossible: {exc}"
+            log.warning("%s %s %s: %s", repo.path, pair.label, granularity, skipped[granularity])
             continue
 
         sizes: Dict[ModuleId, ChangeSizes] = {}
@@ -229,21 +233,25 @@ def analyze_release_pair(
         }
         projected = classification_scores(confusion_counts(p_cm, truth_m, method_mods))
 
-    return ReleaseResult(repo=Path(str(repo.path)).name, pair=pair, by_granularity=results, projected=projected)
+    return ReleaseResult(Path(str(repo.path)).name, pair, results, projected, skipped)
 
 
 def analyze_repository(
     spec: RepoSpec, k_values: Sequence[int], seed: int, folds: int
-) -> List[ReleaseResult]:
+) -> Tuple[List[ReleaseResult], List[Dict[str, str]]]:
+    """Results of the release pairs that ran, and a manifest entry for each that raised."""
     with GitRepo(spec.path) as repo:
         scanner = HistoryScanner(repo)
         out = []
+        failed = []
         for pair in repo.release_pairs(spec.tags):
             try:
                 out.append(analyze_release_pair(repo, scanner, pair, k_values, seed, folds))
             except Exception as exc:  # keep one bad pair from sinking the repo
-                log.warning("%s %s: release pair failed: %s", spec.path, pair.label, exc)
-        return out
+                reason = f"{type(exc).__name__}: {exc}"
+                log.warning("%s %s: release pair failed: %s", spec.path, pair.label, reason)
+                failed.append({"repo": spec.name, "release_pair": pair.label, "reason": reason})
+        return out, failed
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +274,12 @@ def _ratio_columns(k_values: Sequence[int]) -> List[Tuple[str, int]]:
     return [(kind, k) for kind in ("release", "commit") for k in k_values]
 
 
-def emit_report(results: List[ReleaseResult], config: ExperimentConfig, repo_status: Mapping[str, str]) -> None:
+def emit_report(
+    results: List[ReleaseResult],
+    config: ExperimentConfig,
+    repo_status: Mapping[str, str],
+    failed_pairs: Sequence[Mapping[str, str]] = (),
+) -> None:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_dir = out_dir / "datasets"
@@ -331,6 +344,16 @@ def emit_report(results: List[ReleaseResult], config: ExperimentConfig, repo_sta
         "config_hash": config.config_hash,
         "repos": {name: status for name, status in sorted(repo_status.items())},
         "release_pairs": sum(1 for _ in results),
+        "failed_release_pairs": list(failed_pairs),
+        "skipped_granularities": [
+            {"repo": res.repo, "release_pair": res.label, "granularity": g, "reason": reason}
+            for res in results for g, reason in res.skipped.items()
+        ],
+        "skipped_folds": [
+            {"repo": res.repo, "release_pair": res.label, "granularity": g, "folds": folds}
+            for res in results for g, gr in res.by_granularity.items()
+            if (folds := [f.fold for f in gr.cv.folds if f.skipped])
+        ],
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -396,15 +419,17 @@ def _summary_rows(results: List[ReleaseResult], config: ExperimentConfig) -> Lis
 def run_experiment(config: ExperimentConfig) -> int:
     """Run every repository; nonzero exit only when all of them fail."""
     all_results: List[ReleaseResult] = []
+    failed_pairs: List[Dict[str, str]] = []
     status: Dict[str, str] = {}
     for spec in config.repos:
         try:
-            results = analyze_repository(spec, config.k_values, config.seed, config.folds)
+            results, failed = analyze_repository(spec, config.k_values, config.seed, config.folds)
             all_results.extend(results)
+            failed_pairs += failed
             status[spec.name] = f"ok:{len(results)} release pairs"
         except Exception as exc:
             log.error("repository %s failed: %s", spec.path, exc)
             status[spec.name] = f"failed:{exc}"
-    emit_report(all_results, config, status)
+    emit_report(all_results, config, status, failed_pairs)
     any_ok = any(s.startswith("ok") for s in status.values())
     return 0 if any_ok else 1

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from granite.dataset import LabeledDataset, apply_min_max, fit_min_max, random_under_sample
-from granite.evaluation import EvalScores, auc_roc, classification_scores, ConfusionCounts
+from granite.evaluation import EvalScores, auc_roc, classification_scores, confusion_counts
 from granite.javaparse import ModuleId
 
 log = logging.getLogger(__name__)
@@ -33,25 +33,15 @@ class ForestParams:
 
 
 @dataclass
-class TreeNode:
-    feature: int = -1  # -1 marks a leaf
-    threshold: float = 0.0
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    counts: Tuple[int, int] = (0, 0)  # (label-0, label-1) rows at a leaf
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-    @property
-    def vote(self) -> int:
-        return 1 if self.counts[1] >= self.counts[0] else 0
-
-
-@dataclass
 class ForestModel:
-    trees: List[TreeNode]
+    """All trees' nodes in flat arrays, each tree in preorder; rows <= threshold go left."""
+
+    trees: np.ndarray  # root node index of each tree
+    feature: np.ndarray  # -1 marks a leaf
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray  # (label-0, label-1) training rows per node, shape (n_nodes, 2)
     params: ForestParams
     feature_names: Tuple[str, ...]
 
@@ -108,25 +98,30 @@ def _grow(
     max_features: int,
     min_samples_split: int,
     max_depth: Optional[int],
+    nodes: List[list],
     depth: int = 0,
-) -> TreeNode:
+) -> int:
+    """Append the subtree over (X, y) to nodes in preorder; return its root index."""
     n = len(y)
     pos = int(y.sum())
+    node = len(nodes)
+    nodes.append([-1, 0.0, -1, -1, n - pos, pos])
     if (
         pos == 0
         or pos == n
         or n < min_samples_split
         or (max_depth is not None and depth >= max_depth)
     ):
-        return TreeNode(counts=(n - pos, pos))
+        return node
     features = rng.choice(X.shape[1], size=max_features, replace=False)
     split = _best_split(X, y, features)
     if split is None:
-        return TreeNode(counts=(n - pos, pos))
+        return node
     f, threshold, left_mask = split
-    left = _grow(X[left_mask], y[left_mask], rng, max_features, min_samples_split, max_depth, depth + 1)
-    right = _grow(X[~left_mask], y[~left_mask], rng, max_features, min_samples_split, max_depth, depth + 1)
-    return TreeNode(feature=f, threshold=threshold, left=left, right=right)
+    left = _grow(X[left_mask], y[left_mask], rng, max_features, min_samples_split, max_depth, nodes, depth + 1)
+    right = _grow(X[~left_mask], y[~left_mask], rng, max_features, min_samples_split, max_depth, nodes, depth + 1)
+    nodes[node][:4] = [f, threshold, left, right]
+    return node
 
 
 def train_random_forest(train: LabeledDataset, params: ForestParams) -> ForestModel:
@@ -137,43 +132,39 @@ def train_random_forest(train: LabeledDataset, params: ForestParams) -> ForestMo
         raise ValueError("need at least 2 training rows")
     if len(np.unique(y)) < 2:
         raise ValueError("training set has a single label")
+    if params.n_trees < 1:
+        raise ValueError("need at least one tree")
     max_features = params.max_features or max(1, int(math.isqrt(m)))
     max_features = min(max_features, m)
-    trees: List[TreeNode] = []
+    nodes: List[list] = []
+    roots = []
     for i in range(params.n_trees):
         rng = np.random.default_rng([params.seed & 0x7FFFFFFFFFFF, i])
         sample = rng.integers(0, n, size=n)
-        trees.append(
-            _grow(X[sample], y[sample], rng, max_features, params.min_samples_split, params.max_depth)
+        roots.append(
+            _grow(X[sample], y[sample], rng, max_features, params.min_samples_split, params.max_depth, nodes)
         )
-    return ForestModel(trees=trees, params=params, feature_names=train.feature_names)
-
-
-def _tree_votes(node: TreeNode, X: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:
-    if node.is_leaf:
-        out[idx] = node.vote
-        return
-    mask = X[idx, node.feature] <= node.threshold
-    if mask.any():
-        _tree_votes(node.left, X, out, idx[mask])
-    if (~mask).any():
-        _tree_votes(node.right, X, out, idx[~mask])
+    feature, threshold, left, right, neg, pos = (np.array(column) for column in zip(*nodes))
+    counts = np.column_stack([neg, pos])
+    return ForestModel(np.array(roots), feature, threshold, left, right, counts, params, train.feature_names)
 
 
 def score_matrix(model: ForestModel, X: np.ndarray) -> np.ndarray:
-    """Vote fraction per row of X."""
+    """Vote fraction per row of X; every (tree, row) pair moves down one level per pass."""
     if X.shape[1] != len(model.feature_names):
         raise ValueError(
             f"feature length mismatch: got {X.shape[1]}, model expects {len(model.feature_names)}"
         )
-    votes = np.zeros(len(X), dtype=np.float64)
-    scratch = np.zeros(len(X), dtype=np.float64)
-    all_idx = np.arange(len(X))
-    for tree in model.trees:
-        scratch[:] = 0.0
-        _tree_votes(tree, X, scratch, all_idx)
-        votes += scratch
-    return votes / len(model.trees)
+    node = np.repeat(model.trees, len(X))
+    row = np.tile(np.arange(len(X)), len(model.trees))
+    active = np.flatnonzero(model.feature[node] >= 0)
+    while active.size:
+        at = node[active]
+        go_left = X[row[active], model.feature[at]] <= model.threshold[at]
+        node[active] = np.where(go_left, model.left[at], model.right[at])
+        active = active[model.feature[node[active]] >= 0]
+    votes = model.counts[node, 1] >= model.counts[node, 0]
+    return votes.reshape(len(model.trees), len(X)).sum(axis=0) / len(model.trees)
 
 
 def predict_proba(model: ForestModel, features: np.ndarray) -> float:
@@ -183,24 +174,18 @@ def predict_proba(model: ForestModel, features: np.ndarray) -> float:
 
 
 def model_to_json(model: ForestModel) -> str:
-    """Debug dump of the tree structures; not a stability-guaranteed format."""
-
-    def node(n: TreeNode) -> dict:
-        if n.is_leaf:
-            return {"counts": list(n.counts)}
-        return {
-            "feature": n.feature,
-            "threshold": n.threshold,
-            "left": node(n.left),
-            "right": node(n.right),
-        }
-
+    """Debug dump of the node arrays; not a stability-guaranteed format."""
     return json.dumps(
         {
             "n_trees": len(model.trees),
             "feature_names": list(model.feature_names),
             "seed": model.params.seed,
-            "trees": [node(t) for t in model.trees],
+            "trees": model.trees.tolist(),
+            "feature": model.feature.tolist(),
+            "threshold": model.threshold.tolist(),
+            "left": model.left.tolist(),
+            "right": model.right.tolist(),
+            "counts": model.counts.tolist(),
         }
     )
 
@@ -212,7 +197,6 @@ def model_to_json(model: ForestModel) -> str:
 @dataclass
 class FoldResult:
     fold: int
-    scores: Optional[EvalScores]  # None when the fold was skipped
     skipped: bool = False
 
 
@@ -234,18 +218,14 @@ class CrossValResult:
 
     def pooled_scores(self) -> EvalScores:
         """Scores over all out-of-fold predictions pooled together."""
-        scored = [
-            (float(s), int(y))
-            for s, y in zip(self.out_of_fold_scores, self.dataset.y)
-            if not np.isnan(s)
-        ]
-        preds = [s >= 0.5 for s, _ in scored]
-        tp = sum(1 for p, (_, y) in zip(preds, scored) if p and y == 1)
-        fp = sum(1 for p, (_, y) in zip(preds, scored) if p and y == 0)
-        fn = sum(1 for p, (_, y) in zip(preds, scored) if not p and y == 1)
-        tn = len(scored) - tp - fp - fn
-        base = classification_scores(ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn))
-        return replace(base, auc=auc_roc(scored))
+        rows = np.flatnonzero(~np.isnan(self.out_of_fold_scores))
+        scores = self.out_of_fold_scores[rows]
+        labels = self.dataset.y[rows].astype(int)
+        counts = confusion_counts(
+            set(rows[scores >= 0.5].tolist()), set(rows[labels == 1].tolist()), rows.tolist()
+        )
+        scored = list(zip(scores.tolist(), labels.tolist()))
+        return replace(classification_scores(counts), auc=auc_roc(scored))
 
 
 def _stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> np.ndarray:
@@ -288,7 +268,7 @@ def cross_validate(
         y_train = ds.y[train_idx]
         if len(test_idx) == 0 or len(np.unique(y_train)) < 2:
             log.warning("%s/%s fold %d skipped: single-label training split", ds.release, ds.granularity, fold)
-            results.append(FoldResult(fold, None, skipped=True))
+            results.append(FoldResult(fold, skipped=True))
             continue
         mins, maxs = fit_min_max(ds.X[train_idx])
         train_ds = ds.subset(train_idx)
@@ -298,15 +278,6 @@ def cross_validate(
             train_ds, replace(params, seed=_combine_seed(params.seed, fold + 1))
         )
         X_test = apply_min_max(ds.X[test_idx], mins, maxs)
-        scores = score_matrix(model, X_test)
-        oof[test_idx] = scores
-        scored = list(zip(scores.tolist(), ds.y[test_idx].astype(int).tolist()))
-        preds = scores >= 0.5
-        truth = ds.y[test_idx] == 1
-        tp = int(np.sum(preds & truth))
-        fp = int(np.sum(preds & ~truth))
-        fn = int(np.sum(~preds & truth))
-        tn = int(np.sum(~preds & ~truth))
-        base = classification_scores(ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn))
-        results.append(FoldResult(fold, replace(base, auc=auc_roc(scored))))
+        oof[test_idx] = score_matrix(model, X_test)
+        results.append(FoldResult(fold))
     return CrossValResult(ds, assignment, oof, results)

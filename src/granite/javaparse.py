@@ -72,13 +72,13 @@ class ModuleId:
 
 
 def parse_module_id(text: str) -> ModuleId:
-    """Inverse of str(ModuleId); paths containing ':' are unsupported."""
+    """Inverse of str(ModuleId); file paths may contain ':' and '#'."""
     kind, _, rest = text.partition(":")
     if kind == "class":
         path, _, qualified = rest.rpartition(":")
         return ModuleId("class", path, qualified)
     if kind == "method":
-        loc, _, sig = rest.partition("#")
+        loc, _, sig = rest.rpartition("#")
         path, _, qualified = loc.rpartition(":")
         name, _, params = sig.partition("(")
         params = params.rstrip(")")

@@ -29,7 +29,8 @@ class StatResult:
     significance_mark: str  # n.s. | * | **
 
 
-def _average_ranks(values: Sequence[float]) -> List[float]:
+def average_ranks(values: Sequence[float]) -> List[float]:
+    """1-based ranks of values; each tie group gets its mean rank."""
     order = sorted(range(len(values)), key=lambda i: values[i])
     ranks = [0.0] * len(values)
     i = 0
@@ -53,7 +54,7 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> float:
     diffs = [x - y for x, y in zip(a, b) if x != y]
     if not diffs:
         return 1.0
-    ranks = _average_ranks([abs(d) for d in diffs])
+    ranks = average_ranks([abs(d) for d in diffs])
     w_plus = sum(r for r, d in zip(ranks, diffs) if d > 0)
     n = len(diffs)
     if n <= EXACT_LIMIT:

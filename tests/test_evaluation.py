@@ -3,6 +3,8 @@ import random
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from granite.evaluation import (
     ChangeSizes,
@@ -143,6 +145,20 @@ def test_auc_matches_pair_counting_oracle():
             assert got is None
         else:
             assert abs(got - expected) < 1e-12
+
+
+# a small pool of values makes ties common; free floats cover the rest
+score_values = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(allow_nan=False)
+
+
+@given(st.lists(st.tuples(score_values, st.integers(0, 1)), max_size=30))
+def test_auc_equals_pairwise_mann_whitney(scored):
+    expected = brute_auc(scored)
+    got = auc_roc(scored)
+    if expected is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_auc_invariant_under_monotone_transform():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from granite import javaparse
+from granite import experiment, javaparse
 from granite.cli import main
 from granite.experiment import (
     ExperimentConfig,
@@ -14,6 +14,7 @@ from granite.experiment import (
     load_config,
     run_experiment,
 )
+from granite.forest import FoldResult
 from granite.gitrepo import GitRepo
 
 
@@ -156,6 +157,44 @@ def test_manifest_contents(first_run):
     assert manifest["config_hash"] == config.config_hash
     assert manifest["release_pairs"] == 2
     assert any(v.startswith("ok") for v in manifest["repos"].values())
+    assert manifest["failed_release_pairs"] == []
+    assert manifest["skipped_granularities"] == []
+    assert manifest["skipped_folds"] == []
+
+
+def test_manifest_lists_failed_pairs_and_skipped_units(fixture_repo, tmp_path, monkeypatch):
+    analyze, cross_validate = experiment.analyze_release_pair, experiment.cross_validate
+
+    def failing_first_pair(repo, scanner, pair, *args):
+        if pair.label == "v1.0..v1.1":
+            raise RuntimeError("forced failure")
+        return analyze(repo, scanner, pair, *args)
+
+    def impossible_method_cv(ds, **kwargs):
+        if ds.granularity == "method":
+            raise ValueError("forced single label")
+        cv = cross_validate(ds, **kwargs)
+        cv.folds[3] = FoldResult(3, skipped=True)
+        return cv
+
+    monkeypatch.setattr(experiment, "analyze_release_pair", failing_first_pair)
+    monkeypatch.setattr(experiment, "cross_validate", impossible_method_cv)
+    out = tmp_path / "out"
+    assert run_experiment(make_config(fixture_repo, out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["release_pairs"] == 1
+    assert manifest["failed_release_pairs"] == [
+        {"repo": "repo", "release_pair": "v1.0..v1.1", "reason": "RuntimeError: forced failure"}
+    ]
+    assert manifest["skipped_granularities"] == [
+        {"repo": "repo", "release_pair": "v1.1..v2.0", "granularity": "method",
+         "reason": "cross-validation impossible: forced single label"}
+    ]
+    assert manifest["skipped_folds"] == [
+        {"repo": "repo", "release_pair": "v1.1..v2.0", "granularity": "class", "folds": [3]}
+    ]
+    rows = read_rows(out / "releases.csv")
+    assert [(r["release_pair"], r["granularity"]) for r in rows] == [("v1.1..v2.0", "class")]
 
 
 def _file_bytes(out: Path):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -32,14 +34,15 @@ def blobs(n=500, m=10, shift=2.0, seed=1234):
 
 
 # independent model evaluation: plain tree walking, no library scoring path
-def walk_tree(node, row):
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return 1 if node.counts[1] >= node.counts[0] else 0
+def walk_tree(model, node, row):
+    while model.feature[node] >= 0:
+        f = model.feature[node]
+        node = model.left[node] if row[f] <= model.threshold[node] else model.right[node]
+    return 1 if model.counts[node][1] >= model.counts[node][0] else 0
 
 
 def manual_score(model, row):
-    return sum(walk_tree(t, row) for t in model.trees) / len(model.trees)
+    return sum(walk_tree(model, t, row) for t in model.trees) / len(model.trees)
 
 
 def test_two_row_dataset_trains():
@@ -111,17 +114,23 @@ def test_model_json_dump_roundtrips_structure():
     dump = json.loads(model_to_json(model))
     assert dump["n_trees"] == 4
     assert len(dump["trees"]) == 4
+    n_nodes = len(dump["feature"])
+    for key in ("threshold", "left", "right", "counts"):
+        assert len(dump[key]) == n_nodes
+    seen = []
 
     def walk(node):
-        if "counts" in node:
-            assert sum(node["counts"]) > 0
+        seen.append(node)
+        if dump["feature"][node] < 0:
+            assert sum(dump["counts"][node]) > 0
             return
-        assert 0 <= node["feature"] < 3
-        walk(node["left"])
-        walk(node["right"])
+        assert 0 <= dump["feature"][node] < 3
+        walk(dump["left"][node])
+        walk(dump["right"][node])
 
     for tree in dump["trees"]:
         walk(tree)
+    assert seen == list(range(n_nodes))  # preorder, each node in exactly one tree
 
 
 def test_tree_paths_have_narrowing_boxes():
@@ -129,13 +138,13 @@ def test_tree_paths_have_narrowing_boxes():
     model = train_random_forest(ds, ForestParams(n_trees=10, seed=8))
 
     def check(node, lo, hi):
-        if node.is_leaf:
-            assert node.counts[0] + node.counts[1] > 0
+        if model.feature[node] < 0:
+            assert model.counts[node][0] + model.counts[node][1] > 0
             return
-        f, t = node.feature, node.threshold
+        f, t = model.feature[node], model.threshold[node]
         assert lo[f] < t < hi[f]
-        check(node.left, lo, {**hi, f: t})
-        check(node.right, {**lo, f: t}, hi)
+        check(model.left[node], lo, {**hi, f: t})
+        check(model.right[node], {**lo, f: t}, hi)
 
     for tree in model.trees:
         check(tree, {f: -np.inf for f in range(5)}, {f: np.inf for f in range(5)})
@@ -176,6 +185,17 @@ def test_separable_blobs_high_out_of_fold_auc():
     pooled = result.pooled_scores()
     assert pooled.auc is not None and pooled.auc >= 0.95
     assert pooled.f1 >= 0.9
+
+
+def test_out_of_fold_scores_pinned():
+    # pinned before trees became flat arrays; training, fold assignment,
+    # scoring and pooled scoring must all stay bit-identical
+    ds = blobs(n=150, m=6, shift=0.8, seed=2024)
+    cv = cross_validate(ds, folds=10, params=ForestParams(n_trees=25, seed=17))
+    payload = cv.out_of_fold_scores.tobytes() + repr(cv.pooled_scores()).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "2465fdb3dd8ef70030d231806b24b8ac74b7bc1d90fe4f5ee452548c184e6319"
+    )
 
 
 def test_fewer_rows_than_folds_errors():

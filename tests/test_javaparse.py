@@ -245,6 +245,11 @@ def test_module_id_roundtrip():
     assert parse_module_id(str(mid)) == mid
     cid = ModuleId("class", "src/a/B.java", "B.Inner")
     assert parse_module_id(str(cid)) == cid
+    for path in ("src/a#b/A.java", "src/a#b:c/A.java"):
+        mid = ModuleId("method", path, "A", "m", ("int",))
+        assert parse_module_id(str(mid)) == mid
+        cid = ModuleId("class", path, "A")
+        assert parse_module_id(str(cid)) == cid
 
 
 def test_method_span_inside_exactly_one_class_span():

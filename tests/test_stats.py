@@ -3,7 +3,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from granite import stats
 from granite.stats import (
     StatResult,
     cliffs_delta,
@@ -44,6 +47,18 @@ def enumerate_exact_p(a, b):
         if w <= lo + eps or w >= hi - eps:
             count += 1
     return min(1.0, count / 2 ** len(ranks))
+
+
+@given(st.lists(st.integers(-3, 3) | st.floats(allow_nan=False), max_size=40))
+def test_average_ranks_give_each_tie_group_its_mean_rank(values):
+    ranks = stats.average_ranks(values)
+    assert len(ranks) == len(values)
+    for rank, v in zip(ranks, values):
+        below = sum(1 for x in values if x < v)
+        ties = sum(1 for x in values if x == v)
+        # mean of the 1-based ranks below+1 .. below+ties
+        assert rank == below + (ties + 1) / 2
+    assert sum(ranks) == len(values) * (len(values) + 1) / 2
 
 
 # -- wilcoxon ----------------------------------------------------------------
