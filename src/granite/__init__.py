@@ -15,7 +15,6 @@ from granite.gitrepo import (
     GitRepo,
     ReleasePair,
     RepositoryError,
-    linearize_commits,
     resolve_release_pairs,
 )
 from granite.javaparse import ModuleDef, ModuleId, extract_modules, parse_module_id, parse_source

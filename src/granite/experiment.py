@@ -37,7 +37,7 @@ from granite.gitrepo import GitRepo, ReleasePair
 from granite.javaparse import ModuleId
 from granite.metrics import class_hierarchy, class_product_metrics, method_product_metrics, process_metrics
 from granite.stats import compare_paired
-from granite.tracking import ChangeHistory, HistoryScanner, count_changes_between, module_loc
+from granite.tracking import HistoryScanner, PriorHistories, count_changes_between, module_loc
 
 log = logging.getLogger(__name__)
 
@@ -136,21 +136,21 @@ def analyze_release_pair(
     repo: GitRepo,
     scanner: HistoryScanner,
     pair: ReleasePair,
+    prior: Optional[PriorHistories],
     k_values: Sequence[int],
     seed: int,
     folds: int,
-) -> ReleaseResult:
+) -> Tuple[ReleaseResult, PriorHistories]:
+    """The pair's result, and the histories at r' to carry to the next pair.
+
+    prior holds the histories at the previous pair's r'; when it does not end
+    at this pair's r, the first-parent chain up to r is walked from the root.
+    """
+    if prior is None or prior.commits[-1] != pair.r_commit:
+        root_scan = scanner.change_histories(list(reversed(repo.first_parent_chain(pair.r_commit))))
+        prior = PriorHistories(root_scan.commits, root_scan.end_histories, root_scan.touched)
     pair_scan = scanner.change_histories(pair.commits)
-    pre_chain = list(reversed(repo.first_parent_chain(pair.r_commit)))
-    pre_scan = scanner.change_histories(pre_chain)
-
-    meta_commits = set(pre_chain) | set(pair.commits)
-    for h in pre_scan.histories.values():
-        meta_commits.add(h.birth_commit)
-    metas = repo.commit_meta(sorted(meta_commits))
-
-    # map pre-release histories onto the identities the release snapshot uses
-    pre_history_at_r = {d.id: pre_scan.histories[birth] for birth, d in pre_scan.end_defs.items()}
+    metas = repo.commit_meta(prior.commits)
 
     start_defs = pair_scan.start_defs
     class_context = [d for d in start_defs.values() if d.id.kind == "class"]
@@ -169,7 +169,7 @@ def analyze_release_pair(
         counts = {m: count_changes_between(pair_scan.histories[m]) for m in mods}
         labels = label_change_prone(counts)
         locs = {m: module_loc(start_defs[m]) for m in mods}
-        touched = {c: kinds.get(granularity, 0) for c, kinds in pre_scan.touched.items()}
+        touched = {c: kinds.get(granularity, 0) for c, kinds in prior.touched.items()}
         product = {}
         process = {}
         for m in mods:
@@ -178,10 +178,7 @@ def analyze_release_pair(
                 product[m] = class_product_metrics(d, hierarchy)
             else:
                 product[m] = method_product_metrics(d)
-            history = pre_history_at_r.get(m)
-            if history is None:  # module's file appeared exactly at r
-                history = ChangeHistory(m, [], pair.r_commit)
-            process[m] = process_metrics(history, metas, touched, pair.r_commit)
+            process[m] = process_metrics(prior.histories[m], metas, touched, pair.r_commit)
         ds = assemble(product, process, labels, locs, pair.label, granularity)
 
         try:
@@ -233,7 +230,8 @@ def analyze_release_pair(
         }
         projected = classification_scores(confusion_counts(p_cm, truth_m, method_mods))
 
-    return ReleaseResult(Path(str(repo.path)).name, pair, results, projected, skipped)
+    result = ReleaseResult(Path(str(repo.path)).name, pair, results, projected, skipped)
+    return result, prior.extended(pair_scan)
 
 
 def analyze_repository(
@@ -244,9 +242,11 @@ def analyze_repository(
         scanner = HistoryScanner(repo)
         out = []
         failed = []
+        prior = None
         for pair in repo.release_pairs(spec.tags):
             try:
-                out.append(analyze_release_pair(repo, scanner, pair, k_values, seed, folds))
+                result, prior = analyze_release_pair(repo, scanner, pair, prior, k_values, seed, folds)
+                out.append(result)
             except Exception as exc:  # keep one bad pair from sinking the repo
                 reason = f"{type(exc).__name__}: {exc}"
                 log.warning("%s %s: release pair failed: %s", spec.path, pair.label, reason)

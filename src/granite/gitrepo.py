@@ -273,8 +273,3 @@ class GitRepo:
 def resolve_release_pairs(repo_path, tag_filter: str = "*") -> List[ReleasePair]:
     with GitRepo(repo_path) as repo:
         return repo.release_pairs(tag_filter)
-
-
-def linearize_commits(pair: ReleasePair) -> List[CommitId]:
-    """The commit sequence c_1..c_n of a release pair (endpoints included)."""
-    return list(pair.commits)

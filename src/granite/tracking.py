@@ -21,6 +21,8 @@ log = logging.getLogger(__name__)
 # Matches Git's default rename threshold; pairs below this stay delete + add.
 RENAME_SIMILARITY = 0.6
 
+Snapshot = Dict[ModuleId, ModuleDef]  # the modules of one commit
+
 
 @dataclass(frozen=True)
 class ChangeEvent:
@@ -120,7 +122,6 @@ class _Delta:
     matched: Dict[ModuleId, ModuleId]
     changes: Dict[ModuleId, Tuple[int, int, int]]  # cur id -> (churn, added, deleted)
     births: Tuple[ModuleId, ...]
-    deaths: Tuple[ModuleId, ...]
 
 
 @dataclass
@@ -128,9 +129,10 @@ class ScanResult:
     """Change histories over one linearized commit range."""
 
     commits: Tuple[CommitId, ...]
-    histories: Dict[ModuleId, ChangeHistory]  # keyed by birth identity
+    histories: Dict[ModuleId, ChangeHistory]  # keyed by birth identity; the first lineage born under an id keeps it
     start_defs: Dict[ModuleId, ModuleDef]  # snapshot at commits[0]
-    end_defs: Dict[ModuleId, ModuleDef]  # birth id -> def at commits[-1], if alive
+    end_defs: Dict[ModuleId, ModuleDef]  # histories key -> def at commits[-1], if alive
+    end_histories: Dict[ModuleId, ChangeHistory]  # module id at commits[-1] -> its lineage's history
     touched: Dict[CommitId, Dict[str, int]]  # commit -> kind -> modules changed
 
     def alive_at_start(self) -> List[ModuleId]:
@@ -140,20 +142,15 @@ class ScanResult:
 class HistoryScanner:
     """Builds module snapshots and change histories over a repository.
 
-    Snapshots are cached per commit and parses per blob, so overlapping scans
-    (every release pair plus its prior history) stay affordable.
+    Parses are cached per blob, so a file that does not change between commits
+    is parsed once; snapshots and deltas are rebuilt on every walk.
     """
 
     def __init__(self, repo: GitRepo):
         self.repo = repo
         self._defs_cache: Dict[Tuple[str, str], List[ModuleDef]] = {}
-        self._snap_cache: Dict[CommitId, Dict[ModuleId, ModuleDef]] = {}
-        self._delta_cache: Dict[Tuple[CommitId, CommitId], _Delta] = {}
 
-    def snapshot_modules(self, commit: CommitId) -> Dict[ModuleId, ModuleDef]:
-        cached = self._snap_cache.get(commit)
-        if cached is not None:
-            return cached
+    def snapshot_modules(self, commit: CommitId) -> Snapshot:
         modules: Dict[ModuleId, ModuleDef] = {}
         for path, sha in sorted(self.repo.source_files(commit).items()):
             key = (sha, path)
@@ -167,16 +164,10 @@ class HistoryScanner:
                     log.warning("%s: duplicate module %s across files; keeping first", commit[:10], d.id)
                     continue
                 modules[d.id] = d
-        self._snap_cache[commit] = modules
         return modules
 
-    def adjacent_delta(self, a: CommitId, b: CommitId) -> _Delta:
-        key = (a, b)
-        cached = self._delta_cache.get(key)
-        if cached is not None:
-            return cached
-        prev = self.snapshot_modules(a)
-        cur = self.snapshot_modules(b)
+    def adjacent_delta(self, a: CommitId, b: CommitId, prev: Snapshot, cur: Snapshot) -> _Delta:
+        """What happened from snapshot prev at commit a to snapshot cur at its child b."""
         files_a = self.repo.source_files(a)
         files_b = self.repo.source_files(b)
         mapping = match_renames(list(prev.values()), list(cur.values()))
@@ -191,42 +182,52 @@ class HistoryScanner:
             changes[cid] = (added + deleted, added, deleted)
         matched_cur = set(mapping.values())
         births = tuple(sorted((m for m in cur if m not in matched_cur), key=lambda m: m.sort_key))
-        deaths = tuple(sorted((m for m in prev if m not in mapping), key=lambda m: m.sort_key))
-        delta = _Delta(mapping, changes, births, deaths)
-        self._delta_cache[key] = delta
-        return delta
+        return _Delta(mapping, changes, births)
 
     def change_histories(self, commits: Sequence[CommitId]) -> ScanResult:
         if not commits:
             raise ValueError("empty commit range")
-        start = self.snapshot_modules(commits[0])
-        alive: Dict[ModuleId, ModuleId] = {mid: mid for mid in start}
-        histories: Dict[ModuleId, ChangeHistory] = {
-            mid: ChangeHistory(mid, [], commits[0]) for mid in start
-        }
+        start = prev = self.snapshot_modules(commits[0])
+        histories = {mid: ChangeHistory(mid, [], commits[0]) for mid in start}
+        alive: Dict[ModuleId, ChangeHistory] = dict(histories)
         touched: Dict[CommitId, Dict[str, int]] = {}
         for a, b in zip(commits, commits[1:]):
-            delta = self.adjacent_delta(a, b)
-            new_alive: Dict[ModuleId, ModuleId] = {}
+            cur = self.snapshot_modules(b)
+            delta = self.adjacent_delta(a, b, prev, cur)
+            new_alive: Dict[ModuleId, ChangeHistory] = {}
             counts = {"class": 0, "method": 0}
             for pid, cid in delta.matched.items():
-                canonical = alive.get(pid)
-                if canonical is None:
-                    continue  # pid appeared only transiently; should not happen
-                new_alive[cid] = canonical
+                history = new_alive[cid] = alive[pid]
                 change = delta.changes.get(cid)
                 if change is not None:
-                    churn, added, deleted = change
-                    histories[canonical].events.append(ChangeEvent(b, churn, added, deleted))
+                    history.events.append(ChangeEvent(b, *change))
                     counts[cid.kind] += 1
             for bid in delta.births:
-                new_alive[bid] = bid
-                histories[bid] = ChangeHistory(bid, [], b)
-            alive = new_alive
+                new_alive[bid] = ChangeHistory(bid, [], b)
+                histories.setdefault(bid, new_alive[bid])
+            alive, prev = new_alive, cur
             touched[b] = counts
-        end = self.snapshot_modules(commits[-1])
-        end_defs = {canonical: end[cid] for cid, canonical in alive.items() if cid in end}
-        return ScanResult(tuple(commits), histories, dict(start), end_defs, touched)
+        end_defs = {h.module: prev[cid] for cid, h in alive.items() if histories[h.module] is h}
+        return ScanResult(tuple(commits), histories, start, end_defs, alive, touched)
+
+
+@dataclass(frozen=True)
+class PriorHistories:
+    """Every module's change history along a first-parent chain, up to and including its last commit."""
+
+    commits: Tuple[CommitId, ...]  # the chain, oldest first
+    histories: Dict[ModuleId, ChangeHistory]  # module id at commits[-1] -> its lineage's history
+    touched: Dict[CommitId, Dict[str, int]]  # commit -> kind -> modules changed
+
+    def extended(self, scan: ScanResult) -> "PriorHistories":
+        """These histories continued by a scan that starts at commits[-1]."""
+        histories: Dict[ModuleId, ChangeHistory] = {}
+        for mid, h in scan.end_histories.items():
+            if h.birth_commit == scan.commits[0]:  # alive when the scan began
+                before = self.histories[h.module]
+                h = ChangeHistory(before.module, before.events + h.events, before.birth_commit)
+            histories[mid] = h
+        return PriorHistories(self.commits + scan.commits[1:], histories, {**self.touched, **scan.touched})
 
 
 def build_change_histories(repo: GitRepo, pair: ReleasePair) -> Dict[ModuleId, ChangeHistory]:

@@ -3,6 +3,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from granite import experiment, javaparse
@@ -16,6 +17,10 @@ from granite.experiment import (
 )
 from granite.forest import FoldResult
 from granite.gitrepo import GitRepo
+from granite.metrics import process_metrics
+from granite.tracking import HistoryScanner
+
+from repobuilder import RepoBuilder
 
 
 def make_config(fixture_repo, out_dir, seed=7, k_values=(50, 100, 500, 1000, 5000)):
@@ -272,6 +277,118 @@ def test_each_blob_is_parsed_once(fixture_repo, tmp_path, monkeypatch):
         blobs = {(repo.source_files(commit)[path], path) for commit, path in snapshots}
     assert blobs
     assert parses == len(blobs)
+
+
+def test_each_adjacent_delta_is_computed_once(fixture_repo, tmp_path, monkeypatch):
+    delta = HistoryScanner.adjacent_delta
+    computed = []
+
+    def recording_delta(self, a, b, *args):
+        computed.append((a, b))
+        return delta(self, a, b, *args)
+
+    monkeypatch.setattr(HistoryScanner, "adjacent_delta", recording_delta)
+    assert run_experiment(make_config(fixture_repo, tmp_path / "out")) == 0
+    assert computed
+    assert len(computed) == len(set(computed))
+
+
+def _svc_source(name="compute", total_line="total += 1;", extra=False):
+    extra_text = "\n    public int extra() {\n        return base + 5;\n    }\n" if extra else ""
+    return (
+        "public class Svc {\n"
+        "    private int base = 1;\n"
+        "\n"
+        f"    public int {name}(int a) {{\n"
+        "        int total = a + base;\n"
+        f"        {total_line}\n"
+        "        total += 3;\n"
+        "        return total;\n"
+        "    }\n"
+        f"{extra_text}"
+        "}\n"
+    )
+
+
+def _util_source(factor=2):
+    return f"public class Util {{\n    static int scale(int x) {{\n        return x * {factor};\n    }}\n}}\n"
+
+
+def _side_source(line="int v = 0;"):
+    return f"public class Side {{\n    void side() {{\n        {line}\n    }}\n}}\n"
+
+
+def test_carried_histories_match_a_walk_from_the_root(tmp_path, monkeypatch):
+    rb = RepoBuilder(tmp_path / "offchain")
+    rb.write("src/Svc.java", _svc_source())
+    rb.write("src/Util.java", _util_source())
+    root = rb.commit("init", author="Alice Dev")
+    rb.write("src/Svc.java", _svc_source(total_line="total += 2;"))
+    rb.write("src/Util.java", _util_source(3))
+    rb.commit("tune and scale", author="Bob Dev")
+    rb.write("src/Util.java", _util_source(6))
+    rb.commit("scale", author="Alice Dev")
+    rb.tag("t1")
+    rb.write("src/Svc.java", _svc_source(name="computeAll", total_line="total += 2;"))
+    rb.write("src/Util.java", _util_source(4))
+    rb.commit("rename and scale", author="Bob Dev")
+    rb.tag("t2")
+    rb.branch("side")
+    rb.checkout("side")
+    rb.write("src/Side.java", _side_source())
+    rb.commit("side file", author="Carol Dev")
+    rb.write("src/Side.java", _side_source("int v = 1;"))
+    rb.commit("side edit", author="Carol Dev")
+    rb.tag("t3")  # off the first-parent chain of t4, so t3..t4 is skipped
+    rb.checkout("main")
+    rb.write("src/Svc.java", _svc_source(name="computeAll", total_line="total += 2;", extra=True))
+    rb.commit("extra", author="Alice Dev")
+    rb.write("src/Util.java", _util_source(5))
+    rb.commit("scale again", author="Bob Dev")
+    rb.merge("side", "merge side")
+    rb.write("src/Svc.java", _svc_source(name="computeAll", total_line="total += 7;", extra=True))
+    rb.commit("retune", author="Carol Dev")
+    rb.tag("t4")
+    rb.write("src/Side.java", _side_source("int v = 2;"))
+    rb.commit("side again", author="Alice Dev")
+    rb.tag("t5")
+
+    process_by_unit = {}
+    assemble = experiment.assemble
+
+    def capturing_assemble(product, process, labels, locs, release, granularity):
+        process_by_unit[release, granularity] = process
+        return assemble(product, process, labels, locs, release, granularity)
+
+    change_histories = HistoryScanner.change_histories
+    root_walks = 0
+
+    def counting_histories(self, commits):
+        nonlocal root_walks
+        root_walks += commits[0] == root
+        return change_histories(self, commits)
+
+    monkeypatch.setattr(experiment, "assemble", capturing_assemble)
+    monkeypatch.setattr(HistoryScanner, "change_histories", counting_histories)
+    results, failed = experiment.analyze_repository(RepoSpec(str(rb.root), "t*"), (100,), seed=0, folds=2)
+    monkeypatch.undo()
+    assert failed == []
+    assert [r.label for r in results] == ["t1..t2", "t2..t3", "t4..t5"]
+    assert root_walks == 2  # the first pair and the restart after the skipped t3..t4; t2..t3 is carried
+
+    with GitRepo(rb.root) as repo:
+        for res in results:
+            chain = list(reversed(repo.first_parent_chain(res.pair.r_commit)))
+            reference = HistoryScanner(repo).change_histories(chain)
+            metas = repo.commit_meta(chain)
+            for granularity in ("class", "method"):
+                process = process_by_unit[res.label, granularity]
+                assert set(process) == {m for m in reference.end_histories if m.kind == granularity}
+                touched = {c: kinds[granularity] for c, kinds in reference.touched.items()}
+                for module, vector in process.items():
+                    expected = process_metrics(reference.end_histories[module], metas, touched, res.pair.r_commit)
+                    assert np.array_equal(vector, expected), (res.label, module)
+            assert any(v[0] > 0 for v in process_by_unit[res.label, "method"].values())
 
 
 # -- CLI ------------------------------------------------------------------------

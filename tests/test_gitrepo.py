@@ -1,6 +1,6 @@
 import pytest
 
-from granite.gitrepo import GitRepo, RepositoryError, linearize_commits, resolve_release_pairs
+from granite.gitrepo import GitRepo, RepositoryError, resolve_release_pairs
 
 from repobuilder import RepoBuilder
 
@@ -50,7 +50,7 @@ def test_unreadable_repository_is_fatal(tmp_path):
 def test_linearize_includes_endpoints_in_order(linear_repo):
     pairs = resolve_release_pairs(linear_repo.root, "*")
     first = pairs[0]
-    commits = linearize_commits(first)
+    commits = first.commits
     assert len(commits) == 3  # tag commit, c2, c3
     assert commits[0] == first.r_commit
     assert commits[-1] == first.rprime_commit

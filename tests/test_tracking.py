@@ -1,6 +1,8 @@
 import textwrap
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from granite.gitrepo import GitRepo
 from granite.javaparse import ModuleDef, ModuleId
@@ -83,6 +85,33 @@ def test_kind_mismatch_never_matches():
     prev = [mdef("class", None, body)]
     cur = [mdef("method", "x", body, cls="Y")]
     assert match_renames(prev, cur) == {}
+
+
+_ID_POOL = [ModuleId("class", "src/X.java", "X"), ModuleId("class", "src/Y.java", "Y")] + [
+    ModuleId("method", path, cls, name, ())
+    for path, cls in (("src/X.java", "X"), ("src/Y.java", "Y"))
+    for name in ("f", "g", "h")
+]
+# few distinct lines, so identical bodies and near-threshold similarities are common
+_module_lists = st.lists(
+    st.tuples(st.sampled_from(_ID_POOL), st.lists(st.sampled_from(["{", "}", "a();", "b();", "c();"]), max_size=5)),
+    unique_by=lambda t: t[0],
+    max_size=6,
+).map(lambda items: [ModuleDef(mid, (1, len(body)), tuple(body)) for mid, body in items])
+
+
+@given(_module_lists, _module_lists, st.data())
+def test_match_renames_is_injective_keeps_identities_and_ignores_order(prev, cur, data):
+    mapping = match_renames(prev, cur)
+    assert set(mapping) <= {d.id for d in prev}
+    assert set(mapping.values()) <= {d.id for d in cur}
+    assert len(set(mapping.values())) == len(mapping)  # injective
+    cur_ids = {d.id for d in cur}
+    for d in prev:
+        if d.id in cur_ids:
+            assert mapping[d.id] == d.id
+    shuffled = match_renames(data.draw(st.permutations(prev)), data.draw(st.permutations(cur)))
+    assert shuffled == mapping
 
 
 # -- loc / counting trivials ------------------------------------------------
@@ -260,3 +289,46 @@ def test_counts_bounded_by_commit_count(history_repo):
         n = len(pair.commits)
     for history in histories.values():
         assert count_changes_between(history) <= n - 1
+
+
+def test_module_born_under_a_renamed_modules_old_id_keeps_its_own_history(tmp_path):
+    rb = RepoBuilder(tmp_path / "reborn")
+    src = (
+        "public class R {\n"
+        "    public int foo(int a) {\n"
+        "        int total = a + 1;\n"
+        "        total += 2;\n"
+        "        total += 3;\n"
+        "        return total;\n"
+        "    }\n"
+        "}\n"
+    )
+    rb.write("src/R.java", src)
+    rb.commit("c1")
+    rb.tag("r1")
+    src = src.replace("int foo(int a)", "int bar(int a)")
+    rb.write("src/R.java", src)
+    c2 = rb.commit("c2 rename foo to bar")
+    src = src.replace("total += 2;", "total += 20;")
+    rb.write("src/R.java", src)
+    c3 = rb.commit("c3 edit bar")
+    src = src.replace("    }\n}\n", "    }\n\n    public int foo(int a) {\n        return a * 7;\n    }\n}\n")
+    rb.write("src/R.java", src)
+    c4 = rb.commit("c4 add a new foo")
+    src = src.replace("total += 3;", "total += 30;")
+    rb.write("src/R.java", src)
+    c5 = rb.commit("c5 edit bar")
+    rb.tag("r2")
+    with GitRepo(rb.root) as repo:
+        pair = repo.release_pairs("r*")[0]
+        scan = HistoryScanner(repo).change_histories(pair.commits)
+    foo = ModuleId("method", "src/R.java", "R", "foo", ("int",))
+    bar = ModuleId("method", "src/R.java", "R", "bar", ("int",))
+    old = scan.histories[foo]
+    assert old.birth_commit == pair.r_commit
+    assert [e.commit for e in old.events] == [c2, c3, c5]
+    assert scan.end_defs[foo].id == bar
+    assert scan.end_histories[bar] is old
+    new = scan.end_histories[foo]
+    assert new.birth_commit == c4
+    assert new.events == []
