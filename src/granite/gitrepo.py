@@ -68,6 +68,9 @@ class GitRepo:
 
     A handle is single-threaded (it owns one `git cat-file --batch` child);
     open several handles for parallel read-only work on the same repository.
+    A blob is found one way: through the commit's full file listing, read
+    with one `ls-tree -r` and cached per commit.  Blob contents are not
+    cached; a caller that reads a blob again keeps what it made of it.
     """
 
     def __init__(self, path):
@@ -79,7 +82,6 @@ class GitRepo:
         except RepositoryError as exc:
             raise RepositoryError(f"not a readable Git repository: {self.path}") from exc
         self._batch: Optional[subprocess.Popen] = None
-        self._blob_cache: Dict[str, Tuple[str, ...]] = {}
         self._tree_cache: Dict[CommitId, Dict[str, str]] = {}
         self._meta_cache: Dict[CommitId, CommitMeta] = {}
 
@@ -215,8 +217,12 @@ class GitRepo:
 
     # -- trees and blobs -----------------------------------------------------
 
-    def source_files(self, commit: CommitId, suffix: str = ".java") -> Dict[str, str]:
-        """path -> blob sha for files with the given suffix at a commit."""
+    def source_files(self, commit: CommitId) -> Dict[str, str]:
+        """path -> blob sha for the .java files at a commit."""
+        return {p: s for p, s in self._tree(commit).items() if p.endswith(".java")}
+
+    def _tree(self, commit: CommitId) -> Dict[str, str]:
+        """path -> blob sha for every file at a commit, listed once per commit."""
         if commit not in self._tree_cache:
             out = self._run("ls-tree", "-r", commit)
             files: Dict[str, str] = {}
@@ -227,12 +233,9 @@ class GitRepo:
                 if len(parts) == 3 and parts[1] == "blob":
                     files[path] = parts[2]
             self._tree_cache[commit] = files
-        return {p: s for p, s in self._tree_cache[commit].items() if p.endswith(suffix)}
+        return self._tree_cache[commit]
 
     def blob_lines(self, sha: str) -> Tuple[str, ...]:
-        cached = self._blob_cache.get(sha)
-        if cached is not None:
-            return cached
         proc = self._batch_proc()
         proc.stdin.write((sha + "\n").encode())
         proc.stdin.flush()
@@ -242,25 +245,12 @@ class GitRepo:
         _, _, size = header.split()
         data = proc.stdout.read(int(size))
         proc.stdout.read(1)  # trailing newline after the object body
-        lines = tuple(data.decode("utf-8", "replace").splitlines())
-        self._blob_cache[sha] = lines
-        return lines
+        return tuple(data.decode("utf-8", "replace").splitlines())
 
     def file_lines(self, commit: CommitId, path: str) -> Tuple[str, ...]:
         """Lines of a file at a commit; an absent file reads as empty."""
-        sha = self._tree_sha(commit, path)
+        sha = self._tree(commit).get(path)
         return self.blob_lines(sha) if sha else ()
-
-    def _tree_sha(self, commit: CommitId, path: str) -> Optional[str]:
-        if commit in self._tree_cache:
-            return self._tree_cache[commit].get(path)
-        out = self._run("ls-tree", commit, "--", path)
-        for line in out.splitlines():
-            meta, _, p = line.partition("\t")
-            parts = meta.split()
-            if len(parts) == 3 and parts[1] == "blob" and p == path:
-                return parts[2]
-        return None
 
     def snapshot(self, commit: CommitId, path: str) -> FileSnapshot:
         return FileSnapshot(path=path, lines=self.file_lines(commit, path), commit=commit)

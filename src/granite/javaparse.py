@@ -72,16 +72,15 @@ class ModuleId:
 
 
 def parse_module_id(text: str) -> ModuleId:
-    """Inverse of str(ModuleId); file paths may contain ':' and '#'."""
+    """Inverse of str(ModuleId); paths and parameter types may contain ':' and '#', types no ',', '(' or ')'."""
     kind, _, rest = text.partition(":")
     if kind == "class":
         path, _, qualified = rest.rpartition(":")
         return ModuleId("class", path, qualified)
     if kind == "method":
-        loc, _, sig = rest.rpartition("#")
+        head, _, params = rest[:-1].rpartition("(")
+        loc, _, name = head.rpartition("#")
         path, _, qualified = loc.rpartition(":")
-        name, _, params = sig.partition("(")
-        params = params.rstrip(")")
         types = tuple(params.split(",")) if params else ()
         return ModuleId("method", path, qualified, name, types)
     raise ValueError(f"not a module id: {text!r}")
@@ -189,8 +188,6 @@ class MethodDecl:
     start: int  # char offsets into the file
     end: int
     is_ctor: bool = False
-    has_body: bool = False
-    body_open: Optional[int] = None  # offset of '{', None for bodyless
 
 
 @dataclass
@@ -221,7 +218,6 @@ class ParsedFile:
     path: str
     lines: List[str]
     masked: str
-    literal_offsets: List[int]
     line_starts: List[int]
     types: List[TypeDecl] = field(default_factory=list)
     error: Optional[str] = None
@@ -576,7 +572,7 @@ class _Parser:
             # expression-looking construct at member level; resynchronize
             self._resync_member()
             return None
-        end_tok, has_body, body_open = self._finish_method_header()
+        end_tok = self._finish_method_header()
         span = (self.pf.line_of(start), self.pf.line_of(end_tok.start))
         return MethodDecl(
             name=name,
@@ -586,8 +582,6 @@ class _Parser:
             start=start,
             end=end_tok.start,
             is_ctor=(name == decl.name),
-            has_body=has_body,
-            body_open=body_open,
         )
 
     def _resync_member(self) -> None:
@@ -601,8 +595,8 @@ class _Parser:
             elif tok.text == ";" and depth <= 0:
                 return
 
-    def _finish_method_header(self) -> Tuple[_Tok, bool, Optional[int]]:
-        """Consume the throws/default tail; return (end token, has_body, body offset)."""
+    def _finish_method_header(self) -> _Tok:
+        """Consume the throws/default tail and the body, if any; return the end token."""
         saw_default = False
         while True:
             tok = self.peek()
@@ -613,11 +607,9 @@ class _Parser:
                     self.skip_balanced("{", "}")  # annotation element array default
                     saw_default = False
                     continue
-                open_tok = self.peek()
-                close = self.skip_balanced("{", "}")
-                return close, True, open_tok.start
+                return self.skip_balanced("{", "}")
             if tok.text == ";":
-                return self.advance(), False, None
+                return self.advance()
             if tok.text == "@":
                 self.skip_annotation()
                 continue
@@ -751,7 +743,7 @@ class _Parser:
 
 def parse_source(text: str, path: str = "<memory>") -> ParsedFile:
     """Parse Java source into a declaration tree; failures set .error."""
-    masked, literals = mask_source(text)
+    masked, _ = mask_source(text)
     lines = text.split("\n")
     line_starts = [0]
     for ln in lines[:-1]:
@@ -760,7 +752,6 @@ def parse_source(text: str, path: str = "<memory>") -> ParsedFile:
         path=path,
         lines=lines,
         masked=masked,
-        literal_offsets=literals,
         line_starts=line_starts,
     )
     parser = _Parser(parsed)

@@ -8,15 +8,12 @@ history even when its name or path changes mid-range.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from granite.gitrepo import CommitId, GitRepo, ReleasePair
 from granite.javaparse import ModuleDef, ModuleId, extract_modules
 from granite.textdiff import diff_sizes, similarity
-
-log = logging.getLogger(__name__)
 
 # Matches Git's default rename threshold; pairs below this stay delete + add.
 RENAME_SIMILARITY = 0.6
@@ -117,10 +114,11 @@ def match_renames(
 
 @dataclass
 class _Delta:
-    """Everything that happened between two adjacent commits."""
+    """What happened to the files whose blob differs between two adjacent commits."""
 
-    matched: Dict[ModuleId, ModuleId]
-    changes: Dict[ModuleId, Tuple[int, int, int]]  # cur id -> (churn, added, deleted)
+    prev: Tuple[ModuleId, ...]  # the modules of those files at the parent
+    matched: Dict[ModuleId, ModuleId]  # prev id -> child id
+    changes: Dict[ModuleId, Tuple[int, int, int]]  # child id -> (churn, added, deleted)
     births: Tuple[ModuleId, ...]
 
 
@@ -142,72 +140,71 @@ class ScanResult:
 class HistoryScanner:
     """Builds module snapshots and change histories over a repository.
 
-    Parses are cached per blob, so a file that does not change between commits
-    is parsed once; snapshots and deltas are rebuilt on every walk.
+    A commit step looks only at the files whose blob differs from the parent's:
+    the modules of an unchanged file keep their identity and history without
+    matching, and rename matching and body diffs run over the modules of the
+    changed files alone.  Parses are cached per (blob, path), so each is parsed
+    once; snapshots are built only at a range's first and last commit.
     """
 
     def __init__(self, repo: GitRepo):
         self.repo = repo
         self._defs_cache: Dict[Tuple[str, str], List[ModuleDef]] = {}
 
-    def snapshot_modules(self, commit: CommitId) -> Snapshot:
-        modules: Dict[ModuleId, ModuleDef] = {}
-        for path, sha in sorted(self.repo.source_files(commit).items()):
-            key = (sha, path)
-            defs = self._defs_cache.get(key)
-            if defs is None:
-                snapshot = self.repo.snapshot(commit, path)
-                defs = extract_modules(snapshot)
-                self._defs_cache[key] = defs
-            for d in defs:
-                if d.id in modules:
-                    log.warning("%s: duplicate module %s across files; keeping first", commit[:10], d.id)
-                    continue
-                modules[d.id] = d
-        return modules
+    def _file_modules(self, commit: CommitId, path: str, sha: str) -> List[ModuleDef]:
+        defs = self._defs_cache.get((sha, path))
+        if defs is None:
+            defs = self._defs_cache[(sha, path)] = extract_modules(self.repo.snapshot(commit, path))
+        return defs
 
-    def adjacent_delta(self, a: CommitId, b: CommitId, prev: Snapshot, cur: Snapshot) -> _Delta:
-        """What happened from snapshot prev at commit a to snapshot cur at its child b."""
+    def snapshot_modules(self, commit: CommitId) -> Snapshot:
+        # module ids carry their file's path, so no two files share one
+        return {
+            d.id: d
+            for path, sha in sorted(self.repo.source_files(commit).items())
+            for d in self._file_modules(commit, path, sha)
+        }
+
+    def adjacent_delta(self, a: CommitId, b: CommitId) -> _Delta:
+        """The step from commit a to its child b over the files whose blob differs (added and removed too)."""
         files_a = self.repo.source_files(a)
         files_b = self.repo.source_files(b)
+        changed = sorted(p for p in files_a.keys() | files_b.keys() if files_a.get(p) != files_b.get(p))
+        prev = {d.id: d for p in changed if p in files_a for d in self._file_modules(a, p, files_a[p])}
+        cur = {d.id: d for p in changed if p in files_b for d in self._file_modules(b, p, files_b[p])}
         mapping = match_renames(list(prev.values()), list(cur.values()))
         changes: Dict[ModuleId, Tuple[int, int, int]] = {}
         for pid, cid in mapping.items():
-            if pid == cid and files_a.get(pid.file_path) == files_b.get(cid.file_path):
-                continue  # file blob unchanged, so the segment is unchanged
             pbody, cbody = prev[pid].body, cur[cid].body
-            if pbody == cbody:
-                continue
-            added, deleted = diff_sizes(pbody, cbody)
-            changes[cid] = (added + deleted, added, deleted)
-        matched_cur = set(mapping.values())
-        births = tuple(sorted((m for m in cur if m not in matched_cur), key=lambda m: m.sort_key))
-        return _Delta(mapping, changes, births)
+            if pbody != cbody:
+                added, deleted = diff_sizes(pbody, cbody)
+                changes[cid] = (added + deleted, added, deleted)
+        births = tuple(sorted(cur.keys() - mapping.values(), key=lambda m: m.sort_key))
+        return _Delta(tuple(prev), mapping, changes, births)
 
     def change_histories(self, commits: Sequence[CommitId]) -> ScanResult:
         if not commits:
             raise ValueError("empty commit range")
-        start = prev = self.snapshot_modules(commits[0])
+        start = self.snapshot_modules(commits[0])
         histories = {mid: ChangeHistory(mid, [], commits[0]) for mid in start}
-        alive: Dict[ModuleId, ChangeHistory] = dict(histories)
+        alive: Dict[ModuleId, ChangeHistory] = dict(histories)  # id at the current commit -> lineage
         touched: Dict[CommitId, Dict[str, int]] = {}
         for a, b in zip(commits, commits[1:]):
-            cur = self.snapshot_modules(b)
-            delta = self.adjacent_delta(a, b, prev, cur)
-            new_alive: Dict[ModuleId, ChangeHistory] = {}
+            delta = self.adjacent_delta(a, b)
+            stepped = {pid: alive.pop(pid) for pid in delta.prev}
             counts = {"class": 0, "method": 0}
             for pid, cid in delta.matched.items():
-                history = new_alive[cid] = alive[pid]
+                history = alive[cid] = stepped[pid]
                 change = delta.changes.get(cid)
                 if change is not None:
                     history.events.append(ChangeEvent(b, *change))
                     counts[cid.kind] += 1
             for bid in delta.births:
-                new_alive[bid] = ChangeHistory(bid, [], b)
-                histories.setdefault(bid, new_alive[bid])
-            alive, prev = new_alive, cur
+                alive[bid] = ChangeHistory(bid, [], b)
+                histories.setdefault(bid, alive[bid])
             touched[b] = counts
-        end_defs = {h.module: prev[cid] for cid, h in alive.items() if histories[h.module] is h}
+        end = self.snapshot_modules(commits[-1])
+        end_defs = {h.module: end[cid] for cid, h in alive.items() if histories[h.module] is h}
         return ScanResult(tuple(commits), histories, start, end_defs, alive, touched)
 
 

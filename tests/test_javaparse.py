@@ -1,5 +1,8 @@
 import textwrap
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from granite.gitrepo import FileSnapshot
 from granite.javaparse import (
     ModuleId,
@@ -250,6 +253,70 @@ def test_module_id_roundtrip():
         assert parse_module_id(str(mid)) == mid
         cid = ModuleId("class", path, "A")
         assert parse_module_id(str(cid)) == cid
+
+
+# well-formed declarations nest to any depth; stray tokens between them break them in arbitrary places
+_MEMBERS = st.sampled_from((
+    "int x;", "int[] a = {1, 2};", "void f() { g(); }", "int g(int a, String... b) { return a; }",
+    "A() { super(); }", "abstract void h() throws E;", "@Override public String s() { return \"}\"; }",
+    "static { x = 1; }", "Runnable r = new Runnable() { public void run() {} };", "String v() default \"{\";",
+    "/* } */ // {", "ONE, TWO;",
+))
+_DECLS = st.recursive(
+    _MEMBERS,
+    lambda inner: st.builds(
+        "{} {} {{\n{}\n}}".format,
+        st.sampled_from(("class", "interface", "enum", "record", "@interface", "public static class")),
+        st.sampled_from(("A", "B extends A", "C<T> implements I, J", "R(int a)")),
+        st.lists(inner, max_size=4).map("\n".join),
+    ),
+    max_leaves=12,
+)
+_STRAY = st.sampled_from(("{", "}", "(", ")", ";", "<", ">", "@", "class", '"', "'", "/*", "*/", "//", "\\", "\n"))
+_SOURCES = st.text() | st.lists(_DECLS | _STRAY, max_size=8).map("\n".join)
+
+
+@settings(deadline=None)
+@given(_SOURCES)
+def test_parse_source_never_raises_and_nests_spans_in_bounds(text):
+    parsed = parse_source(text)
+    n_lines = len(text.split("\n"))
+
+    def check(span, outer):
+        assert 1 <= span[0] <= span[1] <= n_lines
+        assert outer[0] <= span[0] and span[1] <= outer[1]
+
+    def walk(t, outer):
+        check(t.span, outer)
+        for m in t.methods:
+            check(m.span, t.span)
+        for n in t.nested:
+            walk(n, t.span)
+
+    for t in parsed.types:
+        walk(t, (1, n_lines))
+
+
+_IDENT = st.from_regex(r"[A-Za-z_$][A-Za-z0-9_$]{0,6}", fullmatch=True)
+# the separators of str(ModuleId) come up often; any other character may too
+_PATHS = st.text(st.sampled_from(":#()/.") | st.characters(blacklist_characters="\n"), max_size=20)
+_PARAM_TYPES = st.lists(
+    st.text(st.sampled_from(":#<>[]. ") | st.characters(blacklist_characters=",()"), min_size=1, max_size=8),
+    max_size=3,
+)
+
+
+@given(
+    _PATHS,
+    st.lists(_IDENT, min_size=1, max_size=3).map(".".join),
+    st.one_of(st.none(), st.tuples(_IDENT, _PARAM_TYPES.map(tuple))),
+)
+def test_module_id_roundtrips_on_any_extractable_id(path, qualified, method):
+    if method is None:
+        mid = ModuleId("class", path, qualified)
+    else:
+        mid = ModuleId("method", path, qualified, *method)
+    assert parse_module_id(str(mid)) == mid
 
 
 def test_method_span_inside_exactly_one_class_span():

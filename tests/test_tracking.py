@@ -1,3 +1,4 @@
+import sys
 import textwrap
 
 import pytest
@@ -332,3 +333,40 @@ def test_module_born_under_a_renamed_modules_old_id_keeps_its_own_history(tmp_pa
     new = scan.end_histories[foo]
     assert new.birth_commit == c4
     assert new.events == []
+
+
+def test_commit_step_matches_only_the_files_whose_blob_changed(tmp_path, monkeypatch):
+    rb = RepoBuilder(tmp_path / "step")
+    a_src = "public class A {\n    int f() {\n        return 1;\n    }\n}\n"
+    rb.write("src/A.java", a_src)
+    rb.write("src/B.java", "public class B {\n    void g() {\n    }\n}\n")
+    rb.commit("c1")
+    rb.tag("s1")
+    rb.write("src/A.java", a_src.replace("return 1;", "return 2;"))
+    rb.commit("c2 edit A only")
+    rb.tag("s2")
+
+    calls = []
+
+    def recording_match(prev, cur):
+        calls.append(({d.id for d in prev}, {d.id for d in cur}))
+        return match_renames(prev, cur)
+
+    # `from x import f` copies the binding, so replace it in every granite module
+    for name, module in list(sys.modules.items()):
+        if name == "granite" or name.startswith("granite."):
+            for attr, value in list(vars(module).items()):
+                if value is match_renames:
+                    monkeypatch.setattr(module, attr, recording_match)
+    with GitRepo(rb.root) as repo:
+        pair = repo.release_pairs("s*")[0]
+        scan = HistoryScanner(repo).change_histories(pair.commits)
+    a_ids = {m for m in scan.start_defs if m.file_path == "src/A.java"}
+    b_ids = {m for m in scan.start_defs if m.file_path == "src/B.java"}
+    assert len(a_ids) == 2 and len(b_ids) == 2
+    assert calls == [(a_ids, a_ids)]
+    f = next(m for m in a_ids if m.method_name == "f")
+    assert [e.churn for e in scan.histories[f].events] == [2]
+    for m in b_ids:
+        assert scan.end_histories[m] is scan.histories[m]
+        assert scan.histories[m].events == []
