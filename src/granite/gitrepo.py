@@ -19,6 +19,8 @@ from granite.textdiff import line_churn
 log = logging.getLogger(__name__)
 
 CommitId = str  # 40-hex object name
+FileChange = Tuple[Optional[str], Optional[str]]  # (old blob, new blob); None where the path holds no file
+_NO_FILE = ("000000", "160000")  # raw diff modes of an absent path and of a gitlink
 
 
 class RepositoryError(RuntimeError):
@@ -68,9 +70,10 @@ class GitRepo:
 
     A handle is single-threaded (it owns one `git cat-file --batch` child);
     open several handles for parallel read-only work on the same repository.
-    A blob is found one way: through the commit's full file listing, read
-    with one `ls-tree -r` and cached per commit.  Blob contents are not
-    cached; a caller that reads a blob again keeps what it made of it.
+    A commit's files come from one `ls-tree -r -z`, and what each commit of
+    a first-parent chain changed from one `git log --raw -z` over the chain;
+    paths are read verbatim.  Only commit metadata is cached; a caller that
+    reads a blob again keeps what it made of it.
     """
 
     def __init__(self, path):
@@ -82,7 +85,6 @@ class GitRepo:
         except RepositoryError as exc:
             raise RepositoryError(f"not a readable Git repository: {self.path}") from exc
         self._batch: Optional[subprocess.Popen] = None
-        self._tree_cache: Dict[CommitId, Dict[str, str]] = {}
         self._meta_cache: Dict[CommitId, CommitMeta] = {}
 
     # -- plumbing ----------------------------------------------------------
@@ -121,46 +123,21 @@ class GitRepo:
     # -- tags and release pairs --------------------------------------------
 
     def tags(self, pattern: str = "*") -> List[Tag]:
-        """Tags matching the glob, sorted by committer date of the tagged commit."""
-        out = self._run(
-            "for-each-ref", "refs/tags",
-            "--format=%(refname:short)%09%(objectname)%09%(*objectname)",
-        )
-        raw: List[Tuple[str, str]] = []
+        """Tags matching the glob, sorted by committer date of the tagged commit; tags on non-commits warn."""
+        out = self._run("for-each-ref", "refs/tags", "--format=%(refname:short)%09%(objecttype)%09%(objectname)"
+                        "%09%(committerdate:unix)%09%(*objecttype)%09%(*objectname)%09%(*committerdate:unix)")
+        tags: List[Tag] = []
         for line in out.splitlines():
-            if not line.strip():
+            name, *target = line.split("\t")
+            if not fnmatch.fnmatchcase(name, pattern):
                 continue
-            name, objname, peeled = (line.split("\t") + ["", ""])[:3]
-            commit = peeled or objname  # annotated tags carry the commit in *objectname
-            if fnmatch.fnmatchcase(name, pattern):
-                raw.append((name, commit))
-        if not raw:
-            return []
-        times = self._commit_times([c for _, c in raw])
-        tags = [Tag(name, commit, times[commit]) for name, commit in raw if commit in times]
+            kind, obj, ts = target[3:] if target[0] == "tag" else target[:3]  # an annotated tag's target
+            if kind != "commit":
+                log.warning("%s: skipping tag %s: it points at %s %s, not a commit", self.path, name, kind, obj)
+                continue
+            tags.append(Tag(name, obj, int(ts)))
         tags.sort(key=lambda t: (t.commit_time, t.name))
         return tags
-
-    def _commit_times(self, commits: Sequence[CommitId]) -> Dict[CommitId, int]:
-        times: Dict[CommitId, int] = {}
-        unique = list(dict.fromkeys(commits))
-        for i in range(0, len(unique), 500):
-            chunk = unique[i:i + 500]
-            try:
-                out = self._run("log", "--no-walk=unsorted", "--format=%H %ct", *chunk)
-            except RepositoryError:
-                # a tag may point at a non-commit object; resolve one by one
-                out = ""
-                for sha in chunk:
-                    try:
-                        out += self._run("log", "--no-walk=unsorted", "--format=%H %ct", sha)
-                    except RepositoryError:
-                        log.warning("%s: skipping unresolvable tag target %s", self.path, sha)
-            for line in out.splitlines():
-                sha, _, ts = line.partition(" ")
-                if sha:
-                    times[sha] = int(ts)
-        return times
 
     def release_pairs(self, tag_filter: str = "*") -> List[ReleasePair]:
         """Consecutive date-ordered tag pairs with their linearized commit ranges.
@@ -208,32 +185,56 @@ class GitRepo:
         missing = [c for c in dict.fromkeys(commits) if c not in self._meta_cache]
         for i in range(0, len(missing), 500):
             chunk = missing[i:i + 500]
-            out = self._run("log", "--no-walk=unsorted", "--format=%H%x09%an%x09%ct", *chunk)
+            out = self._run("log", "--no-walk=unsorted", "--format=%H%x09%ct%x09%an", *chunk)
             for line in out.splitlines():
-                sha, author, ts = (line.split("\t") + ["", "0"])[:3]
-                if sha:
-                    self._meta_cache[sha] = CommitMeta(author, int(ts))
+                sha, ts, author = line.split("\t", 2)
+                self._meta_cache[sha] = CommitMeta(author, int(ts))
         return {c: self._meta_cache[c] for c in commits if c in self._meta_cache}
+
+    def first_parent_changes(self, commits: Sequence[CommitId]) -> List[Dict[str, FileChange]]:
+        """For each commit of a first-parent chain after commits[0], the .java files its diff changed.
+
+        A side is None where the path holds no file (absent, or a gitlink); a change of mode or type
+        alone is no change.  Caches the commits' metadata.
+        """
+        if len(commits) < 2:
+            return []
+        out = self._run("log", "--first-parent", "--diff-merges=first-parent", "--raw", "-r", "--no-renames",
+                        "--no-abbrev", "-z", "--format=%H%x09%ct%x09%an", commits[-1], "^" + commits[0])
+        logged, steps = [], []
+        tokens = iter(out.split("\0"))
+        for token in tokens:
+            token = token.lstrip("\n")
+            if token.startswith(":"):  # ":<old mode> <new mode> <old sha> <new sha> <status>", then the path
+                old_mode, new_mode, old, new, _ = token[1:].split(" ")
+                change = (None if old_mode in _NO_FILE else old, None if new_mode in _NO_FILE else new)
+                path = next(tokens)
+                if change[0] != change[1] and path.endswith(".java"):
+                    steps[-1][path] = change
+            elif token:  # "<sha>\t<committer time>\t<author>"
+                sha, ts, author = token.split("\t", 2)
+                self._meta_cache[sha] = CommitMeta(author, int(ts))
+                logged.append(sha)
+                steps.append({})
+        if logged[::-1] != list(commits[1:]):
+            raise RepositoryError(f"not a first-parent chain: {commits[0]}..{commits[-1]}")
+        return steps[::-1]
 
     # -- trees and blobs -----------------------------------------------------
 
     def source_files(self, commit: CommitId) -> Dict[str, str]:
         """path -> blob sha for the .java files at a commit."""
-        return {p: s for p, s in self._tree(commit).items() if p.endswith(".java")}
+        return {p: s for p, s in self._ls_tree(commit).items() if p.endswith(".java")}
 
-    def _tree(self, commit: CommitId) -> Dict[str, str]:
-        """path -> blob sha for every file at a commit, listed once per commit."""
-        if commit not in self._tree_cache:
-            out = self._run("ls-tree", "-r", commit)
-            files: Dict[str, str] = {}
-            for line in out.splitlines():
-                # "<mode> <type> <sha>\t<path>"
-                meta, _, path = line.partition("\t")
-                parts = meta.split()
-                if len(parts) == 3 and parts[1] == "blob":
-                    files[path] = parts[2]
-            self._tree_cache[commit] = files
-        return self._tree_cache[commit]
+    def _ls_tree(self, commit: CommitId) -> Dict[str, str]:
+        """path -> blob sha for every file at a commit; symlinks are files, gitlinks not."""
+        files: Dict[str, str] = {}
+        for entry in self._run("ls-tree", "-r", "-z", commit).split("\0"):
+            meta, _, path = entry.partition("\t")  # "<mode> <type> <sha>\t<path>"
+            parts = meta.split()
+            if len(parts) == 3 and parts[1] == "blob":
+                files[path] = parts[2]
+        return files
 
     def blob_lines(self, sha: str) -> Tuple[str, ...]:
         proc = self._batch_proc()
@@ -249,7 +250,7 @@ class GitRepo:
 
     def file_lines(self, commit: CommitId, path: str) -> Tuple[str, ...]:
         """Lines of a file at a commit; an absent file reads as empty."""
-        sha = self._tree(commit).get(path)
+        sha = self._ls_tree(commit).get(path)
         return self.blob_lines(sha) if sha else ()
 
     def snapshot(self, commit: CommitId, path: str) -> FileSnapshot:

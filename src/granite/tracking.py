@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from granite.gitrepo import CommitId, GitRepo, ReleasePair
+from granite.gitrepo import CommitId, FileChange, FileSnapshot, GitRepo, ReleasePair
 from granite.javaparse import ModuleDef, ModuleId, extract_modules
 from granite.textdiff import diff_sizes, similarity
 
@@ -140,11 +140,12 @@ class ScanResult:
 class HistoryScanner:
     """Builds module snapshots and change histories over a repository.
 
-    A commit step looks only at the files whose blob differs from the parent's:
-    the modules of an unchanged file keep their identity and history without
-    matching, and rename matching and body diffs run over the modules of the
-    changed files alone.  Parses are cached per (blob, path), so each is parsed
-    once; snapshots are built only at a range's first and last commit.
+    A range's files are listed at its first commit; each later commit steps
+    by the files its first-parent diff changed, read for the whole range at
+    once.  The modules of an unchanged file keep their identity and history
+    without matching, and rename matching and body diffs run over the
+    modules of the changed files alone.  Parses are cached per (blob, path),
+    so each is parsed once; snapshots are built at the first and last commit.
     """
 
     def __init__(self, repo: GitRepo):
@@ -154,24 +155,18 @@ class HistoryScanner:
     def _file_modules(self, commit: CommitId, path: str, sha: str) -> List[ModuleDef]:
         defs = self._defs_cache.get((sha, path))
         if defs is None:
-            defs = self._defs_cache[(sha, path)] = extract_modules(self.repo.snapshot(commit, path))
+            lines = self.repo.blob_lines(sha)
+            defs = self._defs_cache[(sha, path)] = extract_modules(FileSnapshot(path, lines, commit))
         return defs
 
-    def snapshot_modules(self, commit: CommitId) -> Snapshot:
-        # module ids carry their file's path, so no two files share one
-        return {
-            d.id: d
-            for path, sha in sorted(self.repo.source_files(commit).items())
-            for d in self._file_modules(commit, path, sha)
-        }
+    def snapshot_modules(self, commit: CommitId, files: Dict[str, Optional[str]]) -> Snapshot:
+        # files maps path -> blob sha, or None once removed; module ids carry their file's path
+        return {d.id: d for p, sha in sorted(files.items()) if sha for d in self._file_modules(commit, p, sha)}
 
-    def adjacent_delta(self, a: CommitId, b: CommitId) -> _Delta:
+    def adjacent_delta(self, a: CommitId, b: CommitId, changed: Dict[str, FileChange]) -> _Delta:
         """The step from commit a to its child b over the files whose blob differs (added and removed too)."""
-        files_a = self.repo.source_files(a)
-        files_b = self.repo.source_files(b)
-        changed = sorted(p for p in files_a.keys() | files_b.keys() if files_a.get(p) != files_b.get(p))
-        prev = {d.id: d for p in changed if p in files_a for d in self._file_modules(a, p, files_a[p])}
-        cur = {d.id: d for p in changed if p in files_b for d in self._file_modules(b, p, files_b[p])}
+        prev = {d.id: d for p, (old, _) in sorted(changed.items()) if old for d in self._file_modules(a, p, old)}
+        cur = {d.id: d for p, (_, new) in sorted(changed.items()) if new for d in self._file_modules(b, p, new)}
         mapping = match_renames(list(prev.values()), list(cur.values()))
         changes: Dict[ModuleId, Tuple[int, int, int]] = {}
         for pid, cid in mapping.items():
@@ -185,12 +180,14 @@ class HistoryScanner:
     def change_histories(self, commits: Sequence[CommitId]) -> ScanResult:
         if not commits:
             raise ValueError("empty commit range")
-        start = self.snapshot_modules(commits[0])
+        files = self.repo.source_files(commits[0])
+        start = self.snapshot_modules(commits[0], files)
         histories = {mid: ChangeHistory(mid, [], commits[0]) for mid in start}
         alive: Dict[ModuleId, ChangeHistory] = dict(histories)  # id at the current commit -> lineage
         touched: Dict[CommitId, Dict[str, int]] = {}
-        for a, b in zip(commits, commits[1:]):
-            delta = self.adjacent_delta(a, b)
+        for a, b, changed in zip(commits, commits[1:], self.repo.first_parent_changes(commits)):
+            delta = self.adjacent_delta(a, b, changed)
+            files.update((path, new) for path, (_, new) in changed.items())
             stepped = {pid: alive.pop(pid) for pid in delta.prev}
             counts = {"class": 0, "method": 0}
             for pid, cid in delta.matched.items():
@@ -203,7 +200,7 @@ class HistoryScanner:
                 alive[bid] = ChangeHistory(bid, [], b)
                 histories.setdefault(bid, alive[bid])
             touched[b] = counts
-        end = self.snapshot_modules(commits[-1])
+        end = self.snapshot_modules(commits[-1], files)
         end_defs = {h.module: end[cid] for cid, h in alive.items() if histories[h.module] is h}
         return ScanResult(tuple(commits), histories, start, end_defs, alive, touched)
 

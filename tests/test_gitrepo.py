@@ -1,3 +1,6 @@
+import logging
+import os
+
 import pytest
 
 from granite.gitrepo import GitRepo, RepositoryError, resolve_release_pairs
@@ -169,3 +172,91 @@ def test_annotated_tags_resolve_to_commits(tmp_path):
     assert pairs[0].r_commit == c1
     assert pairs[0].rprime_commit == c2
     assert pairs[0].commits == (c1, c2)
+
+
+def test_tags_on_non_commits_are_skipped_with_a_warning(tmp_path, caplog):
+    rb = RepoBuilder(tmp_path / "odd-tags")
+    rb.write("a.txt", "1\n")
+    c1 = rb.commit("c1")
+    rb.git("tag", "-a", "v1", "-m", "first release")
+    rb.write("a.txt", "2\n")
+    c2 = rb.commit("c2")
+    rb.tag("v2")
+    tree = rb.git("rev-parse", "HEAD^{tree}").strip()
+    blob = rb.git("rev-parse", "HEAD:a.txt").strip()
+    annotated = rb.git("rev-parse", "v1").strip()
+    rb.git("tag", "v-tree", tree)
+    rb.git("tag", "v-blob", blob)
+    rb.git("tag", "-a", "v-nested", "-m", "n", annotated)
+    with caplog.at_level(logging.WARNING, logger="granite.gitrepo"):
+        with GitRepo(rb.root) as repo:
+            tags = repo.tags("v*")
+    assert [(t.name, t.commit) for t in tags] == [("v1", c1), ("v2", c2)]
+    assert tags[1].commit_time - tags[0].commit_time == 3600
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 3
+    for name, kind, obj in [("v-tree", "tree", tree), ("v-blob", "blob", blob), ("v-nested", "tag", annotated)]:
+        assert sum(f"skipping tag {name}:" in w and f"{kind} {obj}" in w for w in warnings) == 1
+
+
+def _java_listing(rb, commit):
+    """A commit's .java files as one full `ls-tree -r -z` listing gives them: path -> blob."""
+    files = {}
+    for entry in rb.git("ls-tree", "-r", "-z", commit).split("\0"):
+        meta, _, path = entry.partition("\t")
+        parts = meta.split()
+        if len(parts) == 3 and parts[1] == "blob" and path.endswith(".java"):
+            files[path] = parts[2]
+    return files
+
+
+def test_first_parent_changes_equal_the_difference_of_two_listings(tmp_path):
+    """On every first-parent step the raw-log reader agrees with comparing two full listings."""
+    rb = RepoBuilder(tmp_path / "steps")
+    for name in ("A", "B", "C", "F"):
+        rb.write(f"{name}.java", f"class {name} {{}}\n")
+    rb.write("T.java", "X.java")  # the blob a symlink to X.java holds
+    root = rb.commit("c1")
+    rb.branch("side", root)
+    rb.checkout("side")
+    rb.write("A.java", "class A { int side; }\n")
+    side = rb.commit("side edits A")
+    rb.checkout("main")
+    rb.write("B.java", "class B { int main; }\n")
+    rb.commit("main edits B")
+    rb.merge("side", "merge side")
+    rb.git("mv", "C.java", "C2.java")
+    rb.remove("B.java")
+    rb.commit("move C, delete B")
+    os.chmod(rb.root / "A.java", 0o755)
+    chmod = rb.commit("chmod +x A")
+    (rb.root / "F.java").unlink()
+    os.symlink("A.java", rb.root / "F.java")
+    rb.commit("F becomes a symlink")
+    (rb.root / "T.java").unlink()
+    os.symlink("X.java", rb.root / "T.java")
+    retype = rb.commit("T becomes a symlink to its own text")
+    os.symlink("C2.java", rb.root / "L.java")
+    rb.commit("add the symlink L.java")
+    (rb.root / "sub.java").mkdir()  # an unpopulated submodule: `git add -A` keeps the gitlink
+    rb.git("update-index", "--add", "--cacheinfo", f"160000,{root},sub.java")
+    gitlink = rb.commit("add the gitlink sub.java")
+    rb.git("update-index", "--cacheinfo", f"160000,{side},sub.java")
+    regitlink = rb.commit("move the gitlink")
+    head = rb.head()
+    assert rb.git("ls-tree", chmod, "A.java").startswith("100755 blob")
+    assert rb.git("ls-tree", retype, "T.java").startswith("120000 blob")
+    assert rb.git("ls-tree", head, "sub.java").startswith("160000 commit")
+
+    with GitRepo(rb.root) as repo:
+        chain = list(reversed(repo.first_parent_chain(head)))
+        steps = repo.first_parent_changes(chain)
+        assert side not in chain and len(steps) == len(chain) - 1 == 9
+        for a, b, step in zip(chain, chain[1:], steps):
+            old, new = _java_listing(rb, a), _java_listing(rb, b)
+            assert step == {p: (old.get(p), new.get(p)) for p in old.keys() | new.keys() if old.get(p) != new.get(p)}
+        by_commit = dict(zip(chain[1:], steps))
+        assert by_commit[chmod] == by_commit[retype] == by_commit[gitlink] == by_commit[regitlink] == {}
+        assert set(repo.source_files(head)) == {"A.java", "C2.java", "F.java", "L.java", "T.java"}
+        with pytest.raises(RepositoryError):
+            repo.first_parent_changes([chain[0], chain[2]])

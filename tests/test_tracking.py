@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from granite import gitrepo
 from granite.gitrepo import GitRepo
 from granite.javaparse import ModuleDef, ModuleId
 from granite.textdiff import similarity
@@ -370,3 +371,64 @@ def test_commit_step_matches_only_the_files_whose_blob_changed(tmp_path, monkeyp
     for m in b_ids:
         assert scan.end_histories[m] is scan.histories[m]
         assert scan.histories[m].events == []
+
+
+def test_paths_with_non_ascii_tab_and_space_are_read_verbatim(tmp_path):
+    rb = RepoBuilder(tmp_path / "paths")
+    paths = ["src/\u00c9.java", "src/tab\tx.java", "src/with space.java"]
+    for i, path in enumerate(paths):
+        rb.write(path, f"public class C{i} {{\n    int f() {{\n        return 1;\n    }}\n}}\n")
+    rb.commit("c1")
+    rb.tag("p1")
+    for i, path in enumerate(paths):
+        rb.write(path, f"public class C{i} {{\n    int f() {{\n        return 2;\n    }}\n}}\n")
+    rb.commit("c2 edit every method")
+    rb.tag("p2")
+    with GitRepo(rb.root) as repo:
+        pair = repo.release_pairs("p*")[0]
+        assert sorted(repo.source_files(pair.r_commit)) == sorted(paths)
+        scan = HistoryScanner(repo).change_histories(pair.commits)
+    methods = {m.file_path: scan.histories[m] for m in scan.start_defs if m.kind == "method"}
+    assert sorted(methods) == sorted(paths)
+    for history in methods.values():
+        assert [e.commit for e in history.events] == [pair.rprime_commit]
+
+
+class _CountingSubprocess:
+    """Stands in for the `subprocess` module inside granite.gitrepo and counts spawns."""
+
+    def __init__(self, real):
+        self.real = real
+        self.spawns = 0
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+    def run(self, *args, **kwargs):
+        self.spawns += 1
+        return self.real.run(*args, **kwargs)
+
+    def Popen(self, *args, **kwargs):  # noqa: N802  (mirrors subprocess.Popen)
+        self.spawns += 1
+        return self.real.Popen(*args, **kwargs)
+
+
+def test_git_spawns_do_not_grow_with_the_commit_count(tmp_path, monkeypatch):
+    rb = RepoBuilder(tmp_path / "spawns")
+    commits = []
+    for i in range(12):
+        rb.write("src/A.java", f"public class A {{\n    int f() {{\n        return {i};\n    }}\n}}\n")
+        rb.write(f"src/B{i}.java", f"public class B{i} {{\n}}\n")
+        commits.append(rb.commit(f"c{i}"))
+    counter = _CountingSubprocess(gitrepo.subprocess)
+    monkeypatch.setattr(gitrepo, "subprocess", counter)
+    spawns = {}
+    for n in (3, 12):
+        with GitRepo(rb.root) as repo:
+            counter.spawns = 0
+            scan = HistoryScanner(repo).change_histories(commits[:n])
+            spawns[n] = counter.spawns
+        f = next(m for m in scan.histories if m.method_name == "f")
+        assert len(scan.histories[f].events) == n - 1
+    # one file listing, one log over the range and one `cat-file --batch`
+    assert spawns[3] == spawns[12] <= 3
