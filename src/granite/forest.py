@@ -59,36 +59,42 @@ class PredictionScore:
 def _best_split(
     X: np.ndarray, y: np.ndarray, features: Sequence[int]
 ) -> Optional[Tuple[int, float, np.ndarray]]:
-    """Best (feature, threshold, left mask) by weighted Gini over the node rows."""
+    """Best (feature, threshold, left mask) by weighted Gini over the node rows.
+
+    All drawn features are sorted and scored in one (n-1) x k matrix; a split
+    lies between two adjacent sorted values that differ.  Ties: within a
+    feature the first minimum in sorted order wins, and across features the
+    first one in draw order wins unless a later one scores lower by more than
+    1e-12.  The threshold is the midpoint of the two values around the split.
+    """
     n = len(y)
     total_pos = int(y.sum())
+    cols = X[:, features]
+    k = cols.shape[1]
+    column = np.arange(k)
+    order = np.argsort(cols, axis=0, kind="stable")
+    xs = cols[order, column]
+    pos_l = np.cumsum(y[order], axis=0)[:-1].astype(np.float64)
+    n_l = np.arange(1, n, dtype=np.float64)[:, None]
+    n_r = n - n_l
+    pos_r = total_pos - pos_l
+    # weighted Gini impurity, up to the constant 1/n factor
+    gini_l = n_l - (pos_l**2 + (n_l - pos_l) ** 2) / n_l
+    gini_r = n_r - (pos_r**2 + (n_r - pos_r) ** 2) / n_r
+    scores = gini_l + gini_r
+    scores[~(xs[1:] > xs[:-1])] = math.inf  # not `<=`: a NaN next to a value is no split either
+    rows = scores.argmin(axis=0)
     best = None
     best_score = math.inf
-    for f in features:
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
-        ys = y[order]
-        cum_pos = np.cumsum(ys)
-        idx = np.arange(1, n)
-        valid = xs[1:] > xs[:-1]
-        if not valid.any():
-            continue
-        n_l = idx[valid].astype(np.float64)
-        n_r = n - n_l
-        pos_l = cum_pos[:-1][valid].astype(np.float64)
-        pos_r = total_pos - pos_l
-        # weighted Gini impurity, up to the constant 1/n factor
-        gini_l = n_l - (pos_l**2 + (n_l - pos_l) ** 2) / n_l
-        gini_r = n_r - (pos_r**2 + (n_r - pos_r) ** 2) / n_r
-        scores = gini_l + gini_r
-        j = int(np.argmin(scores))
-        if scores[j] < best_score - 1e-12:
-            best_score = float(scores[j])
-            split_at = idx[valid][j]
-            threshold = float((xs[split_at - 1] + xs[split_at]) / 2.0)
-            best = (int(f), threshold, col <= threshold)
-    return best
+    for c, score in enumerate(scores[rows, column].tolist()):
+        if score < best_score - 1e-12:
+            best_score = score
+            best = c
+    if best is None:
+        return None
+    r = rows[best]
+    threshold = float((xs[r, best] + xs[r + 1, best]) / 2.0)
+    return int(features[best]), threshold, cols[:, best] <= threshold
 
 
 def _grow(

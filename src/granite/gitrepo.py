@@ -12,7 +12,7 @@ import logging
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from granite.textdiff import line_churn
 
@@ -72,8 +72,9 @@ class GitRepo:
     open several handles for parallel read-only work on the same repository.
     A commit's files come from one `ls-tree -r -z`, and what each commit of
     a first-parent chain changed from one `git log --raw -z` over the chain;
-    paths are read verbatim.  Only commit metadata is cached; a caller that
-    reads a blob again keeps what it made of it.
+    paths are read verbatim, and a .java path that is not UTF-8 is skipped
+    with one warning.  Only commit metadata is cached; a caller that reads a
+    blob again keeps what it made of it.
     """
 
     def __init__(self, path):
@@ -86,10 +87,14 @@ class GitRepo:
             raise RepositoryError(f"not a readable Git repository: {self.path}") from exc
         self._batch: Optional[subprocess.Popen] = None
         self._meta_cache: Dict[CommitId, CommitMeta] = {}
+        self._undecodable: Set[bytes] = set()  # .java paths already warned about
 
     # -- plumbing ----------------------------------------------------------
 
     def _run(self, *args: str) -> str:
+        return self._run_raw(*args).decode("utf-8", "replace")
+
+    def _run_raw(self, *args: str) -> bytes:
         proc = subprocess.run(
             ["git", "-C", str(self.path), *args],
             capture_output=True,
@@ -97,7 +102,22 @@ class GitRepo:
         if proc.returncode != 0:
             stderr = proc.stderr.decode("utf-8", "replace").strip()
             raise RepositoryError(f"git {' '.join(args[:2])}... failed: {stderr}")
-        return proc.stdout.decode("utf-8", "replace")
+        return proc.stdout
+
+    def _java_path(self, raw: bytes) -> Optional[str]:
+        """A .java path as text; None for other paths, and for one that is not UTF-8 (warned once).
+
+        Replacing undecodable bytes would map distinct paths to one name, so such a path is dropped.
+        """
+        if not raw.endswith(b".java"):
+            return None
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            if raw not in self._undecodable:
+                self._undecodable.add(raw)
+                log.warning("%s: skipping path %r: not valid UTF-8", self.path, raw)
+            return None
 
     def _batch_proc(self) -> subprocess.Popen:
         if self._batch is None or self._batch.poll() is not None:
@@ -199,20 +219,20 @@ class GitRepo:
         """
         if len(commits) < 2:
             return []
-        out = self._run("log", "--first-parent", "--diff-merges=first-parent", "--raw", "-r", "--no-renames",
-                        "--no-abbrev", "-z", "--format=%H%x09%ct%x09%an", commits[-1], "^" + commits[0])
+        out = self._run_raw("log", "--first-parent", "--diff-merges=first-parent", "--raw", "-r", "--no-renames",
+                            "--no-abbrev", "-z", "--format=%H%x09%ct%x09%an", commits[-1], "^" + commits[0])
         logged, steps = [], []
-        tokens = iter(out.split("\0"))
+        tokens = iter(out.split(b"\0"))
         for token in tokens:
-            token = token.lstrip("\n")
-            if token.startswith(":"):  # ":<old mode> <new mode> <old sha> <new sha> <status>", then the path
-                old_mode, new_mode, old, new, _ = token[1:].split(" ")
+            token = token.lstrip(b"\n")
+            if token.startswith(b":"):  # ":<old mode> <new mode> <old sha> <new sha> <status>", then the path
+                old_mode, new_mode, old, new, _ = token[1:].decode().split(" ")
                 change = (None if old_mode in _NO_FILE else old, None if new_mode in _NO_FILE else new)
-                path = next(tokens)
-                if change[0] != change[1] and path.endswith(".java"):
+                path = self._java_path(next(tokens))
+                if change[0] != change[1] and path is not None:
                     steps[-1][path] = change
             elif token:  # "<sha>\t<committer time>\t<author>"
-                sha, ts, author = token.split("\t", 2)
+                sha, ts, author = token.decode("utf-8", "replace").split("\t", 2)
                 self._meta_cache[sha] = CommitMeta(author, int(ts))
                 logged.append(sha)
                 steps.append({})
@@ -224,16 +244,21 @@ class GitRepo:
 
     def source_files(self, commit: CommitId) -> Dict[str, str]:
         """path -> blob sha for the .java files at a commit."""
-        return {p: s for p, s in self._ls_tree(commit).items() if p.endswith(".java")}
-
-    def _ls_tree(self, commit: CommitId) -> Dict[str, str]:
-        """path -> blob sha for every file at a commit; symlinks are files, gitlinks not."""
         files: Dict[str, str] = {}
-        for entry in self._run("ls-tree", "-r", "-z", commit).split("\0"):
-            meta, _, path = entry.partition("\t")  # "<mode> <type> <sha>\t<path>"
+        for raw, sha in self._ls_tree(commit).items():
+            path = self._java_path(raw)
+            if path is not None:
+                files[path] = sha
+        return files
+
+    def _ls_tree(self, commit: CommitId) -> Dict[bytes, str]:
+        """Raw path -> blob sha for every file at a commit; symlinks are files, gitlinks not."""
+        files: Dict[bytes, str] = {}
+        for entry in self._run_raw("ls-tree", "-r", "-z", commit).split(b"\0"):
+            meta, _, path = entry.partition(b"\t")  # "<mode> <type> <sha>\t<path>"
             parts = meta.split()
-            if len(parts) == 3 and parts[1] == "blob":
-                files[path] = parts[2]
+            if len(parts) == 3 and parts[1] == b"blob":
+                files[path] = parts[2].decode()
         return files
 
     def blob_lines(self, sha: str) -> Tuple[str, ...]:
@@ -250,7 +275,7 @@ class GitRepo:
 
     def file_lines(self, commit: CommitId, path: str) -> Tuple[str, ...]:
         """Lines of a file at a commit; an absent file reads as empty."""
-        sha = self._ls_tree(commit).get(path)
+        sha = self._ls_tree(commit).get(path.encode())
         return self.blob_lines(sha) if sha else ()
 
     def snapshot(self, commit: CommitId, path: str) -> FileSnapshot:

@@ -1,8 +1,12 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from granite import forest
 from granite.dataset import LabeledDataset
 from granite.forest import (
     ForestParams,
@@ -148,6 +152,92 @@ def test_tree_paths_have_narrowing_boxes():
 
     for tree in model.trees:
         check(tree, {f: -np.inf for f in range(5)}, {f: np.inf for f in range(5)})
+
+
+# -- split search -------------------------------------------------------------
+
+
+def per_feature_best_split(X, y, features):
+    """The split search that scored one feature at a time; kept as the oracle."""
+    n = len(y)
+    total_pos = int(y.sum())
+    best = None
+    best_score = math.inf
+    for f in features:
+        col = X[:, f]
+        order = np.argsort(col, kind="stable")
+        xs = col[order]
+        ys = y[order]
+        cum_pos = np.cumsum(ys)
+        idx = np.arange(1, n)
+        valid = xs[1:] > xs[:-1]
+        if not valid.any():
+            continue
+        n_l = idx[valid].astype(np.float64)
+        n_r = n - n_l
+        pos_l = cum_pos[:-1][valid].astype(np.float64)
+        pos_r = total_pos - pos_l
+        # weighted Gini impurity, up to the constant 1/n factor
+        gini_l = n_l - (pos_l**2 + (n_l - pos_l) ** 2) / n_l
+        gini_r = n_r - (pos_r**2 + (n_r - pos_r) ** 2) / n_r
+        scores = gini_l + gini_r
+        j = int(np.argmin(scores))
+        if scores[j] < best_score - 1e-12:
+            best_score = float(scores[j])
+            split_at = idx[valid][j]
+            threshold = float((xs[split_at - 1] + xs[split_at]) / 2.0)
+            best = (int(f), threshold, col <= threshold)
+    return best
+
+
+@st.composite
+def tied_nodes(draw):
+    """Node rows with heavy ties and some NaN: constant and duplicated columns, maybe one positive, repeated draws."""
+    n = draw(st.integers(2, 40))
+    value = st.sampled_from([0.0, 1.0, 2.0, 3.0, math.nan])
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["values", "constant", "copy"]))
+        if kind == "copy" and columns:
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+        elif kind == "constant":
+            columns.append([draw(value)] * n)
+        else:
+            columns.append(draw(st.lists(value, min_size=n, max_size=n)))
+    X = np.array(columns, dtype=np.float64).T / draw(st.sampled_from([1.0, 3.0, 7.0]))
+    if draw(st.booleans()):
+        y = np.zeros(n, dtype=np.int64)
+        y[draw(st.integers(0, n - 1))] = 1
+    else:
+        y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    features = np.array(draw(st.lists(st.integers(0, len(columns) - 1), min_size=1, max_size=8)))
+    return X, y, features
+
+
+@given(tied_nodes())
+def test_split_search_equals_the_per_feature_search(node):
+    X, y, features = node
+    got = forest._best_split(X, y, features)
+    want = per_feature_best_split(X, y, features)
+    if want is None:
+        assert got is None
+    else:
+        assert got[:2] == want[:2]
+        assert np.array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("tied", [True, False])
+def test_forest_nodes_equal_those_grown_with_the_per_feature_search(monkeypatch, tied):
+    rng = np.random.default_rng(99)
+    X = rng.integers(0, 4, (70, 9)).astype(np.float64) if tied else rng.random((70, 9))
+    ds = make_dataset(X, rng.integers(0, 2, 70))
+    params = ForestParams(n_trees=30, seed=5)
+    got = train_random_forest(ds, params)
+    monkeypatch.setattr(forest, "_best_split", per_feature_best_split)
+    want = train_random_forest(ds, params)
+    for name in ("trees", "feature", "threshold", "left", "right", "counts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 # -- cross-validation ---------------------------------------------------------

@@ -113,10 +113,13 @@ def test_disconnected_tags_skipped_with_warning(tmp_path, caplog):
     rb.write("f.txt", "main\n")
     rb.commit("B")
     rb.tag("t3")  # t3 is not a first-parent descendant of t2
-    pairs = resolve_release_pairs(rb.root, "t*")
+    with caplog.at_level(logging.WARNING, logger="granite.gitrepo"):
+        pairs = resolve_release_pairs(rb.root, "t*")
     labels = [p.label for p in pairs]
     assert "t1..t2" in labels
     assert "t2..t3" not in labels
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert any(w.startswith("skipping release pair t2..t3: ") for w in warnings)
 
 
 def test_file_churn_and_blob_reads(linear_repo):

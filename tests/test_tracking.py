@@ -1,3 +1,5 @@
+import logging
+import os
 import sys
 import textwrap
 
@@ -392,6 +394,30 @@ def test_paths_with_non_ascii_tab_and_space_are_read_verbatim(tmp_path):
     assert sorted(methods) == sorted(paths)
     for history in methods.values():
         assert [e.commit for e in history.events] == [pair.rprime_commit]
+
+
+def test_paths_that_are_not_utf8_are_skipped_with_one_warning_each(tmp_path, caplog):
+    # Decoding with replacement would turn both names into "\ufffd.java" and drop one class silently.
+    rb = RepoBuilder(tmp_path / "bytes")
+    rb.write("README.md", "readme\n")
+    rb.commit("c0")
+    classes = {b"\xff.java": "A", b"\xfe.java": "B", b"Ok.java": "C"}
+    for value in (1, 2):
+        for raw, name in classes.items():
+            rb.write(os.fsdecode(raw), f"public class {name} {{\n    int f() {{\n        return {value};\n    }}\n}}\n")
+        head = rb.commit(f"set every f() to {value}")
+    with caplog.at_level(logging.WARNING, logger="granite.gitrepo"), GitRepo(rb.root) as repo:
+        chain = repo.first_parent_chain(head)[::-1]
+        steps = repo.first_parent_changes(chain)
+        listed = repo.source_files(head)
+        scan = HistoryScanner(repo).change_histories(chain)
+    assert [sorted(step) for step in steps] == [["Ok.java"], ["Ok.java"]]
+    assert sorted(listed) == ["Ok.java"]
+    assert {m.file_path for m in scan.histories} == {"Ok.java"}
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert sorted(warnings) == [
+        f"{rb.root}: skipping path {raw!r}: not valid UTF-8" for raw in (b"\xfe.java", b"\xff.java")
+    ]
 
 
 class _CountingSubprocess:
