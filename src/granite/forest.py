@@ -8,7 +8,6 @@ forest score is the fraction of trees voting 1.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -177,23 +176,6 @@ def predict_proba(model: ForestModel, features: np.ndarray) -> float:
     """Change-proneness score of one feature vector."""
     row = np.asarray(features, dtype=np.float64).reshape(1, -1)
     return float(score_matrix(model, row)[0])
-
-
-def model_to_json(model: ForestModel) -> str:
-    """Debug dump of the node arrays; not a stability-guaranteed format."""
-    return json.dumps(
-        {
-            "n_trees": len(model.trees),
-            "feature_names": list(model.feature_names),
-            "seed": model.params.seed,
-            "trees": model.trees.tolist(),
-            "feature": model.feature.tolist(),
-            "threshold": model.threshold.tolist(),
-            "left": model.left.tolist(),
-            "right": model.right.tolist(),
-            "counts": model.counts.tolist(),
-        }
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ MODIFIER_WORDS = frozenset(
 
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
 
-_WORD_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
+WORD_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 _TOKEN_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*|\d[0-9A-Za-z_.]*|\S")
 
 
@@ -105,59 +105,33 @@ class ModuleDef:
 # masking and tokens
 
 
+# one alternation, tried left to right at each offset: line comment, block
+# comment, text block, string literal, char literal.  An unterminated block
+# comment or text block runs to the end of the text; an unterminated string or
+# char literal ends at its line's end, unless a backslash escapes the newline.
+_MASKED_RE = re.compile(
+    r'//[^\n]*|/\*.*?(?:\*/|\Z)|""".*?(?:"""|\Z)'
+    r'|"(?:\\.|[^"\\\n])*(?:\\\Z)?"?'
+    r"|'(?:\\.|[^'\\\n])*(?:\\\Z)?'?",
+    re.S,
+)
+
+
 def mask_source(text: str) -> Tuple[str, List[int]]:
     """Blank out comments and string/char literals, preserving offsets.
 
     Returns the masked text (same length, newlines kept) and the start offsets
-    of the string literals that were removed.
+    of the string literals and text blocks that were removed.
     """
-    out = list(text)
     literals: List[int] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            j = n if j == -1 else j
-            for k in range(i, j):
-                out[k] = " "
-            i = j
-        elif ch == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            end = n if j == -1 else j + 2
-            for k in range(i, end):
-                if out[k] != "\n":
-                    out[k] = " "
-            i = end
-        elif ch == '"' and text.startswith('"""', i):
-            literals.append(i)
-            j = text.find('"""', i + 3)
-            end = n if j == -1 else j + 3
-            for k in range(i, end):
-                if out[k] != "\n":
-                    out[k] = " "
-            i = end
-        elif ch == '"' or ch == "'":
-            quote = ch
-            if quote == '"':
-                literals.append(i)
-            j = i + 1
-            while j < n:
-                c = text[j]
-                if c == "\\" and j + 1 < n:
-                    j += 2
-                    continue
-                if c == quote or c == "\n":
-                    break
-                j += 1
-            end = j + 1 if j < n and text[j] == quote else min(j, n)
-            for k in range(i, min(end, n)):
-                if out[k] != "\n":
-                    out[k] = " "
-            i = max(end, i + 1)
-        else:
-            i += 1
-    return "".join(out), literals
+
+    def blank(m: re.Match) -> str:
+        found = m.group()
+        if found[0] == '"':
+            literals.append(m.start())
+        return "\n".join(" " * len(part) for part in found.split("\n"))
+
+    return _MASKED_RE.sub(blank, text), literals
 
 
 @dataclass(frozen=True)
@@ -215,8 +189,6 @@ class TypeDecl:
 
 @dataclass
 class ParsedFile:
-    path: str
-    lines: List[str]
     masked: str
     line_starts: List[int]
     types: List[TypeDecl] = field(default_factory=list)
@@ -420,7 +392,7 @@ class _Parser:
 
     def _modifiers_before(self, start: int, end: int) -> frozenset:
         frag = self.pf.masked[start:end]
-        return frozenset(w for w in _WORD_RE.findall(frag) if w in MODIFIER_WORDS)
+        return frozenset(w for w in WORD_RE.findall(frag) if w in MODIFIER_WORDS)
 
     def _skip_enum_constants(self) -> None:
         """Skip the constant section of an enum body (through ';' if present)."""
@@ -741,19 +713,11 @@ class _Parser:
 # public API
 
 
-def parse_source(text: str, path: str = "<memory>") -> ParsedFile:
+def parse_source(text: str) -> ParsedFile:
     """Parse Java source into a declaration tree; failures set .error."""
     masked, _ = mask_source(text)
-    lines = text.split("\n")
-    line_starts = [0]
-    for ln in lines[:-1]:
-        line_starts.append(line_starts[-1] + len(ln) + 1)
-    parsed = ParsedFile(
-        path=path,
-        lines=lines,
-        masked=masked,
-        line_starts=line_starts,
-    )
+    line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
+    parsed = ParsedFile(masked=masked, line_starts=line_starts)
     parser = _Parser(parsed)
     try:
         parsed.types = parser.parse_unit()
@@ -769,7 +733,7 @@ def extract_modules(snapshot: FileSnapshot) -> List[ModuleDef]:
     Unparseable files are skipped with a warning and contribute no modules.
     """
     text = "\n".join(snapshot.lines)
-    parsed = parse_source(text, snapshot.path)
+    parsed = parse_source(text)
     if parsed.error:
         log.warning("%s@%s: skipped, parse failed: %s", snapshot.path, snapshot.commit[:10], parsed.error)
         return []

@@ -21,6 +21,7 @@ from granite.javaparse import (
     MethodDecl,
     ModuleDef,
     ModuleId,
+    WORD_RE,
     mask_source,
 )
 from granite.tracking import ChangeHistory
@@ -78,7 +79,6 @@ PROCESS_METRIC_NAMES: Tuple[str, ...] = (
     "dominant_author_ratio",
 )
 
-_WORD_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 _CALL_RE = re.compile(r"([A-Za-z_$][A-Za-z0-9_$]*)\s*\(")
 _TYPEISH_RE = re.compile(r"\b[A-Z][A-Za-z0-9_$]*\b")
 # generic argument lists are erased before counting comparison operators;
@@ -114,7 +114,7 @@ def _erase_generics(masked: str) -> str:
 
 
 def _words(masked: str) -> List[str]:
-    return _WORD_RE.findall(masked)
+    return WORD_RE.findall(masked)
 
 
 def _body_start(masked: str) -> Optional[int]:
@@ -179,12 +179,12 @@ def _declarators_in(stmt: List[str]) -> int:
     if i >= len(toks):
         return 0
     head = toks[i]
-    if not _WORD_RE.fullmatch(head):
+    if not WORD_RE.fullmatch(head):
         return 0
     if head in KEYWORDS and head not in _PRIMITIVES:
         return 0
     i += 1
-    while i + 1 < len(toks) and toks[i] == "." and _WORD_RE.fullmatch(toks[i + 1]):
+    while i + 1 < len(toks) and toks[i] == "." and WORD_RE.fullmatch(toks[i + 1]):
         i += 2
     if i < len(toks) and toks[i] == "<":  # generic type arguments
         depth = 0
@@ -204,7 +204,7 @@ def _declarators_in(stmt: List[str]) -> int:
     if i >= len(toks):
         return 0
     name = toks[i]
-    if not _WORD_RE.fullmatch(name) or name in KEYWORDS:
+    if not WORD_RE.fullmatch(name) or name in KEYWORDS:
         return 0
     i += 1
     after = toks[i] if i < len(toks) else None
@@ -223,7 +223,7 @@ def _declarators_in(stmt: List[str]) -> int:
         elif tok == "," and depth == 0:
             nxt = toks[i + 1] if i + 1 < len(toks) else None
             after_nxt = toks[i + 2] if i + 2 < len(toks) else None
-            if nxt and _WORD_RE.fullmatch(nxt) and nxt not in KEYWORDS and after_nxt in (None, "=", ",", "["):
+            if nxt and WORD_RE.fullmatch(nxt) and nxt not in KEYWORDS and after_nxt in (None, "=", ",", "["):
                 count += 1
         i += 1
     return count

@@ -108,31 +108,25 @@ def test_predict_feature_length_mismatch_errors():
         predict_proba(model, np.zeros(5))
 
 
-def test_model_json_dump_roundtrips_structure():
-    import json
-
-    from granite.forest import model_to_json
-
+def test_node_arrays_hold_each_tree_in_preorder():
     ds = blobs(n=40, m=3, seed=77)
     model = train_random_forest(ds, ForestParams(n_trees=4, seed=2))
-    dump = json.loads(model_to_json(model))
-    assert dump["n_trees"] == 4
-    assert len(dump["trees"]) == 4
-    n_nodes = len(dump["feature"])
-    for key in ("threshold", "left", "right", "counts"):
-        assert len(dump[key]) == n_nodes
+    assert len(model.trees) == 4
+    n_nodes = len(model.feature)
+    for arr in (model.threshold, model.left, model.right, model.counts):
+        assert len(arr) == n_nodes
     seen = []
 
     def walk(node):
         seen.append(node)
-        if dump["feature"][node] < 0:
-            assert sum(dump["counts"][node]) > 0
+        if model.feature[node] < 0:
+            assert model.counts[node].sum() > 0
             return
-        assert 0 <= dump["feature"][node] < 3
-        walk(dump["left"][node])
-        walk(dump["right"][node])
+        assert 0 <= model.feature[node] < 3
+        walk(model.left[node])
+        walk(model.right[node])
 
-    for tree in dump["trees"]:
+    for tree in model.trees:
         walk(tree)
     assert seen == list(range(n_nodes))  # preorder, each node in exactly one tree
 

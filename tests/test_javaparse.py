@@ -1,6 +1,7 @@
 import textwrap
+from typing import List, Tuple
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from granite.gitrepo import FileSnapshot
@@ -241,6 +242,75 @@ def test_mask_source_counts_string_literals():
     masked, literals = mask_source('x = "a" + "b"; // "c"\nchar q = \'"\';')
     assert len(literals) == 2
     assert '"' not in masked.replace('\n', '')
+
+
+def scanned_mask_source(text: str) -> Tuple[str, List[int]]:
+    """The masker that scanned one character at a time; kept as the oracle."""
+    out = list(text)
+    literals: List[int] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "/" and i + 1 < n and text[i + 1] == "/":
+            j = text.find("\n", i)
+            j = n if j == -1 else j
+            for k in range(i, j):
+                out[k] = " "
+            i = j
+        elif ch == "/" and i + 1 < n and text[i + 1] == "*":
+            j = text.find("*/", i + 2)
+            end = n if j == -1 else j + 2
+            for k in range(i, end):
+                if out[k] != "\n":
+                    out[k] = " "
+            i = end
+        elif ch == '"' and text.startswith('"""', i):
+            literals.append(i)
+            j = text.find('"""', i + 3)
+            end = n if j == -1 else j + 3
+            for k in range(i, end):
+                if out[k] != "\n":
+                    out[k] = " "
+            i = end
+        elif ch == '"' or ch == "'":
+            quote = ch
+            if quote == '"':
+                literals.append(i)
+            j = i + 1
+            while j < n:
+                c = text[j]
+                if c == "\\" and j + 1 < n:
+                    j += 2
+                    continue
+                if c == quote or c == "\n":
+                    break
+                j += 1
+            end = j + 1 if j < n and text[j] == quote else min(j, n)
+            for k in range(i, min(end, n)):
+                if out[k] != "\n":
+                    out[k] = " "
+            i = max(end, i + 1)
+        else:
+            i += 1
+    return "".join(out), literals
+
+
+# quotes, slashes, stars, backslashes and newlines make every masking rule meet every other
+_MASKABLE = st.text(st.sampled_from("\"'/*\\\n") | st.sampled_from("a {") | st.characters()) | st.text()
+
+
+@settings(deadline=None)
+@given(_MASKABLE)
+@example('x = "open')
+@example("c = 'x")
+@example('s = """open\n{')
+@example("s = \"a\\")
+@example("a /*/ b\n}")
+@example('s = "a\\\nb" + c;\n')
+@example('"""a"""b')
+@example("'\"'")
+def test_mask_source_equals_the_character_scanner(text):
+    assert mask_source(text) == scanned_mask_source(text)
 
 
 def test_module_id_roundtrip():

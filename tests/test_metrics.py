@@ -150,6 +150,31 @@ def test_static_public_and_literal_counts():
     assert vec["num_fields"] == 2
 
 
+def test_text_blocks_and_block_comments_are_masked():
+    src = """\
+    class T {
+        String render(int x) {
+            String page = \"\"\"
+                { if "quoted" // no comment
+                \"\"\";
+            /* } closes nothing */
+            if (x > 0) {
+                return page + "!";
+            }
+            return page;
+        }
+    }
+    """
+    method = method_vec(src, "render")
+    assert method["num_string_literals"] == 2  # the text block and "!"
+    assert method["cyclomatic"] == 2  # the if outside the text block
+    assert method["max_nesting"] == 1
+    cls = class_vec(src, "T")
+    assert cls["num_string_literals"] == 2
+    assert cls["weighted_methods"] == 2
+    assert cls["max_nesting"] == 2  # method body, then the if block
+
+
 def test_empty_class_metrics_are_zero_except_loc():
     vec = class_vec("class E {\n}\n", "E")
     assert vec["loc"] == 2
