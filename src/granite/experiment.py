@@ -96,12 +96,15 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         raise ValueError("k_values must be positive and strictly increasing")
     if "output_dir" not in raw:
         raise ValueError("config needs output_dir")
+    folds = int(raw.get("folds", 10))
+    if folds < 2:
+        raise ValueError(f"folds must be at least 2, got {folds}")
     return ExperimentConfig(
         repos=repos,
         output_dir=str(raw["output_dir"]),
         k_values=k_values,
         seed=int(raw.get("seed", 0)),
-        folds=int(raw.get("folds", 10)),
+        folds=folds,
     )
 
 

@@ -241,6 +241,8 @@ def cross_validate(
     Normalization and undersampling are fit inside each training fold; a fold
     whose training split is single-label is skipped with a warning.
     """
+    if folds < 2:
+        raise ValueError(f"folds must be at least 2, got {folds}")
     n = len(ds)
     if n < folds:
         raise ValueError(f"need at least {folds} rows, have {n}")

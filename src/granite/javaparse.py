@@ -36,8 +36,10 @@ MODIFIER_WORDS = frozenset(
 
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
 
-WORD_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
-_TOKEN_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*|\d[0-9A-Za-z_.]*|\S")
+# a Java identifier: a letter (any script), '_' or '$', then letters, digits, '_' or '$'
+IDENT = r"(?:[^\W\d]|\$)[\w$]*"
+WORD_RE = re.compile(IDENT)
+_TOKEN_RE = re.compile(rf"(?P<word>{IDENT})|\d[0-9A-Za-z_.]*|\S")
 
 
 # ---------------------------------------------------------------------------
@@ -134,21 +136,6 @@ def mask_source(text: str) -> Tuple[str, List[int]]:
     return _MASKED_RE.sub(blank, text), literals
 
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    start: int
-
-    @property
-    def is_word(self) -> bool:
-        c = self.text[0]
-        return c.isalpha() or c in "_$"
-
-
-def _tokenize(masked: str) -> List[_Tok]:
-    return [_Tok(m.group(), m.start()) for m in _TOKEN_RE.finditer(masked)]
-
-
 # ---------------------------------------------------------------------------
 # declaration structure
 
@@ -214,59 +201,108 @@ class _ParseError(Exception):
     pass
 
 
+def _is_word(tok: re.Match) -> bool:
+    return tok.lastgroup == "word"
+
+
+_CLOSER_OF = {")": "(", "]": "[", "}": "{"}
+
+
+def _split_commas(toks: Sequence[re.Match]) -> Tuple[List[List[re.Match]], bool]:
+    """Split toks at the commas outside (), <>, [] and {}; also say whether every bracket closed.
+
+    A '>' without its '<' is a comparison and closes nothing.
+    """
+    segments: List[List[re.Match]] = [[]]
+    depth = dict.fromkeys("(<[{", 0)
+    for tok in toks:
+        c = tok[0]
+        if c in depth:
+            depth[c] += 1
+        elif c in _CLOSER_OF:
+            depth[_CLOSER_OF[c]] -= 1
+        elif c == ">":
+            depth["<"] = max(0, depth["<"] - 1)
+        elif c == "," and not any(depth.values()):
+            segments.append([])
+            continue
+        segments[-1].append(tok)
+    return segments, not any(depth.values())
+
+
+def _declarator_name(toks: Sequence[re.Match]) -> Optional[str]:
+    for tok in reversed(toks):
+        if _is_word(tok) and tok[0] not in KEYWORDS:
+            return tok[0]
+    return None
+
+
+def _modifier_set(toks: Sequence[re.Match]) -> frozenset:
+    return frozenset(tok[0] for tok in toks if tok[0] in MODIFIER_WORDS)
+
+
 class _Parser:
+    """Recursive descent over the tokenizer's matches: a token's text is tok[0], its offset tok.start()."""
+
     def __init__(self, parsed: ParsedFile):
         self.pf = parsed
-        self.toks = _tokenize(parsed.masked)
+        self.toks = list(_TOKEN_RE.finditer(parsed.masked))
         self.i = 0
 
     # cursor helpers --------------------------------------------------------
 
-    def peek(self, k: int = 0) -> Optional[_Tok]:
+    def peek(self, k: int = 0) -> Optional[re.Match]:
         j = self.i + k
         return self.toks[j] if j < len(self.toks) else None
 
-    def advance(self) -> _Tok:
+    def at(self, text: str, k: int = 0) -> bool:
+        tok = self.peek(k)
+        return tok is not None and tok[0] == text
+
+    def at_word(self, k: int = 0) -> bool:
+        tok = self.peek(k)
+        return tok is not None and _is_word(tok)
+
+    def advance(self) -> re.Match:
         if self.i >= len(self.toks):
             raise _ParseError("unexpected end of file")
         tok = self.toks[self.i]
         self.i += 1
         return tok
 
-    def skip_balanced(self, open_ch: str, close_ch: str) -> _Tok:
+    def skip_balanced(self, open_ch: str, close_ch: str) -> re.Match:
         """Cursor sits on open_ch; consume through the matching close_ch."""
         depth = 0
         while True:
             tok = self.advance()
-            if tok.text == open_ch:
+            if tok[0] == open_ch:
                 depth += 1
-            elif tok.text == close_ch:
+            elif tok[0] == close_ch:
                 depth -= 1
                 if depth == 0:
                     return tok
 
     def skip_annotation(self) -> bool:
         """Cursor on '@'. Consumes the annotation; False if this is '@interface'."""
-        nxt = self.peek(1)
-        if nxt is not None and nxt.text == "interface":
+        if self.at("interface", 1):
             return False
         self.advance()  # '@'
-        if self.peek() is None or not self.peek().is_word:
+        if not self.at_word():
             return True  # stray '@'; tolerate
         self.advance()
-        while self.peek() and self.peek().text == "." and self.peek(1) and self.peek(1).is_word:
+        while self.at(".") and self.at_word(1):
             self.advance()
             self.advance()
-        if self.peek() and self.peek().text == "(":
+        if self.at("("):
             self.skip_balanced("(", ")")
         return True
 
     def _dotted_name(self) -> str:
-        parts = [self.advance().text]
-        while self.peek() and self.peek().text == "." and self.peek(1) and self.peek(1).is_word:
+        parts = [self.advance()[0]]
+        while self.at(".") and self.at_word(1):
             self.advance()
-            parts.append(self.advance().text)
-        if self.peek() and self.peek().text == "<":
+            parts.append(self.advance()[0])
+        if self.at("<"):
             self.skip_balanced("<", ">")
         return ".".join(parts)
 
@@ -277,44 +313,41 @@ class _Parser:
         stmt_start: Optional[int] = None
         while self.peek() is not None:
             tok = self.peek()
-            text = tok.text
+            text = tok[0]
             if text in ("package", "import"):
-                while self.peek() is not None and self.advance().text != ";":
+                while self.peek() is not None and self.advance()[0] != ";":
                     pass
                 stmt_start = None
             elif text == "@":
                 if stmt_start is None:
-                    stmt_start = tok.start
+                    stmt_start = tok.start()
                 if not self.skip_annotation():
                     types.append(self._parse_type(stmt_start, (), at_interface=True))
                     stmt_start = None
             elif self._at_type_keyword():
-                types.append(self._parse_type(stmt_start if stmt_start is not None else tok.start, ()))
+                types.append(self._parse_type(stmt_start if stmt_start is not None else tok.start(), ()))
                 stmt_start = None
             elif text == ";":
                 self.advance()
                 stmt_start = None
             else:
                 if stmt_start is None:
-                    stmt_start = tok.start
+                    stmt_start = tok.start()
                 self.advance()
         return types
 
     def _at_type_keyword(self) -> bool:
-        tok = self.peek()
-        if tok is None or not tok.is_word:
+        if not self.at_word():
             return False
-        if tok.text in _TYPE_KEYWORDS:
+        text = self.peek()[0]
+        if text in _TYPE_KEYWORDS:
             return True
-        if tok.text == "record":
+        if text == "record":
             # contextual keyword: only a declaration when followed by Name ( or Name <
-            nxt, nxt2 = self.peek(1), self.peek(2)
             return (
-                nxt is not None
-                and nxt.is_word
-                and nxt.text not in KEYWORDS
-                and nxt2 is not None
-                and nxt2.text in ("(", "<")
+                self.at_word(1)
+                and self.peek(1)[0] not in KEYWORDS
+                and (self.at("(", 2) or self.at("<", 2))
             )
         return False
 
@@ -325,12 +358,12 @@ class _Parser:
             keyword = "@interface"
         else:
             kw_tok = self.advance()
-            keyword = kw_tok.text
+            keyword = kw_tok[0]
         name_tok = self.advance()
-        if not name_tok.is_word:
+        if not _is_word(name_tok):
             raise _ParseError(f"expected type name after {keyword!r}")
-        name = name_tok.text
-        if self.peek() and self.peek().text == "<":
+        name = name_tok[0]
+        if self.at("<"):
             self.skip_balanced("<", ">")
 
         extends_name: Optional[str] = None
@@ -341,26 +374,27 @@ class _Parser:
             tok = self.peek()
             if tok is None:
                 raise _ParseError(f"unterminated {keyword} {name}")
-            if tok.text == "{":
+            text = tok[0]
+            if text == "{":
                 break
-            if tok.text == ";" and keyword == "@interface":
+            if text == ";" and keyword == "@interface":
                 break  # tolerate odd files
-            if tok.text == "(" and keyword == "record":
+            if text == "(" and keyword == "record":
                 record_components = self._parse_param_list()
                 continue
-            if tok.is_word and tok.text == "extends":
+            if text == "extends":
                 mode = "extends"
                 self.advance()
-            elif tok.is_word and tok.text in ("implements", "permits"):
-                mode = tok.text
+            elif text in ("implements", "permits"):
+                mode = text
                 self.advance()
-            elif tok.is_word and tok.text not in KEYWORDS:
+            elif _is_word(tok) and text not in KEYWORDS:
                 dotted = self._dotted_name()
                 if mode == "extends" and extends_name is None:
                     extends_name = dotted
                 elif mode in ("extends", "implements"):
                     implements.append(dotted)
-            elif tok.text == "<":
+            elif text == "<":
                 self.skip_balanced("<", ">")
             else:
                 self.advance()
@@ -373,10 +407,10 @@ class _Parser:
             qualified=qualified,
             extends_name=extends_name,
             implements=tuple(implements),
-            modifiers=self._modifiers_before(decl_start, kw_tok.start),
+            modifiers=self._modifiers_before(decl_start, kw_tok.start()),
             span=(0, 0),
             start=decl_start,
-            end=open_tok.start,
+            end=open_tok.start(),
         )
         for comp_type, comp_name in record_components:
             if comp_name:
@@ -386,7 +420,7 @@ class _Parser:
         if keyword == "enum":
             self._skip_enum_constants()
         close = self._parse_members(decl, chain + (name,))
-        decl.end = close.start
+        decl.end = close.start()
         decl.span = (self.pf.line_of(decl.start), self.pf.line_of(decl.end))
         return decl
 
@@ -401,20 +435,21 @@ class _Parser:
             tok = self.peek()
             if tok is None:
                 raise _ParseError("unterminated enum body")
-            if depth == 0 and tok.text == ";":
+            text = tok[0]
+            if depth == 0 and text == ";":
                 self.advance()
                 return
-            if depth == 0 and tok.text == "}":
+            if depth == 0 and text == "}":
                 return  # constants only; member loop closes the body
-            if tok.text in ("{", "("):
+            if text in ("{", "("):
                 depth += 1
-            elif tok.text in ("}", ")"):
+            elif text in ("}", ")"):
                 depth -= 1
             self.advance()
 
-    def _parse_members(self, decl: TypeDecl, chain: Tuple[str, ...]) -> _Tok:
+    def _parse_members(self, decl: TypeDecl, chain: Tuple[str, ...]) -> re.Match:
         member_start: Optional[int] = None
-        pending: List[_Tok] = []
+        pending: List[re.Match] = []
 
         def reset():
             nonlocal member_start, pending
@@ -425,12 +460,12 @@ class _Parser:
             tok = self.peek()
             if tok is None:
                 raise _ParseError(f"unterminated body of {decl.qualified}")
-            text = tok.text
+            text = tok[0]
             if text == "}":
                 return self.advance()
             if text == "@":
                 if member_start is None:
-                    member_start = tok.start
+                    member_start = tok.start()
                 if not self.skip_annotation():
                     decl.nested.append(
                         self._parse_type(member_start, chain, at_interface=True)
@@ -438,32 +473,35 @@ class _Parser:
                     reset()
             elif self._at_type_keyword():
                 if member_start is None:
-                    member_start = tok.start
+                    member_start = tok.start()
                 decl.nested.append(self._parse_type(member_start, chain))
                 reset()
             elif text == ";":
-                semi = self.advance()
+                end = self.advance().start()
                 if pending:
-                    decl.fields.append(self._field_from_tokens(pending, member_start, semi.start))
+                    segments, closed = _split_commas(pending)
+                    if not closed:
+                        segments.pop()  # a declarator whose brackets never close names nothing
+                    names = [n for seg in segments if (n := _declarator_name(seg))]
+                    span = (self.pf.line_of(member_start), self.pf.line_of(end))
+                    decl.fields.append(FieldDecl(tuple(names), _modifier_set(pending), span))
                 reset()
             elif text == "=":
                 self.advance()
-                names = []
-                first = self._declarator_name(pending)
-                if first:
-                    names.append(first)
+                segments, _ = _split_commas(pending)
+                names = [n for seg in segments if (n := _declarator_name(seg))]
                 end_off = self._skip_initializers(names)
                 if names and member_start is not None:
                     decl.fields.append(
                         FieldDecl(
                             tuple(names),
-                            self._modifier_set(pending),
+                            _modifier_set(pending),
                             (self.pf.line_of(member_start), self.pf.line_of(end_off)),
                         )
                     )
                 reset()
             elif text == "(":
-                method = self._parse_method(pending, member_start or tok.start, decl)
+                method = self._parse_method(pending, member_start or tok.start(), decl)
                 if method is not None:
                     decl.methods.append(method)
                 reset()
@@ -472,241 +510,136 @@ class _Parser:
                 reset()
             else:
                 if member_start is None:
-                    member_start = tok.start
+                    member_start = tok.start()
                 pending.append(self.advance())
-
-    def _modifier_set(self, toks: Sequence[_Tok]) -> frozenset:
-        return frozenset(t.text for t in toks if t.is_word and t.text in MODIFIER_WORDS)
-
-    def _declarator_name(self, toks: Sequence[_Tok]) -> Optional[str]:
-        for t in reversed(toks):
-            if t.is_word and t.text not in KEYWORDS:
-                return t.text
-        return None
-
-    def _field_from_tokens(self, toks: List[_Tok], start: Optional[int], end: int) -> FieldDecl:
-        # split declarators on commas outside (), <> and []
-        names: List[str] = []
-        depth = {"(": 0, "<": 0, "[": 0}
-        seg: List[_Tok] = []
-        for t in toks + [_Tok(",", end)]:
-            c = t.text
-            if c in "(<[":
-                depth[c] += 1
-            elif c == ")":
-                depth["("] -= 1
-            elif c == ">":
-                depth["<"] = max(0, depth["<"] - 1)
-            elif c == "]":
-                depth["["] -= 1
-            if c == "," and not any(depth.values()):
-                name = self._declarator_name(seg)
-                if name:
-                    names.append(name)
-                seg = []
-            else:
-                seg.append(t)
-        span = (self.pf.line_of(start if start is not None else end), self.pf.line_of(end))
-        return FieldDecl(tuple(names), self._modifier_set(toks), span)
 
     def _skip_initializers(self, names: List[str]) -> int:
         """After '=', consume through ';' collecting further declarator names."""
         depth = 0
         while True:
             tok = self.advance()
-            c = tok.text
+            c = tok[0]
             if c in "({[":
                 depth += 1
             elif c in ")}]":
                 depth -= 1
             elif c == ";" and depth == 0:
-                return tok.start
+                return tok.start()
             elif c == "," and depth == 0:
                 # either the next declarator or a comma inside a generic
-                nxt, nxt2 = self.peek(), self.peek(1)
                 if (
-                    nxt is not None
-                    and nxt.is_word
-                    and nxt.text not in KEYWORDS
-                    and nxt2 is not None
-                    and nxt2.text in ("=", ",", ";", "[")
+                    self.at_word()
+                    and self.peek()[0] not in KEYWORDS
+                    and self.peek(1) is not None
+                    and self.peek(1)[0] in ("=", ",", ";", "[")
                 ):
-                    names.append(nxt.text)
+                    names.append(self.peek()[0])
 
-    def _parse_method(self, pending: List[_Tok], start: int, decl: TypeDecl) -> Optional[MethodDecl]:
-        name = None
-        for t in reversed(pending):
-            if t.is_word:
-                name = t.text
-                break
+    def _parse_method(self, pending: List[re.Match], start: int, decl: TypeDecl) -> Optional[MethodDecl]:
+        name = next((tok[0] for tok in reversed(pending) if _is_word(tok)), None)
         params = self._parse_param_list()
         if name is None or name in KEYWORDS:
             # expression-looking construct at member level; resynchronize
             self._resync_member()
             return None
-        end_tok = self._finish_method_header()
-        span = (self.pf.line_of(start), self.pf.line_of(end_tok.start))
+        end = self._finish_method_header().start()
         return MethodDecl(
             name=name,
             param_types=tuple(pt for pt, _ in params),
-            modifiers=self._modifier_set(pending),
-            span=span,
+            modifiers=_modifier_set(pending),
+            span=(self.pf.line_of(start), self.pf.line_of(end)),
             start=start,
-            end=end_tok.start,
+            end=end,
             is_ctor=(name == decl.name),
         )
 
     def _resync_member(self) -> None:
         depth = 0
         while self.peek() is not None:
-            tok = self.advance()
-            if tok.text in "({[":
+            c = self.advance()[0]
+            if c in "({[":
                 depth += 1
-            elif tok.text in ")}]":
+            elif c in ")}]":
                 depth -= 1
-            elif tok.text == ";" and depth <= 0:
+            elif c == ";" and depth <= 0:
                 return
 
-    def _finish_method_header(self) -> _Tok:
+    def _finish_method_header(self) -> re.Match:
         """Consume the throws/default tail and the body, if any; return the end token."""
         saw_default = False
         while True:
             tok = self.peek()
             if tok is None:
                 raise _ParseError("unterminated method header")
-            if tok.text == "{":
+            text = tok[0]
+            if text == "{":
                 if saw_default:
                     self.skip_balanced("{", "}")  # annotation element array default
                     saw_default = False
                     continue
                 return self.skip_balanced("{", "}")
-            if tok.text == ";":
+            if text == ";":
                 return self.advance()
-            if tok.text == "@":
+            if text == "@":
                 self.skip_annotation()
                 continue
-            if tok.is_word and tok.text == "default":
+            if text == "default":
                 saw_default = True
             self.advance()
 
     def _parse_param_list(self) -> List[Tuple[str, Optional[str]]]:
         """Cursor on '('. Returns [(type_name, param_name)] with generics erased."""
-        toks: List[_Tok] = []
-        depth = 0
-        while True:
-            tok = self.advance()
-            if tok.text == "(":
-                depth += 1
-                if depth == 1:
-                    continue
-            elif tok.text == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            toks.append(tok)
+        first = self.i
+        self.skip_balanced("(", ")")
+        segments, _ = _split_commas(self.toks[first + 1:self.i - 1])
+        return [p for p in map(_param_from_segment, segments) if p is not None]
 
-        segments: List[List[_Tok]] = [[]]
-        pdepth = gdepth = bdepth = adepth = 0
-        for t in toks:
-            c = t.text
-            if c == "(":
-                pdepth += 1
-            elif c == ")":
-                pdepth -= 1
-            elif c == "<":
-                gdepth += 1
-            elif c == ">":
-                gdepth = max(0, gdepth - 1)
-            elif c == "[":
-                bdepth += 1
-            elif c == "]":
-                bdepth -= 1
-            elif c == "{":
-                adepth += 1
-            elif c == "}":
-                adepth -= 1
-            if c == "," and pdepth == gdepth == bdepth == adepth == 0:
-                segments.append([])
-            else:
-                segments[-1].append(t)
 
-        params: List[Tuple[str, Optional[str]]] = []
-        for seg in segments:
-            parsed = self._param_from_segment(seg)
-            if parsed is not None:
-                params.append(parsed)
-        return params
-
-    def _param_from_segment(self, seg: List[_Tok]) -> Optional[Tuple[str, Optional[str]]]:
-        # drop annotations and 'final', erase generic argument lists
-        flat: List[_Tok] = []
-        gdepth = 0
-        k = 0
-        while k < len(seg):
-            t = seg[k]
-            if t.text == "<":
-                gdepth += 1
+def _param_from_segment(seg: List[re.Match]) -> Optional[Tuple[str, Optional[str]]]:
+    # drop annotations and 'final', erase generic argument lists
+    flat: List[re.Match] = []
+    gdepth = 0
+    k = 0
+    while k < len(seg):
+        text = seg[k][0]
+        k += 1
+        if text == "<":
+            gdepth += 1
+        elif text == ">":
+            gdepth = max(0, gdepth - 1)
+        elif gdepth > 0 or text == "final":
+            pass
+        elif text == "@":
+            if k < len(seg) and _is_word(seg[k]):
                 k += 1
-                continue
-            if t.text == ">":
-                gdepth = max(0, gdepth - 1)
-                k += 1
-                continue
-            if gdepth > 0:
-                k += 1
-                continue
-            if t.text == "@":
-                k += 1
-                if k < len(seg) and seg[k].is_word:
+                while k + 1 < len(seg) and seg[k][0] == "." and _is_word(seg[k + 1]):
+                    k += 2
+            if k < len(seg) and seg[k][0] == "(":
+                depth = 0
+                while k < len(seg):
+                    c = seg[k][0]
                     k += 1
-                    while k + 1 < len(seg) and seg[k].text == "." and seg[k + 1].is_word:
-                        k += 2
-                if k < len(seg) and seg[k].text == "(":
-                    pd = 0
-                    while k < len(seg):
-                        if seg[k].text == "(":
-                            pd += 1
-                        elif seg[k].text == ")":
-                            pd -= 1
-                            if pd == 0:
-                                k += 1
-                                break
-                        k += 1
-                continue
-            if t.is_word and t.text == "final":
-                k += 1
-                continue
-            flat.append(t)
-            k += 1
+                    if c == "(":
+                        depth += 1
+                    elif c == ")":
+                        depth -= 1
+                        if depth == 0:
+                            break
+        else:
+            flat.append(seg[k - 1])
 
-        words = [idx for idx, t in enumerate(flat) if t.is_word]
-        if not words:
-            return None
-        name_idx = words[-1]
-        name: Optional[str] = flat[name_idx].text
-        base_parts: List[str] = []
-        for t in flat[:name_idx]:
-            if t.is_word or t.text == ".":
-                base_parts.append(t.text)
-        base = "".join(base_parts).strip(".")
-        if not base:
-            base, name = flat[name_idx].text, None  # unnamed (e.g. receiver-less decl)
-        brackets = sum(1 for t in flat if t.text == "[")
-        ellipsis = self._has_ellipsis(flat)
-        type_str = base + "[]" * brackets + ("..." if ellipsis else "")
-        return type_str, name
-
-    @staticmethod
-    def _has_ellipsis(flat: List[_Tok]) -> bool:
-        run = 0
-        for t in flat:
-            if t.text == ".":
-                run += 1
-                if run == 3:
-                    return True
-            else:
-                run = 0
-        return False
+    words = [idx for idx, tok in enumerate(flat) if _is_word(tok)]
+    if not words:
+        return None
+    name_idx = words[-1]
+    name: Optional[str] = flat[name_idx][0]
+    base = "".join(tok[0] for tok in flat[:name_idx] if _is_word(tok) or tok[0] == ".").strip(".")
+    if not base:
+        base, name = name, None  # unnamed (e.g. receiver-less decl)
+    texts = [tok[0] for tok in flat]
+    brackets = texts.count("[")
+    ellipsis = any(a == b == c == "." for a, b, c in zip(texts, texts[1:], texts[2:]))
+    return base + "[]" * brackets + ("..." if ellipsis else ""), name
 
 
 # ---------------------------------------------------------------------------

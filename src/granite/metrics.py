@@ -17,6 +17,7 @@ import numpy as np
 
 from granite.gitrepo import CommitId, CommitMeta
 from granite.javaparse import (
+    IDENT,
     KEYWORDS,
     MethodDecl,
     ModuleDef,
@@ -79,7 +80,8 @@ PROCESS_METRIC_NAMES: Tuple[str, ...] = (
     "dominant_author_ratio",
 )
 
-_CALL_RE = re.compile(r"([A-Za-z_$][A-Za-z0-9_$]*)\s*\(")
+_CALL_RE = re.compile(rf"({IDENT})\s*\(")
+_LOCALS_TOKEN_RE = re.compile(rf"{IDENT}|\S")
 _TYPEISH_RE = re.compile(r"\b[A-Z][A-Za-z0-9_$]*\b")
 # generic argument lists are erased before counting comparison operators;
 # '&'/'|' stay out of the class so `a < b && c > d` keeps its comparisons
@@ -160,7 +162,7 @@ def _invocation_names(masked_body: str) -> List[str]:
 
 def _count_locals(masked_body: str) -> int:
     """Local variable declarators, recognized as `[final] Type name [= ...]`."""
-    toks: List[str] = re.findall(r"[A-Za-z_$][A-Za-z0-9_$]*|\S", masked_body)
+    toks: List[str] = _LOCALS_TOKEN_RE.findall(masked_body)
     total = 0
     stmt: List[str] = []
     for tok in toks:

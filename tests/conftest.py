@@ -6,14 +6,20 @@ per-event churn, release/commit change sizes, and LOC are all known by
 construction and recorded in the ledger the acceptance suite checks against.
 """
 
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Tuple
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# HYPOTHESIS_PROFILE=ci runs every property and differential test ten times deeper, without deadlines
+settings.register_profile("ci", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 from repobuilder import RepoBuilder
 

@@ -63,6 +63,10 @@ def test_config_validation_errors(tmp_path):
         config_from_dict({"repos": [{"path": "p"}], "output_dir": "x", "k_values": [50, 50]})
     with pytest.raises(ValueError):
         config_from_dict({"repos": [{"path": "p"}]})
+    # one fold leaves no training split and zero divides by zero; neither is a result
+    for folds in (1, 0, -3):
+        with pytest.raises(ValueError, match="folds must be at least 2"):
+            config_from_dict({"repos": [{"path": "p"}], "output_dir": "x", "folds": folds})
 
 
 def test_manifest_hash_changes_iff_config_changes(tmp_path, fixture_repo):

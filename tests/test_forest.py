@@ -288,6 +288,13 @@ def test_fewer_rows_than_folds_errors():
         cross_validate(ds, folds=10, params=ForestParams(n_trees=3, seed=1))
 
 
+@pytest.mark.parametrize("folds", [1, 0])
+def test_fewer_than_two_folds_errors(folds):
+    ds = blobs(n=40, m=3, seed=52)
+    with pytest.raises(ValueError, match="folds must be at least 2"):
+        cross_validate(ds, folds=folds, params=ForestParams(n_trees=3, seed=1))
+
+
 def test_single_label_dataset_errors():
     ds = make_dataset(np.random.default_rng(0).random((20, 3)), [1] * 20)
     with pytest.raises(ValueError):

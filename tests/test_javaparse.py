@@ -325,12 +325,16 @@ def test_module_id_roundtrip():
         assert parse_module_id(str(cid)) == cid
 
 
-# well-formed declarations nest to any depth; stray tokens between them break them in arbitrary places
+# well-formed declarations nest to any depth; stray tokens between and inside them break them in arbitrary places
 _MEMBERS = st.sampled_from((
     "int x;", "int[] a = {1, 2};", "void f() { g(); }", "int g(int a, String... b) { return a; }",
     "A() { super(); }", "abstract void h() throws E;", "@Override public String s() { return \"}\"; }",
     "static { x = 1; }", "Runnable r = new Runnable() { public void run() {} };", "String v() default \"{\";",
-    "/* } */ // {", "ONE, TWO;",
+    "/* } */ // {", "ONE, TWO;", "int a, b[], c = 1, d;", "Map<K, List<V>> m, n;",
+    "void p(@Named(value = \"x\", n = 2) final Map<String, List<Integer>> m, int[]... rest) {}",
+))
+_STRAY = st.sampled_from((
+    "{", "}", "(", ")", ";", "<", ">", "@", "class", '"', "'", "/*", "*/", "//", "\\", "\n", ",", "[", "]", "=",
 ))
 _DECLS = st.recursive(
     _MEMBERS,
@@ -338,11 +342,10 @@ _DECLS = st.recursive(
         "{} {} {{\n{}\n}}".format,
         st.sampled_from(("class", "interface", "enum", "record", "@interface", "public static class")),
         st.sampled_from(("A", "B extends A", "C<T> implements I, J", "R(int a)")),
-        st.lists(inner, max_size=4).map("\n".join),
+        st.lists(inner | _STRAY, max_size=4).map("\n".join),
     ),
     max_leaves=12,
 )
-_STRAY = st.sampled_from(("{", "}", "(", ")", ";", "<", ">", "@", "class", '"', "'", "/*", "*/", "//", "\\", "\n"))
 _SOURCES = st.text() | st.lists(_DECLS | _STRAY, max_size=8).map("\n".join)
 
 
@@ -487,3 +490,31 @@ def test_field_array_initializer_not_a_method():
     defs = extract_modules(snap(source))
     method_ids = {str(d.id) for d in defs if d.id.kind == "method"}
     assert method_ids == {"method:src/Sample.java:F#use()"}
+
+
+def test_generated_declarations_pinned():
+    # the multi-declarator fields and the annotated generic varargs parameters of the generator below
+    parsed = parse_source(
+        "class G<K, V> {\n"
+        "    Map<K, List<V>> m, n;\n"
+        "    ONE, TWO;\n"
+        "    int g(int a, String... b) { return a; }\n"
+        "    void p(@Named(value = \"x\", n = 2) final Map<String, List<Integer>> m, int[]... rest) {}\n"
+        "}\n"
+    )
+    (cls,) = parsed.types
+    assert [(f.names, f.span) for f in cls.fields] == [(("m", "n"), (2, 2)), (("ONE", "TWO"), (3, 3))]
+    assert [(m.name, m.param_types) for m in cls.methods] == [
+        ("g", ("int", "String...")),
+        ("p", ("Map", "int[]...")),
+    ]
+
+
+def test_non_ascii_identifiers_are_whole_words():
+    defs = extract_modules(snap("class Café { void café(int ä) {} void naïve() {} void résumé() {} }", "A.java"))
+    assert [str(d.id) for d in defs] == [
+        "class:A.java:Café",
+        "method:A.java:Café#café(int)",
+        "method:A.java:Café#naïve()",
+        "method:A.java:Café#résumé()",
+    ]

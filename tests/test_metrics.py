@@ -150,6 +150,21 @@ def test_static_public_and_literal_counts():
     assert vec["num_fields"] == 2
 
 
+def test_every_declarator_counts_also_before_an_initializer():
+    src = """\
+    public class D {
+        public static int a, b[], c = 1, d;
+        int e;
+    }
+    """
+    (cls,) = [d for d in modules_of(src) if d.id.kind == "class"]
+    assert [f.names for f in cls.decl.fields] == [("a", "b", "c", "d"), ("e",)]
+    vec = class_vec(src, "D")
+    assert vec["num_fields"] == 5
+    assert vec["num_static_members"] == 4
+    assert vec["num_public_members"] == 4
+
+
 def test_text_blocks_and_block_comments_are_masked():
     src = """\
     class T {
