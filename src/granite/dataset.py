@@ -2,7 +2,8 @@
 
 A dataset is a fixed-order feature matrix (product block, then process block)
 with binary change-prone labels and per-module LOC carried along for the
-effort-aware evaluation.  CSV serialization is lossless round-trip.
+effort-aware evaluation.  CSVs are written losslessly: every module id
+parses back with parse_module_id and every feature value with float.
 """
 
 from __future__ import annotations
@@ -10,11 +11,11 @@ from __future__ import annotations
 import csv
 import statistics
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from granite.javaparse import ModuleId, parse_module_id
+from granite.javaparse import ModuleId
 from granite.metrics import CLASS_METRIC_NAMES, METHOD_METRIC_NAMES, PROCESS_METRIC_NAMES
 
 
@@ -141,28 +142,3 @@ def write_csv(ds: LabeledDataset, fp) -> None:
             [str(m), int(ds.loc[i]), *[repr(float(v)) for v in ds.X[i]], int(ds.y[i])]
         )
 
-
-def read_csv(fp, release: str = "", granularity: str = "") -> LabeledDataset:
-    reader = csv.reader(fp)
-    header = next(reader)
-    names = tuple(header[2:-1])
-    modules: List[ModuleId] = []
-    X_rows, y_vals, locs = [], [], []
-    for row in reader:
-        if not row:
-            continue
-        modules.append(parse_module_id(row[0]))
-        locs.append(int(row[1]))
-        X_rows.append([float(v) for v in row[2:-1]])
-        y_vals.append(int(row[-1]))
-    if not granularity and modules:
-        granularity = modules[0].kind
-    return LabeledDataset(
-        release,
-        granularity,
-        names,
-        tuple(modules),
-        np.array(X_rows, dtype=np.float64) if X_rows else np.zeros((0, len(names))),
-        np.array(y_vals, dtype=np.int8),
-        np.array(locs, dtype=np.int64),
-    )

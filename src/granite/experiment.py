@@ -91,6 +91,11 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     repos = tuple(RepoSpec(r["path"], r.get("tags", "*")) for r in raw.get("repos", []))
     if not repos:
         raise ValueError("config needs at least one repository")
+    path_of: Dict[str, str] = {}
+    for r in repos:
+        if r.name in path_of:  # reports and dataset files are keyed by the name
+            raise ValueError(f"repositories {path_of[r.name]!r} and {r.path!r} share the directory name {r.name!r}")
+        path_of[r.name] = r.path
     k_values = tuple(int(k) for k in raw.get("k_values", DEFAULT_K))
     if any(k <= 0 for k in k_values) or list(k_values) != sorted(set(k_values)):
         raise ValueError("k_values must be positive and strictly increasing")
@@ -114,7 +119,6 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
 
 @dataclass
 class GranularityResult:
-    granularity: str
     dataset: LabeledDataset
     cv: CrossValResult
     scores: EvalScores  # pooled out-of-fold scores
@@ -207,7 +211,6 @@ def analyze_release_pair(
             for k in k_values
         }
         results[granularity] = GranularityResult(
-            granularity=granularity,
             dataset=ds,
             cv=cv,
             scores=cv.pooled_scores(),

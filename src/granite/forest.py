@@ -25,9 +25,6 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class ForestParams:
     n_trees: int = 100
-    max_features: Optional[int] = None  # None means floor(sqrt(n_features))
-    min_samples_split: int = 2
-    max_depth: Optional[int] = None
     seed: int = 0
 
 
@@ -41,7 +38,6 @@ class ForestModel:
     left: np.ndarray
     right: np.ndarray
     counts: np.ndarray  # (label-0, label-1) training rows per node, shape (n_nodes, 2)
-    params: ForestParams
     feature_names: Tuple[str, ...]
 
 
@@ -96,35 +92,25 @@ def _best_split(
     return int(features[best]), threshold, cols[:, best] <= threshold
 
 
-def _grow(
-    X: np.ndarray,
-    y: np.ndarray,
-    rng: np.random.Generator,
-    max_features: int,
-    min_samples_split: int,
-    max_depth: Optional[int],
-    nodes: List[list],
-    depth: int = 0,
-) -> int:
-    """Append the subtree over (X, y) to nodes in preorder; return its root index."""
+def _grow(X: np.ndarray, y: np.ndarray, rng: np.random.Generator, max_features: int, nodes: List[list]) -> int:
+    """Append the subtree over (X, y) to nodes in preorder; return its root index.
+
+    A node is a leaf when it is pure (a node of one row always is) or when no
+    drawn feature splits it; trees grow to full depth.
+    """
     n = len(y)
     pos = int(y.sum())
     node = len(nodes)
     nodes.append([-1, 0.0, -1, -1, n - pos, pos])
-    if (
-        pos == 0
-        or pos == n
-        or n < min_samples_split
-        or (max_depth is not None and depth >= max_depth)
-    ):
+    if pos == 0 or pos == n:
         return node
     features = rng.choice(X.shape[1], size=max_features, replace=False)
     split = _best_split(X, y, features)
     if split is None:
         return node
     f, threshold, left_mask = split
-    left = _grow(X[left_mask], y[left_mask], rng, max_features, min_samples_split, max_depth, nodes, depth + 1)
-    right = _grow(X[~left_mask], y[~left_mask], rng, max_features, min_samples_split, max_depth, nodes, depth + 1)
+    left = _grow(X[left_mask], y[left_mask], rng, max_features, nodes)
+    right = _grow(X[~left_mask], y[~left_mask], rng, max_features, nodes)
     nodes[node][:4] = [f, threshold, left, right]
     return node
 
@@ -139,19 +125,16 @@ def train_random_forest(train: LabeledDataset, params: ForestParams) -> ForestMo
         raise ValueError("training set has a single label")
     if params.n_trees < 1:
         raise ValueError("need at least one tree")
-    max_features = params.max_features or max(1, int(math.isqrt(m)))
-    max_features = min(max_features, m)
+    max_features = min(max(1, math.isqrt(m)), m)  # floor(sqrt(m)) candidate features per node
     nodes: List[list] = []
     roots = []
     for i in range(params.n_trees):
         rng = np.random.default_rng([params.seed & 0x7FFFFFFFFFFF, i])
         sample = rng.integers(0, n, size=n)
-        roots.append(
-            _grow(X[sample], y[sample], rng, max_features, params.min_samples_split, params.max_depth, nodes)
-        )
+        roots.append(_grow(X[sample], y[sample], rng, max_features, nodes))
     feature, threshold, left, right, neg, pos = (np.array(column) for column in zip(*nodes))
     counts = np.column_stack([neg, pos])
-    return ForestModel(np.array(roots), feature, threshold, left, right, counts, params, train.feature_names)
+    return ForestModel(np.array(roots), feature, threshold, left, right, counts, train.feature_names)
 
 
 def score_matrix(model: ForestModel, X: np.ndarray) -> np.ndarray:

@@ -145,30 +145,20 @@ class MethodDecl:
     name: str
     param_types: Tuple[str, ...]
     modifiers: frozenset
-    span: Tuple[int, int]
-    start: int  # char offsets into the file
-    end: int
-    is_ctor: bool = False
+    span: Tuple[int, int]  # 1-based inclusive line numbers in the file
 
 
 @dataclass
 class FieldDecl:
     names: Tuple[str, ...]
     modifiers: frozenset
-    span: Tuple[int, int]
 
 
 @dataclass
 class TypeDecl:
-    keyword: str  # class | interface | enum | record | @interface
-    name: str
     qualified: str
     extends_name: Optional[str]
-    implements: Tuple[str, ...]
-    modifiers: frozenset
     span: Tuple[int, int]
-    start: int
-    end: int
     methods: List[MethodDecl] = field(default_factory=list)
     fields: List[FieldDecl] = field(default_factory=list)
     nested: List["TypeDecl"] = field(default_factory=list)
@@ -354,11 +344,10 @@ class _Parser:
     def _parse_type(self, decl_start: int, chain: Tuple[str, ...], at_interface: bool = False) -> TypeDecl:
         if at_interface:
             self.advance()  # '@'
-            kw_tok = self.advance()  # 'interface'
+            self.advance()  # 'interface'
             keyword = "@interface"
         else:
-            kw_tok = self.advance()
-            keyword = kw_tok[0]
+            keyword = self.advance()[0]
         name_tok = self.advance()
         if not _is_word(name_tok):
             raise _ParseError(f"expected type name after {keyword!r}")
@@ -367,7 +356,6 @@ class _Parser:
             self.skip_balanced("<", ">")
 
         extends_name: Optional[str] = None
-        implements: List[str] = []
         record_components: List[Tuple[str, Optional[str]]] = []
         mode = None
         while True:
@@ -382,51 +370,28 @@ class _Parser:
             if text == "(" and keyword == "record":
                 record_components = self._parse_param_list()
                 continue
-            if text == "extends":
-                mode = "extends"
-                self.advance()
-            elif text in ("implements", "permits"):
+            if text in ("extends", "implements", "permits"):
                 mode = text
                 self.advance()
             elif _is_word(tok) and text not in KEYWORDS:
                 dotted = self._dotted_name()
                 if mode == "extends" and extends_name is None:
                     extends_name = dotted
-                elif mode in ("extends", "implements"):
-                    implements.append(dotted)
             elif text == "<":
                 self.skip_balanced("<", ">")
             else:
                 self.advance()
 
-        open_tok = self.advance()  # '{'
-        qualified = ".".join(chain + (name,))
-        decl = TypeDecl(
-            keyword=keyword,
-            name=name,
-            qualified=qualified,
-            extends_name=extends_name,
-            implements=tuple(implements),
-            modifiers=self._modifiers_before(decl_start, kw_tok.start()),
-            span=(0, 0),
-            start=decl_start,
-            end=open_tok.start(),
-        )
-        for comp_type, comp_name in record_components:
+        self.advance()  # '{'
+        decl = TypeDecl(".".join(chain + (name,)), extends_name, (0, 0))
+        for _, comp_name in record_components:
             if comp_name:
-                decl.fields.append(
-                    FieldDecl((comp_name,), frozenset({"private", "final"}), (0, 0))
-                )
+                decl.fields.append(FieldDecl((comp_name,), frozenset({"private", "final"})))
         if keyword == "enum":
             self._skip_enum_constants()
         close = self._parse_members(decl, chain + (name,))
-        decl.end = close.start()
-        decl.span = (self.pf.line_of(decl.start), self.pf.line_of(decl.end))
+        decl.span = (self.pf.line_of(decl_start), self.pf.line_of(close.start()))
         return decl
-
-    def _modifiers_before(self, start: int, end: int) -> frozenset:
-        frag = self.pf.masked[start:end]
-        return frozenset(w for w in WORD_RE.findall(frag) if w in MODIFIER_WORDS)
 
     def _skip_enum_constants(self) -> None:
         """Skip the constant section of an enum body (through ';' if present)."""
@@ -477,31 +442,24 @@ class _Parser:
                 decl.nested.append(self._parse_type(member_start, chain))
                 reset()
             elif text == ";":
-                end = self.advance().start()
+                self.advance()
                 if pending:
                     segments, closed = _split_commas(pending)
                     if not closed:
                         segments.pop()  # a declarator whose brackets never close names nothing
                     names = [n for seg in segments if (n := _declarator_name(seg))]
-                    span = (self.pf.line_of(member_start), self.pf.line_of(end))
-                    decl.fields.append(FieldDecl(tuple(names), _modifier_set(pending), span))
+                    decl.fields.append(FieldDecl(tuple(names), _modifier_set(pending)))
                 reset()
             elif text == "=":
                 self.advance()
                 segments, _ = _split_commas(pending)
                 names = [n for seg in segments if (n := _declarator_name(seg))]
-                end_off = self._skip_initializers(names)
+                self._skip_initializers(names)
                 if names and member_start is not None:
-                    decl.fields.append(
-                        FieldDecl(
-                            tuple(names),
-                            _modifier_set(pending),
-                            (self.pf.line_of(member_start), self.pf.line_of(end_off)),
-                        )
-                    )
+                    decl.fields.append(FieldDecl(tuple(names), _modifier_set(pending)))
                 reset()
             elif text == "(":
-                method = self._parse_method(pending, member_start or tok.start(), decl)
+                method = self._parse_method(pending, member_start or tok.start())
                 if method is not None:
                     decl.methods.append(method)
                 reset()
@@ -513,18 +471,17 @@ class _Parser:
                     member_start = tok.start()
                 pending.append(self.advance())
 
-    def _skip_initializers(self, names: List[str]) -> int:
+    def _skip_initializers(self, names: List[str]) -> None:
         """After '=', consume through ';' collecting further declarator names."""
         depth = 0
         while True:
-            tok = self.advance()
-            c = tok[0]
+            c = self.advance()[0]
             if c in "({[":
                 depth += 1
             elif c in ")}]":
                 depth -= 1
             elif c == ";" and depth == 0:
-                return tok.start()
+                return
             elif c == "," and depth == 0:
                 # either the next declarator or a comma inside a generic
                 if (
@@ -535,7 +492,7 @@ class _Parser:
                 ):
                     names.append(self.peek()[0])
 
-    def _parse_method(self, pending: List[re.Match], start: int, decl: TypeDecl) -> Optional[MethodDecl]:
+    def _parse_method(self, pending: List[re.Match], start: int) -> Optional[MethodDecl]:
         name = next((tok[0] for tok in reversed(pending) if _is_word(tok)), None)
         params = self._parse_param_list()
         if name is None or name in KEYWORDS:
@@ -544,13 +501,10 @@ class _Parser:
             return None
         end = self._finish_method_header().start()
         return MethodDecl(
-            name=name,
-            param_types=tuple(pt for pt, _ in params),
-            modifiers=_modifier_set(pending),
-            span=(self.pf.line_of(start), self.pf.line_of(end)),
-            start=start,
-            end=end,
-            is_ctor=(name == decl.name),
+            name,
+            tuple(pt for pt, _ in params),
+            _modifier_set(pending),
+            (self.pf.line_of(start), self.pf.line_of(end)),
         )
 
     def _resync_member(self) -> None:

@@ -82,10 +82,11 @@ PROCESS_METRIC_NAMES: Tuple[str, ...] = (
 
 _CALL_RE = re.compile(rf"({IDENT})\s*\(")
 _LOCALS_TOKEN_RE = re.compile(rf"{IDENT}|\S")
-_TYPEISH_RE = re.compile(r"\b[A-Z][A-Za-z0-9_$]*\b")
+# an identifier that starts a word: none begins inside a number such as 0XFFab or 1E5f
+_NAME_RE = re.compile(rf"(?<![\w$]){IDENT}")
 # generic argument lists are erased before counting comparison operators;
 # '&'/'|' stay out of the class so `a < b && c > d` keeps its comparisons
-_GENERIC_RE = re.compile(r"<[A-Za-z0-9_$,.\s?\[\]]*>")
+_GENERIC_RE = re.compile(r"<[\w$,.\s?\[\]]*>")
 _COMPARISON_RE = re.compile(r"==|!=|<=|>=|(?<![<-])<(?![<=])|(?<![->])>(?![>=])")
 
 _NON_CALL_WORDS = frozenset(
@@ -268,6 +269,15 @@ def _simple_name(qualified: str) -> str:
     return qualified.rsplit(".", 1)[-1]
 
 
+def _coupled_types(masked: str, own_name: str) -> set:
+    """Distinct names of any script that start uppercase and hold a lowercase letter, own_name excluded."""
+    return {
+        w
+        for w in _NAME_RE.findall(masked)
+        if w[0].isupper() and w != own_name and any(c.islower() for c in w)
+    }
+
+
 def class_hierarchy(defs: Sequence[ModuleDef]) -> Dict[ModuleId, Tuple[int, int]]:
     """(inheritance depth, number of children) of every class module in defs.
 
@@ -336,12 +346,7 @@ def class_product_metrics(
                     p += 1
     lcom = max(0, p - q)
 
-    simple = _simple_name(mdef.id.qualified_class)
-    coupled = {
-        w
-        for w in set(_TYPEISH_RE.findall(masked))
-        if w != simple and any(c.islower() for c in w)
-    }
+    coupled = _coupled_types(masked, _simple_name(mdef.id.qualified_class))
 
     body_off = _body_start(masked)
     body = masked[body_off:] if body_off is not None else masked

@@ -67,6 +67,9 @@ def test_config_validation_errors(tmp_path):
     for folds in (1, 0, -3):
         with pytest.raises(ValueError, match="folds must be at least 2"):
             config_from_dict({"repos": [{"path": "p"}], "output_dir": "x", "folds": folds})
+    # two clones named alike would overwrite each other's datasets and manifest entry
+    with pytest.raises(ValueError, match="'a/repo' and 'b/repo/' share the directory name 'repo'"):
+        config_from_dict({"repos": [{"path": "a/repo"}, {"path": "x"}, {"path": "b/repo/"}], "output_dir": "x"})
 
 
 def test_manifest_hash_changes_iff_config_changes(tmp_path, fixture_repo):

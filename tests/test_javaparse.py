@@ -425,13 +425,17 @@ def test_parse_source_structure_details():
     )
     assert parsed.error is None
     cls = parsed.types[0]
+    assert cls.qualified == "A"
     assert cls.extends_name == "Base"
-    assert cls.implements == ("X", "Y")
-    assert "public" in cls.modifiers
-    field_names = [n for f in cls.fields for n in f.names]
-    assert sorted(field_names) == ["count", "name", "total"]
-    ctor = [m for m in cls.methods if m.is_ctor]
-    assert len(ctor) == 1
+    assert cls.span == (1, 6)
+    assert [(f.names, f.modifiers) for f in cls.fields] == [
+        (("count", "total"), {"private", "static"}),
+        (("name",), {"public", "final"}),
+    ]
+    assert [(m.name, m.param_types, m.modifiers, m.span) for m in cls.methods] == [
+        ("A", (), {"public"}, (4, 4)),
+        ("get", (), frozenset(), (5, 5)),
+    ]
 
 
 def test_array_return_and_generic_members():
@@ -503,7 +507,7 @@ def test_generated_declarations_pinned():
         "}\n"
     )
     (cls,) = parsed.types
-    assert [(f.names, f.span) for f in cls.fields] == [(("m", "n"), (2, 2)), (("ONE", "TWO"), (3, 3))]
+    assert [f.names for f in cls.fields] == [("m", "n"), ("ONE", "TWO")]
     assert [(m.name, m.param_types) for m in cls.methods] == [
         ("g", ("int", "String...")),
         ("p", ("Map", "int[]...")),

@@ -1,6 +1,9 @@
+import re
 import textwrap
 
 import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from granite.gitrepo import CommitMeta, FileSnapshot
 from granite.javaparse import extract_modules
@@ -12,6 +15,7 @@ from granite.metrics import (
     class_product_metrics,
     method_product_metrics,
     process_metrics,
+    _coupled_types,
 )
 from granite.tracking import ChangeEvent, ChangeHistory
 
@@ -111,6 +115,26 @@ CBO_EXPECTED = {"Inventory", "Order", "Receipt", "Customer", "Invoice", "Billing
 def test_cbo_matches_hand_enumerated_reference_count():
     vec = class_vec(CBO_FIXTURE, "Shop")
     assert vec["coupled_types"] == len(CBO_EXPECTED)
+
+
+def test_type_names_of_any_script_are_coupled_and_erased_from_generics():
+    src = "class A { Eclair a; Éclair b; Ähnlich c; int f(Map<Ökonom, Integer> m) { return 0; } }"
+    # Eclair, Éclair, Ähnlich, Map, Ökonom, Integer; no '<' or '>' is left to count as a comparison
+    assert class_vec(src, "A")["coupled_types"] == 6
+    assert class_vec(src, "A")["num_comparisons"] == 0
+    assert method_vec(src, "f")["num_comparisons"] == 0
+
+
+def ascii_coupled_types(masked, own_name):
+    # the ASCII-only rule the any-script one replaced
+    return {w for w in re.findall(r"\b[A-Z][A-Za-z0-9_$]*\b", masked) if w != own_name and any(c.islower() for c in w)}
+
+
+@example("int x = 0XCafe + 1E5f + 0x1aBcd;")
+@example("Map<List<Foo>, Bar> m; Foo9 a_Bb _Cc")
+@given(st.text(alphabet="AaBbEeXxZz09_ .,;<>()[]{}=+-\n", max_size=60))
+def test_coupled_types_of_ascii_text_without_dollar_are_unchanged(text):
+    assert _coupled_types(text, "Aa") == ascii_coupled_types(text, "Aa")
 
 
 def test_wmc_is_sum_of_method_complexities():
