@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import logging
+import math
 import os
 import sys
 from typing import List, Optional
@@ -91,8 +92,18 @@ def _cmd_eval(args) -> int:
         reader = csv.DictReader(fp)
         for row in reader:
             module = parse_module_id(row["module_id"])
-            scored.append(PredictionScore(module, float(row["score"])))
-            locs[module] = int(row["loc"])
+            score, loc = float(row["score"]), int(row["loc"])
+            problem = (
+                f"module_id {row['module_id']} appears twice" if module in locs
+                else "score is NaN" if math.isnan(score)
+                else f"loc must be a positive integer, got {loc}" if loc < 1
+                else None
+            )
+            if problem:
+                print(f"{args.predictions}:{reader.line_num}: {problem}", file=sys.stderr)
+                return 2
+            scored.append(PredictionScore(module, score))
+            locs[module] = loc
             sizes[module] = ChangeSizes(
                 module, int(row["delta_release"]), int(row["delta_commit"])
             )

@@ -45,6 +45,10 @@ GRANULARITIES = ("class", "method")
 DEFAULT_K = (100, 500, 1000, 5000, 10000)
 
 
+def _ratio_columns(k_values: Sequence[int]) -> List[Tuple[str, int]]:
+    return [(kind, k) for kind in ("release", "commit") for k in k_values]
+
+
 @dataclass(frozen=True)
 class RepoSpec:
     path: str
@@ -63,22 +67,16 @@ class ExperimentConfig:
     seed: int = 0
     folds: int = 10
 
-    def as_dict(self) -> dict:
-        return {
+    @property
+    def config_hash(self) -> str:
+        """sha256 over the fields that affect results; output_dir does not."""
+        fields = {
             "repos": [{"path": r.path, "tags": r.tags} for r in self.repos],
-            "output_dir": self.output_dir,
             "k_values": list(self.k_values),
             "seed": self.seed,
             "folds": self.folds,
         }
-
-    @property
-    def config_hash(self) -> str:
-        """sha256 over the fields that affect results; output_dir does not."""
-        fields = self.as_dict()
-        del fields["output_dir"]
-        canon = json.dumps(fields, sort_keys=True)
-        return hashlib.sha256(canon.encode()).hexdigest()
+        return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
 
 
 def load_config(path) -> ExperimentConfig:
@@ -205,11 +203,7 @@ def analyze_release_pair(
                 end.body if end is not None else (),
             )
         ranking = rank_by_score(cv.predictions, locs)
-        ratios = {
-            (kind, k): top_k_change_ratio(ranking, k, sizes, kind)
-            for kind in ("release", "commit")
-            for k in k_values
-        }
+        ratios = {(kind, k): top_k_change_ratio(ranking, k, sizes, kind) for kind, k in _ratio_columns(k_values)}
         results[granularity] = GranularityResult(
             dataset=ds,
             cv=cv,
@@ -220,21 +214,14 @@ def analyze_release_pair(
 
     projected = None
     if "class" in results and "method" in results:
-        class_res = results["class"]
-        predicted_classes = {p.module for p in class_res.cv.predictions if p.predicted}
-        method_mods = set(results["method"].dataset.modules)
-        methods_of: Dict[ModuleId, set] = {
-            d.id: set() for d in class_context
-        }
-        for m in method_mods:
-            owner = ModuleId("class", m.file_path, m.qualified_class)
-            if owner in methods_of:
-                methods_of[owner].add(m)
+        method_ds = results["method"].dataset
+        predicted_classes = {p.module for p in results["class"].cv.predictions if p.predicted}
+        methods_of: Dict[ModuleId, set] = {d.id: set() for d in class_context}
+        for m in method_ds.modules:  # every method's class is in the same start snapshot
+            methods_of[ModuleId("class", m.file_path, m.qualified_class)].add(m)
         p_cm = project_class_predictions_to_methods(predicted_classes, methods_of)
-        truth_m = {
-            m for m, y in zip(results["method"].dataset.modules, results["method"].dataset.y) if y == 1
-        }
-        projected = classification_scores(confusion_counts(p_cm, truth_m, method_mods))
+        truth_m = {m for m, y in zip(method_ds.modules, method_ds.y) if y == 1}
+        projected = classification_scores(confusion_counts(p_cm, truth_m, set(method_ds.modules)))
 
     result = ReleaseResult(Path(str(repo.path)).name, pair, results, projected, skipped)
     return result, prior.extended(pair_scan)
@@ -273,11 +260,8 @@ def _fmt(value) -> str:
 
 
 def _safe(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]+", "-", label)
-
-
-def _ratio_columns(k_values: Sequence[int]) -> List[Tuple[str, int]]:
-    return [(kind, k) for kind in ("release", "commit") for k in k_values]
+    """label with every UTF-8 byte outside [A-Za-z0-9._-] percent-encoded, so distinct labels stay distinct."""
+    return re.sub(rb"[^A-Za-z0-9._-]", lambda m: b"%%%02X" % m[0][0], label.encode()).decode()
 
 
 def emit_report(
@@ -287,59 +271,42 @@ def emit_report(
     failed_pairs: Sequence[Mapping[str, str]] = (),
 ) -> None:
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dataset_dir = out_dir / "datasets"
-    dataset_dir.mkdir(exist_ok=True)
-
+    dataset_dir.mkdir(parents=True, exist_ok=True)
     ratio_cols = _ratio_columns(config.k_values)
 
-    # releases.csv: one row per (repo, release pair, granularity) plus the projection row
-    lines = []
-    header = (
+    # releases.csv: one row per (repo, release pair, granularity), then the pair's projection row;
+    # fold_assignments.csv is seed-sensitive by construction
+    releases = [
         ["repo", "release_pair", "granularity", "n_modules", "cp_ratio",
          "precision", "recall", "f1", "accuracy", "auc"]
         + [f"ratio_{kind}_k{k}" for kind, k in ratio_cols]
-    )
-    lines.append(header)
+    ]
+    fold_rows = [["repo", "release_pair", "granularity", "module_id", "fold"]]
     for res in results:
-        for granularity in GRANULARITIES:
-            gr = res.by_granularity.get(granularity)
-            if gr is None:
-                continue
+        for granularity, gr in sorted(res.by_granularity.items()):  # GRANULARITIES order
             s = gr.scores
-            lines.append(
+            releases.append(
                 [res.repo, res.label, granularity, len(gr.dataset), _fmt(gr.cp_ratio),
                  _fmt(s.precision), _fmt(s.recall), _fmt(s.f1), _fmt(s.accuracy), _fmt(s.auc)]
-                + [_fmt(gr.ratios.get(col)) for col in ratio_cols]
+                + [_fmt(gr.ratios[col]) for col in ratio_cols]
             )
-        if res.projected is not None:
-            p = res.projected
-            n_methods = len(res.by_granularity["method"].dataset)
-            lines.append(
-                [res.repo, res.label, "class_to_method", n_methods, "",
-                 _fmt(p.precision), _fmt(p.recall), _fmt(p.f1), _fmt(p.accuracy), ""]
-                + ["" for _ in ratio_cols]
+            fold_rows.extend(
+                [res.repo, res.label, granularity, str(module), int(fold)]
+                for module, fold in zip(gr.dataset.modules, gr.cv.fold_assignment)
             )
-    _write_rows(out_dir / "releases.csv", lines)
-
-    _write_rows(out_dir / "summary.csv", _summary_rows(results, config))
-
-    # fold assignment manifest: seed-sensitive by construction
-    fold_lines = [["repo", "release_pair", "granularity", "module_id", "fold"]]
-    for res in results:
-        for granularity in GRANULARITIES:
-            gr = res.by_granularity.get(granularity)
-            if gr is None:
-                continue
-            for module, fold in zip(gr.dataset.modules, gr.cv.fold_assignment):
-                fold_lines.append([res.repo, res.label, granularity, str(module), int(fold)])
-    _write_rows(out_dir / "fold_assignments.csv", fold_lines)
-
-    for res in results:
-        for granularity, gr in sorted(res.by_granularity.items()):
             name = f"{_safe(res.repo)}__{_safe(res.label)}__{granularity}.csv"
             with open(dataset_dir / name, "w", encoding="utf-8", newline="") as fp:
                 write_csv(gr.dataset, fp)
+        if (p := res.projected) is not None:
+            releases.append(
+                [res.repo, res.label, "class_to_method", len(res.by_granularity["method"].dataset), "",
+                 _fmt(p.precision), _fmt(p.recall), _fmt(p.f1), _fmt(p.accuracy), ""]
+                + [""] * len(ratio_cols)
+            )
+    _write_rows(out_dir / "releases.csv", releases)
+    _write_rows(out_dir / "summary.csv", _summary_rows(results, config))
+    _write_rows(out_dir / "fold_assignments.csv", fold_rows)
 
     manifest = {
         "tool": "granite",
@@ -348,8 +315,8 @@ def emit_report(
         "folds": config.folds,
         "k_values": list(config.k_values),
         "config_hash": config.config_hash,
-        "repos": {name: status for name, status in sorted(repo_status.items())},
-        "release_pairs": sum(1 for _ in results),
+        "repos": dict(repo_status),
+        "release_pairs": len(results),
         "failed_release_pairs": list(failed_pairs),
         "skipped_granularities": [
             {"repo": res.repo, "release_pair": res.label, "granularity": g, "reason": reason}
@@ -366,55 +333,35 @@ def emit_report(
 
 def _write_rows(path: Path, rows: List[List]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(fp, lineterminator="\n").writerows(rows)
+
+
+_SCORES = ("precision", "recall", "f1", "accuracy", "auc")
 
 
 def _summary_rows(results: List[ReleaseResult], config: ExperimentConfig) -> List[List]:
+    """One row per metric over the release pairs with both granularities: rq1 scores, rq2 projected
+    class predictions (no auc) against method scores, rq3 effort ratios. Empty sides are left out."""
+    # projected is set exactly when both granularities ran
+    both = [(r.by_granularity["class"], r.by_granularity["method"], r.projected)
+            for r in results if r.projected is not None]
+    table = (
+        [("rq1", s, [(getattr(c.scores, s), getattr(m.scores, s)) for c, m, _ in both]) for s in _SCORES]
+        + [("rq2", s, [(getattr(p, s), getattr(m.scores, s)) for _, m, p in both]) for s in _SCORES[:-1]]
+        + [("rq3", f"ratio_{kind}_k{k}", [(c.ratios[kind, k], m.ratios[kind, k]) for c, m, _ in both])
+           for kind, k in _ratio_columns(config.k_values)]
+    )
     rows = [["rq", "metric", "class_median", "method_median", "p_value", "delta", "magnitude", "significance"]]
-
-    def paired(metric_pairs: List[Tuple[float, float]], rq: str, metric: str) -> None:
-        if not metric_pairs:
-            return
-        class_vals = [c for c, _ in metric_pairs]
-        method_vals = [m for _, m in metric_pairs]
+    for rq, metric, pairs in table:
+        kept = [(float(c), float(m)) for c, m in pairs if c is not None and m is not None]
+        if not kept:
+            continue
+        class_vals, method_vals = zip(*kept)
         stat = compare_paired(class_vals, method_vals)
         rows.append(
             [rq, metric, _fmt(statistics.median(class_vals)), _fmt(statistics.median(method_vals)),
              _fmt(stat.p_value), _fmt(stat.delta), stat.magnitude, stat.significance_mark]
         )
-
-    both = [r for r in results if "class" in r.by_granularity and "method" in r.by_granularity]
-
-    for metric in ("precision", "recall", "f1", "accuracy", "auc"):
-        pairs = []
-        for r in both:
-            c = getattr(r.by_granularity["class"].scores, metric)
-            m = getattr(r.by_granularity["method"].scores, metric)
-            if c is not None and m is not None:
-                pairs.append((float(c), float(m)))
-        paired(pairs, "rq1", metric)
-
-    for metric in ("precision", "recall", "f1", "accuracy"):
-        pairs = []
-        for r in both:
-            if r.projected is None:
-                continue
-            c = getattr(r.projected, metric)
-            m = getattr(r.by_granularity["method"].scores, metric)
-            pairs.append((float(c), float(m)))
-        paired(pairs, "rq2", metric)
-
-    for kind, k in _ratio_columns(config.k_values):
-        pairs = []
-        for r in both:
-            c = r.by_granularity["class"].ratios.get((kind, k))
-            m = r.by_granularity["method"].ratios.get((kind, k))
-            if c is not None and m is not None:
-                pairs.append((float(c), float(m)))
-        paired(pairs, "rq3", f"ratio_{kind}_k{k}")
-
     return rows
 
 

@@ -7,6 +7,7 @@ goes through the git command line; nothing is ever written to the repository.
 
 from __future__ import annotations
 
+import contextlib
 import fnmatch
 import logging
 import subprocess
@@ -121,6 +122,7 @@ class GitRepo:
 
     def _batch_proc(self) -> subprocess.Popen:
         if self._batch is None or self._batch.poll() is not None:
+            self.close()  # a child that exited still holds its pipes
             self._batch = subprocess.Popen(
                 ["git", "-C", str(self.path), "cat-file", "--batch"],
                 stdin=subprocess.PIPE,
@@ -129,9 +131,12 @@ class GitRepo:
         return self._batch
 
     def close(self) -> None:
-        if self._batch is not None and self._batch.poll() is None:
-            self._batch.stdin.close()
+        """End the cat-file child, if any, and close both of its pipes."""
+        if self._batch is not None:
+            with contextlib.suppress(BrokenPipeError):  # unsent input to a child that already exited
+                self._batch.stdin.close()
             self._batch.wait(timeout=10)
+            self._batch.stdout.close()
         self._batch = None
 
     def __enter__(self) -> "GitRepo":

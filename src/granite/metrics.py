@@ -117,7 +117,7 @@ def _erase_generics(masked: str) -> str:
 
 
 def _words(masked: str) -> List[str]:
-    return WORD_RE.findall(masked)
+    return _NAME_RE.findall(masked)
 
 
 def _body_start(masked: str) -> Optional[int]:
@@ -273,7 +273,7 @@ def _coupled_types(masked: str, own_name: str) -> set:
     """Distinct names of any script that start uppercase and hold a lowercase letter, own_name excluded."""
     return {
         w
-        for w in _NAME_RE.findall(masked)
+        for w in _words(masked)
         if w[0].isupper() and w != own_name and any(c.islower() for c in w)
     }
 

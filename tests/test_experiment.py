@@ -1,5 +1,7 @@
 import csv
 import json
+import shutil
+import statistics
 import sys
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from granite.experiment import (
 from granite.forest import FoldResult
 from granite.gitrepo import GitRepo
 from granite.metrics import process_metrics
+from granite.stats import compare_paired
 from granite.tracking import HistoryScanner
 
 from repobuilder import RepoBuilder
@@ -149,6 +152,56 @@ def test_summary_has_rq_rows(first_run):
     for row in rows:
         assert row["significance"] in ("n.s.", "*", "**")
         assert row["magnitude"] in ("negligible", "small", "medium", "large")
+
+
+def test_summary_recomputes_from_release_rows(first_run):
+    _, out, _ = first_run
+    releases = read_rows(out / "releases.csv")
+    row_of = {(r["repo"], r["release_pair"], r["granularity"]): r for r in releases}
+    both = [
+        (row_of[unit + ("class",)], row_of[unit + ("method",)], row_of[unit + ("class_to_method",)])
+        for unit in dict.fromkeys((r["repo"], r["release_pair"]) for r in releases)
+        if unit + ("class",) in row_of and unit + ("method",) in row_of
+    ]
+    assert len(both) == 2
+    scores = ("precision", "recall", "f1", "accuracy", "auc")
+    ratios = [column for column in releases[0] if column.startswith("ratio_")]
+    table = (
+        [("rq1", s, [(c[s], m[s]) for c, m, _ in both]) for s in scores]
+        + [("rq2", s, [(p[s], m[s]) for _, m, p in both]) for s in scores[:4]]
+        + [("rq3", r, [(c[r], m[r]) for c, m, _ in both]) for r in ratios]
+    )
+    expected = []
+    for rq, metric, pairs in table:
+        kept = [(float(c), float(m)) for c, m in pairs if c != "" and m != ""]
+        if not kept:
+            continue
+        class_vals = [c for c, _ in kept]
+        method_vals = [m for _, m in kept]
+        stat = compare_paired(class_vals, method_vals)
+        expected.append({
+            "rq": rq, "metric": metric,
+            "class_median": repr(statistics.median(class_vals)),
+            "method_median": repr(statistics.median(method_vals)),
+            "p_value": repr(stat.p_value), "delta": repr(stat.delta),
+            "magnitude": stat.magnitude, "significance": stat.significance_mark,
+        })
+    assert read_rows(out / "summary.csv") == expected
+
+
+def test_dataset_files_of_repo_names_that_differ_only_in_punctuation_stay_apart(fixture_repo, tmp_path):
+    repos = []
+    for name in ("a b", "a-b"):
+        shutil.copytree(fixture_repo.root, tmp_path / name)
+        repos.append(RepoSpec(str(tmp_path / name), "v*"))
+    out = tmp_path / "out"
+    assert run_experiment(ExperimentConfig(tuple(repos), str(out), (100,), seed=7, folds=10)) == 0
+    rows = [r for r in read_rows(out / "releases.csv") if r["granularity"] in ("class", "method")]
+    assert len(rows) == 8
+    files = sorted((out / "datasets").iterdir())
+    assert len(files) == len(rows)
+    assert out / "datasets" / "a%20b__v1.0..v1.1__class.csv" in files
+    assert sorted(len(read_rows(f)) for f in files) == sorted(int(r["n_modules"]) for r in rows)
 
 
 def test_fold_assignments_listed_per_module(first_run):
@@ -453,6 +506,28 @@ def test_cli_eval_computes_ratios(tmp_path):
     assert abs(float(release["ratio"]) - 30 / 70) < 1e-12
     commit = next(r for r in rows if r["kind"] == "commit")
     assert abs(float(commit["ratio"]) - 40 / 70) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("method:src/B.java:B#b(),0.8,0,10,15", "loc must be a positive integer, got 0"),
+        ("method:src/A.java:A#a(),0.8,30,10,15", "module_id method:src/A.java:A#a() appears twice"),
+        ("method:src/B.java:B#b(),nan,30,10,15", "score is NaN"),
+    ],
+    ids=["zero-loc", "duplicate-module", "nan-score"],
+)
+def test_cli_eval_rejects_malformed_rows(tmp_path, capsys, bad_row, message):
+    pred = tmp_path / "preds.csv"
+    pred.write_text(
+        "module_id,score,loc,delta_release,delta_commit\n"
+        "method:src/A.java:A#a(),0.9,40,20,25\n"
+        f"{bad_row}\n"
+    )
+    out = tmp_path / "ratios.csv"
+    assert main(["eval", "--predictions", str(pred), "--k", "100", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"{pred}:3: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_eval_null_ratio_for_tiny_budget(tmp_path):

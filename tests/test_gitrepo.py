@@ -136,6 +136,33 @@ def test_file_churn_and_blob_reads(linear_repo):
         assert repo.file_lines(c_10, "missing.txt") == ()
 
 
+def test_close_ends_the_blob_reader_and_closes_its_pipes(linear_repo):
+    with GitRepo(linear_repo.root) as repo:
+        head = repo.release_pairs("*")[-1].rprime_commit
+        assert repo.file_lines(head, "b.java")  # starts the cat-file child
+        exited = repo._batch
+        exited.kill()
+        exited.wait()
+        assert repo.file_lines(head, "b.java")  # replaces the child that exited
+        assert exited.stdin.closed and exited.stdout.closed
+        live = repo._batch
+        assert live is not exited
+    assert live.returncode is not None
+    assert live.stdin.closed and live.stdout.closed
+    repo.close()  # closing twice is harmless
+
+    # a child that exits after the liveness check leaves a request unsent in the stdin buffer
+    assert repo.file_lines(head, "b.java")
+    dying = repo._batch
+    dying.kill()
+    dying.wait()
+    with pytest.raises(BrokenPipeError):
+        dying.stdin.write(b"HEAD\n")
+        dying.stdin.flush()
+    repo.close()
+    assert dying.stdin.closed and dying.stdout.closed
+
+
 def test_source_files_lists_java_only(linear_repo):
     with GitRepo(linear_repo.root) as repo:
         head = repo.release_pairs("*")[-1].rprime_commit

@@ -137,6 +137,15 @@ def test_coupled_types_of_ascii_text_without_dollar_are_unchanged(text):
     assert _coupled_types(text, "Aa") == ascii_coupled_types(text, "Aa")
 
 
+def test_letters_inside_number_literals_are_not_identifiers():
+    src = "class A {\n  int f() { return 0xCafe + 1E5f + 10L; }\n}\n"
+    assert method_vec(src, "f")["num_unique_identifiers"] == 1  # f; not xCafe, E5f or L
+    # a() and b() share no field either way; the f of 1.5f is not a use of field f
+    cohesion = "class A {\n  float f;\n  int g;\n  void a() { g = 2; float x = %s; }\n  void b() { f = 1; }\n}\n"
+    assert class_vec(cohesion % "1.5f", "A")["lack_of_cohesion"] == 1
+    assert class_vec(cohesion % "1.5", "A")["lack_of_cohesion"] == 1
+
+
 def test_wmc_is_sum_of_method_complexities():
     src = """\
     class W {
