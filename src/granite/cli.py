@@ -1,18 +1,19 @@
 """Command line front end.
 
 Subcommands:
-  granite run  --config FILE [--seed S]              full experiment
+  granite run  --config FILE                         full experiment
   granite mine REPO --tags GLOB [--out FILE]         change histories only
   granite eval --predictions FILE --k LIST           effort ratios for external scores
 
-GRANITE_LOG sets the log level (DEBUG, INFO, WARNING, ERROR).
+GRANITE_LOG sets the log level (DEBUG, INFO, WARNING, ERROR).  A bad config,
+repository or predictions file ends the command with one line on stderr and
+exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import logging
 import math
 import os
@@ -23,9 +24,9 @@ from granite import __version__
 from granite.evaluation import ChangeSizes, change_sizes, rank_by_score, top_k_change_ratio, top_k_cutoff
 from granite.experiment import DEFAULT_K, load_config, run_experiment
 from granite.forest import PredictionScore
-from granite.gitrepo import GitRepo
+from granite.gitrepo import GitRepo, RepositoryError
 from granite.javaparse import parse_module_id
-from granite.tracking import HistoryScanner, count_changes_between, dump_modules_jsonl, module_loc
+from granite.tracking import HistoryScanner, count_changes_between, module_loc
 
 
 def _setup_logging() -> None:
@@ -34,18 +35,27 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _usage_error(message: str) -> int:
+    print(message, file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    try:
+        config = load_config(args.config)
+    except (OSError, ValueError) as exc:
+        return _usage_error(f"granite: {exc}")
     return run_experiment(config)
 
 
 def _cmd_mine(args) -> int:
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    dump = open(args.dump_modules, "w", encoding="utf-8") if args.dump_modules else None
     try:
-        with GitRepo(args.repo) as repo:
+        repo = GitRepo(args.repo)
+    except RepositoryError as exc:
+        return _usage_error(f"granite: {exc}")
+    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+    try:
+        with repo:
             scanner = HistoryScanner(repo)
             pairs = repo.release_pairs(args.tags)
             writer = csv.writer(out, lineterminator="\n")
@@ -55,8 +65,6 @@ def _cmd_mine(args) -> int:
             )
             for pair in pairs:
                 scan = scanner.change_histories(pair.commits)
-                if dump is not None:
-                    dump_modules_jsonl(scan.start_defs.values(), dump)
                 for module in scan.alive_at_start():
                     history = scan.histories[module]
                     end = scan.end_defs.get(module)
@@ -74,39 +82,40 @@ def _cmd_mine(args) -> int:
     finally:
         if out is not sys.stdout:
             out.close()
-        if dump is not None:
-            dump.close()
     return 0
 
 
 def _cmd_eval(args) -> int:
     k_values = [int(k) for k in args.k.split(",") if k.strip()]
     if not k_values or k_values != sorted(set(k_values)) or k_values[0] <= 0:
-        print("--k must be a strictly increasing list of positive integers", file=sys.stderr)
-        return 2
+        return _usage_error("--k must be a strictly increasing list of positive integers")
 
     scored: List[PredictionScore] = []
     locs = {}
     sizes = {}
     with open(args.predictions, encoding="utf-8", newline="") as fp:
-        reader = csv.DictReader(fp)
+        reader = csv.DictReader(fp, restval="")  # a short row's missing fields read as empty
         for row in reader:
-            module = parse_module_id(row["module_id"])
-            score, loc = float(row["score"]), int(row["loc"])
-            problem = (
-                f"module_id {row['module_id']} appears twice" if module in locs
-                else "score is NaN" if math.isnan(score)
-                else f"loc must be a positive integer, got {loc}" if loc < 1
-                else None
-            )
+            try:
+                module = parse_module_id(row["module_id"])
+                score, loc = float(row["score"]), int(row["loc"])
+                delta_release, delta_commit = int(row["delta_release"]), int(row["delta_commit"])
+            except KeyError as exc:
+                problem = f"no column {exc.args[0]}"
+            except ValueError as exc:
+                problem = str(exc)
+            else:
+                problem = (
+                    f"module_id {row['module_id']} appears twice" if module in locs
+                    else "score is NaN" if math.isnan(score)
+                    else f"loc must be a positive integer, got {loc}" if loc < 1
+                    else None
+                )
             if problem:
-                print(f"{args.predictions}:{reader.line_num}: {problem}", file=sys.stderr)
-                return 2
+                return _usage_error(f"{args.predictions}:{reader.line_num}: {problem}")
             scored.append(PredictionScore(module, score))
             locs[module] = loc
-            sizes[module] = ChangeSizes(
-                module, int(row["delta_release"]), int(row["delta_commit"])
-            )
+            sizes[module] = ChangeSizes(module, delta_release, delta_commit)
     ranking = rank_by_score(scored, locs)
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
@@ -130,14 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the full experiment from a config file")
     p_run.add_argument("--config", required=True, help="JSON config file")
-    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.set_defaults(func=_cmd_run)
 
     p_mine = sub.add_parser("mine", help="emit per-module change histories")
     p_mine.add_argument("repo", help="path to a local Git repository")
     p_mine.add_argument("--tags", default="*", help="release tag glob (default '*')")
     p_mine.add_argument("--out", default=None, help="output CSV (default stdout)")
-    p_mine.add_argument("--dump-modules", default=None, help="JSONL dump of extracted modules")
     p_mine.set_defaults(func=_cmd_mine)
 
     p_eval = sub.add_parser("eval", help="effort-aware evaluation of external scores")

@@ -260,8 +260,11 @@ def _fmt(value) -> str:
 
 
 def _safe(label: str) -> str:
-    """label with every UTF-8 byte outside [A-Za-z0-9._-] percent-encoded, so distinct labels stay distinct."""
-    return re.sub(rb"[^A-Za-z0-9._-]", lambda m: b"%%%02X" % m[0][0], label.encode()).decode()
+    """label with every UTF-8 byte outside [A-Za-z0-9.-] percent-encoded, so distinct labels stay distinct.
+
+    '_' is encoded too, so the '__' that joins the parts of a file name never occurs inside one.
+    """
+    return re.sub(rb"[^A-Za-z0-9.-]", lambda m: b"%%%02X" % m[0][0], label.encode()).decode()
 
 
 def emit_report(

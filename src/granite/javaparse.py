@@ -195,7 +195,8 @@ def _is_word(tok: re.Match) -> bool:
     return tok.lastgroup == "word"
 
 
-_CLOSER_OF = {")": "(", "]": "[", "}": "{"}
+_CLOSER = {"(": ")", "[": "]", "{": "}"}
+_OPENER = {close: open_ for open_, close in _CLOSER.items()}
 
 
 def _split_commas(toks: Sequence[re.Match]) -> Tuple[List[List[re.Match]], bool]:
@@ -209,8 +210,8 @@ def _split_commas(toks: Sequence[re.Match]) -> Tuple[List[List[re.Match]], bool]
         c = tok[0]
         if c in depth:
             depth[c] += 1
-        elif c in _CLOSER_OF:
-            depth[_CLOSER_OF[c]] -= 1
+        elif c in _OPENER:
+            depth[_OPENER[c]] -= 1
         elif c == ">":
             depth["<"] = max(0, depth["<"] - 1)
         elif c == "," and not any(depth.values()):
@@ -272,6 +273,23 @@ class _Parser:
                 if depth == 0:
                     return tok
 
+    def skip_to(self, *stops: str) -> str:
+        """Move to the first token in stops outside (), [] and {}; leave it unconsumed and return its text.
+
+        Each bracket group is passed over whole, matched by its own kind.
+        """
+        while True:
+            tok = self.peek()
+            if tok is None:
+                raise _ParseError("unexpected end of file")
+            text = tok[0]
+            if text in stops:
+                return text
+            if text in _CLOSER:
+                self.skip_balanced(text, _CLOSER[text])
+            else:
+                self.i += 1
+
     def skip_annotation(self) -> bool:
         """Cursor on '@'. Consumes the annotation; False if this is '@interface'."""
         if self.at("interface", 1):
@@ -305,9 +323,7 @@ class _Parser:
             tok = self.peek()
             text = tok[0]
             if text in ("package", "import"):
-                while self.peek() is not None and self.advance()[0] != ";":
-                    pass
-                stmt_start = None
+                self.skip_to(";")
             elif text == "@":
                 if stmt_start is None:
                     stmt_start = tok.start()
@@ -388,29 +404,10 @@ class _Parser:
             if comp_name:
                 decl.fields.append(FieldDecl((comp_name,), frozenset({"private", "final"})))
         if keyword == "enum":
-            self._skip_enum_constants()
+            self.skip_to(";", "}")  # the constants; the member loop takes the ';' or closes the body
         close = self._parse_members(decl, chain + (name,))
         decl.span = (self.pf.line_of(decl_start), self.pf.line_of(close.start()))
         return decl
-
-    def _skip_enum_constants(self) -> None:
-        """Skip the constant section of an enum body (through ';' if present)."""
-        depth = 0
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise _ParseError("unterminated enum body")
-            text = tok[0]
-            if depth == 0 and text == ";":
-                self.advance()
-                return
-            if depth == 0 and text == "}":
-                return  # constants only; member loop closes the body
-            if text in ("{", "("):
-                depth += 1
-            elif text in ("}", ")"):
-                depth -= 1
-            self.advance()
 
     def _parse_members(self, decl: TypeDecl, chain: Tuple[str, ...]) -> re.Match:
         member_start: Optional[int] = None
@@ -472,32 +469,19 @@ class _Parser:
                 pending.append(self.advance())
 
     def _skip_initializers(self, names: List[str]) -> None:
-        """After '=', consume through ';' collecting further declarator names."""
-        depth = 0
-        while True:
-            c = self.advance()[0]
-            if c in "({[":
-                depth += 1
-            elif c in ")}]":
-                depth -= 1
-            elif c == ";" and depth == 0:
-                return
-            elif c == "," and depth == 0:
-                # either the next declarator or a comma inside a generic
-                if (
-                    self.at_word()
-                    and self.peek()[0] not in KEYWORDS
-                    and self.peek(1) is not None
-                    and self.peek(1)[0] in ("=", ",", ";", "[")
-                ):
-                    names.append(self.peek()[0])
+        """After '=', move to the ';' or the type's '}' that ends the field, collecting further declarator names."""
+        while self.skip_to(";", ",", "}") == ",":
+            self.advance()
+            # either the next declarator or a comma inside a generic
+            word, nxt = self.peek(), self.peek(1)
+            if nxt is not None and _is_word(word) and word[0] not in KEYWORDS and nxt[0] in ("=", ",", ";", "["):
+                names.append(word[0])
 
     def _parse_method(self, pending: List[re.Match], start: int) -> Optional[MethodDecl]:
         name = next((tok[0] for tok in reversed(pending) if _is_word(tok)), None)
         params = self._parse_param_list()
         if name is None or name in KEYWORDS:
-            # expression-looking construct at member level; resynchronize
-            self._resync_member()
+            self.skip_to(";", "}")  # expression-looking construct at member level; resynchronize
             return None
         end = self._finish_method_header().start()
         return MethodDecl(
@@ -507,80 +491,48 @@ class _Parser:
             (self.pf.line_of(start), self.pf.line_of(end)),
         )
 
-    def _resync_member(self) -> None:
-        depth = 0
-        while self.peek() is not None:
-            c = self.advance()[0]
-            if c in "({[":
-                depth += 1
-            elif c in ")}]":
-                depth -= 1
-            elif c == ";" and depth <= 0:
-                return
-
     def _finish_method_header(self) -> re.Match:
-        """Consume the throws/default tail and the body, if any; return the end token."""
-        saw_default = False
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise _ParseError("unterminated method header")
-            text = tok[0]
-            if text == "{":
-                if saw_default:
-                    self.skip_balanced("{", "}")  # annotation element array default
-                    saw_default = False
-                    continue
-                return self.skip_balanced("{", "}")
-            if text == ";":
-                return self.advance()
-            if text == "@":
-                self.skip_annotation()
-                continue
-            if text == "default":
-                saw_default = True
-            self.advance()
+        """Pass over the throws/default tail, consume the body or ';' and return its last token."""
+        if self.skip_to("{", ";", "default") == "default":
+            self.skip_to(";")  # an annotation element's default may be an array {...}
+        return self.skip_balanced("{", "}") if self.at("{") else self.advance()
 
     def _parse_param_list(self) -> List[Tuple[str, Optional[str]]]:
-        """Cursor on '('. Returns [(type_name, param_name)] with generics erased."""
-        first = self.i
-        self.skip_balanced("(", ")")
-        segments, _ = _split_commas(self.toks[first + 1:self.i - 1])
+        """Cursor on '('. Returns [(type_name, param_name)] with annotations dropped and generics erased."""
+        self.advance()  # '('
+        kept: List[re.Match] = []
+        depth = 1
+        while True:
+            tok = self.advance()
+            c = tok[0]
+            if c == "@":
+                self.i -= 1  # back onto the '@'
+                if not self.skip_annotation():
+                    self.i += 2  # '@interface': dropped like an annotation name
+                continue
+            if c == "(":
+                depth += 1
+            elif c == ")":
+                depth -= 1
+                if not depth:
+                    break
+            kept.append(tok)
+        segments, _ = _split_commas(kept)
         return [p for p in map(_param_from_segment, segments) if p is not None]
 
 
 def _param_from_segment(seg: List[re.Match]) -> Optional[Tuple[str, Optional[str]]]:
-    # drop annotations and 'final', erase generic argument lists
+    # drop 'final', erase generic argument lists
     flat: List[re.Match] = []
     gdepth = 0
-    k = 0
-    while k < len(seg):
-        text = seg[k][0]
-        k += 1
+    for tok in seg:
+        text = tok[0]
         if text == "<":
             gdepth += 1
         elif text == ">":
             gdepth = max(0, gdepth - 1)
-        elif gdepth > 0 or text == "final":
-            pass
-        elif text == "@":
-            if k < len(seg) and _is_word(seg[k]):
-                k += 1
-                while k + 1 < len(seg) and seg[k][0] == "." and _is_word(seg[k + 1]):
-                    k += 2
-            if k < len(seg) and seg[k][0] == "(":
-                depth = 0
-                while k < len(seg):
-                    c = seg[k][0]
-                    k += 1
-                    if c == "(":
-                        depth += 1
-                    elif c == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-        else:
-            flat.append(seg[k - 1])
+        elif not gdepth and text != "final":
+            flat.append(tok)
 
     words = [idx for idx, tok in enumerate(flat) if _is_word(tok)]
     if not words:

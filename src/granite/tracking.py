@@ -7,9 +7,8 @@ history even when its name or path changes mid-range.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from granite.gitrepo import CommitId, FileChange, FileSnapshot, GitRepo, ReleasePair
 from granite.javaparse import ModuleDef, ModuleId, extract_modules
@@ -227,9 +226,3 @@ class PriorHistories:
 def build_change_histories(repo: GitRepo, pair: ReleasePair) -> Dict[ModuleId, ChangeHistory]:
     """Per-module change histories over one release pair's commit sequence."""
     return HistoryScanner(repo).change_histories(pair.commits).histories
-
-
-def dump_modules_jsonl(defs: Iterable[ModuleDef], fp) -> None:
-    """Debug dump: one module per line, body omitted."""
-    for d in sorted(defs, key=lambda d: d.id.sort_key):
-        fp.write(json.dumps({"id": str(d.id), "span": list(d.span)}) + "\n")

@@ -2,6 +2,7 @@ import csv
 import json
 import shutil
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -202,6 +203,22 @@ def test_dataset_files_of_repo_names_that_differ_only_in_punctuation_stay_apart(
     assert len(files) == len(rows)
     assert out / "datasets" / "a%20b__v1.0..v1.1__class.csv" in files
     assert sorted(len(read_rows(f)) for f in files) == sorted(int(r["n_modules"]) for r in rows)
+
+
+def test_dataset_files_of_names_that_share_the_separator_stay_apart(fixture_repo, tmp_path):
+    # repo a__b with pair v1..v2 and repo a with pair b__v1..v2 once both wrote a__b__v1..v2__<granularity>.csv
+    repos = []
+    for name, tags in (("a__b", ("v1", "v2")), ("a", ("b__v1", "v2"))):
+        shutil.copytree(fixture_repo.root, tmp_path / name)
+        for tag, commit in zip(tags, ("v1.0", "v1.1")):
+            subprocess.run(["git", "-C", str(tmp_path / name), "tag", tag, commit], check=True)
+        repos.append(RepoSpec(str(tmp_path / name), "*v[12]"))
+    out = tmp_path / "out"
+    assert run_experiment(ExperimentConfig(tuple(repos), str(out), (100,), seed=7, folds=10)) == 0
+    assert sorted(f.name for f in (out / "datasets").iterdir()) == [
+        "a%5F%5Fb__v1..v2__class.csv", "a%5F%5Fb__v1..v2__method.csv",
+        "a__b%5F%5Fv1..v2__class.csv", "a__b%5F%5Fv1..v2__method.csv",
+    ]
 
 
 def test_fold_assignments_listed_per_module(first_run):
@@ -481,15 +498,28 @@ def test_cli_mine_emits_histories(fixture_repo, tmp_path):
     assert int(hot["delta_commit"]) == 4
 
 
-def test_cli_mine_dump_modules(fixture_repo, tmp_path):
-    dump_file = tmp_path / "modules.jsonl"
+def test_cli_mine_of_a_missing_repository_fails_before_writing(tmp_path, capsys):
     out_file = tmp_path / "h.csv"
-    assert main([
-        "mine", str(fixture_repo.root), "--tags", "v*",
-        "--out", str(out_file), "--dump-modules", str(dump_file),
-    ]) == 0
-    lines = [json.loads(l) for l in dump_file.read_text().splitlines()]
-    assert all("id" in entry and "span" in entry and "body" not in entry for entry in lines)
+    missing = tmp_path / "nonexistent"
+    assert main(["mine", str(missing), "--out", str(out_file)]) == 2
+    assert capsys.readouterr().err == f"granite: not a directory: {missing}\n"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (None, "granite: [Errno 2] No such file or directory: '{path}'"),
+        ({"repos": [], "output_dir": "out"}, "granite: config needs at least one repository"),
+    ],
+    ids=["missing-config", "no-repos"],
+)
+def test_cli_run_rejects_a_bad_config(tmp_path, capsys, config, message):
+    path = tmp_path / "cfg.json"
+    if config is not None:
+        path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == message.format(path=path) + "\n"
 
 
 def test_cli_eval_computes_ratios(tmp_path):
@@ -514,8 +544,9 @@ def test_cli_eval_computes_ratios(tmp_path):
         ("method:src/B.java:B#b(),0.8,0,10,15", "loc must be a positive integer, got 0"),
         ("method:src/A.java:A#a(),0.8,30,10,15", "module_id method:src/A.java:A#a() appears twice"),
         ("method:src/B.java:B#b(),nan,30,10,15", "score is NaN"),
+        ("method:src/B.java:B#b(),high,30,10,15", "could not convert string to float: 'high'"),
     ],
-    ids=["zero-loc", "duplicate-module", "nan-score"],
+    ids=["zero-loc", "duplicate-module", "nan-score", "non-numeric-score"],
 )
 def test_cli_eval_rejects_malformed_rows(tmp_path, capsys, bad_row, message):
     pred = tmp_path / "preds.csv"
@@ -528,6 +559,13 @@ def test_cli_eval_rejects_malformed_rows(tmp_path, capsys, bad_row, message):
     assert main(["eval", "--predictions", str(pred), "--k", "100", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"{pred}:3: {message}\n"
     assert not out.exists()
+
+
+def test_cli_eval_rejects_a_file_without_a_column(tmp_path, capsys):
+    pred = tmp_path / "preds.csv"
+    pred.write_text("module_id,score,loc,delta_commit\nmethod:src/A.java:A#a(),0.9,40,25\n")
+    assert main(["eval", "--predictions", str(pred), "--k", "100"]) == 2
+    assert capsys.readouterr() == ("", f"{pred}:2: no column delta_release\n")
 
 
 def test_cli_eval_null_ratio_for_tiny_budget(tmp_path):

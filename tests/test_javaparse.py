@@ -1,12 +1,23 @@
 import textwrap
+from dataclasses import asdict
 from typing import List, Tuple
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from granite import javaparse
 from granite.gitrepo import FileSnapshot
 from granite.javaparse import (
+    KEYWORDS,
+    FieldDecl,
+    MethodDecl,
     ModuleId,
+    TypeDecl,
+    _is_word,
+    _modifier_set,
+    _ParseError,
+    _split_commas,
     extract_modules,
     mask_source,
     parse_module_id,
@@ -326,26 +337,35 @@ def test_module_id_roundtrip():
 
 
 # well-formed declarations nest to any depth; stray tokens between and inside them break them in arbitrary places
-_MEMBERS = st.sampled_from((
+_WELL_FORMED_MEMBERS = (
     "int x;", "int[] a = {1, 2};", "void f() { g(); }", "int g(int a, String... b) { return a; }",
     "A() { super(); }", "abstract void h() throws E;", "@Override public String s() { return \"}\"; }",
     "static { x = 1; }", "Runnable r = new Runnable() { public void run() {} };", "String v() default \"{\";",
     "/* } */ // {", "ONE, TWO;", "int a, b[], c = 1, d;", "Map<K, List<V>> m, n;",
     "void p(@Named(value = \"x\", n = 2) final Map<String, List<Integer>> m, int[]... rest) {}",
-))
+    "int[] v() default {1, 2};", "A(1) { void f() {} }, B(2);", "Runnable r = () -> { a(); }, s = null;",
+    "void q(@A(b = @B(c = {1, 2})) int p) {}",
+)
+_MEMBERS = st.sampled_from(_WELL_FORMED_MEMBERS + ("if (x) { y(); }",))  # a statement where a member belongs
 _STRAY = st.sampled_from((
     "{", "}", "(", ")", ";", "<", ">", "@", "class", '"', "'", "/*", "*/", "//", "\\", "\n", ",", "[", "]", "=",
 ))
-_DECLS = st.recursive(
-    _MEMBERS,
-    lambda inner: st.builds(
-        "{} {} {{\n{}\n}}".format,
-        st.sampled_from(("class", "interface", "enum", "record", "@interface", "public static class")),
-        st.sampled_from(("A", "B extends A", "C<T> implements I, J", "R(int a)")),
-        st.lists(inner | _STRAY, max_size=4).map("\n".join),
-    ),
-    max_leaves=12,
-)
+
+
+def _declarations(members, stray=st.nothing()):
+    return st.recursive(
+        members,
+        lambda inner: st.builds(
+            "{} {} {{\n{}\n}}".format,
+            st.sampled_from(("class", "interface", "enum", "record", "@interface", "public static class")),
+            st.sampled_from(("A", "B extends A", "C<T> implements I, J", "R(int a)")),
+            st.lists(inner | stray, max_size=4).map("\n".join),
+        ),
+        max_leaves=12,
+    )
+
+
+_DECLS = _declarations(_MEMBERS, _STRAY)
 _SOURCES = st.text() | st.lists(_DECLS | _STRAY, max_size=8).map("\n".join)
 
 
@@ -512,6 +532,241 @@ def test_generated_declarations_pinned():
         ("g", ("int", "String...")),
         ("p", ("Map", "int[]...")),
     ]
+
+
+def test_generated_skips_pinned():
+    # the array default (its ';' on a line of its own ends the element), enum constants with bodies, lambda
+    # initializer, member-level statement and nested annotation arguments of the generator above; the
+    # statement runs to the next ';' and takes `int z` with it
+    parsed = parse_source(
+        "class G {\n"
+        "    int[] v() default {1, 2}\n"
+        "    ;\n"
+        "    enum E {\n"
+        "        A(1) { void f() {} }, B(2);\n"
+        "        Runnable r = () -> { a(); }, s = null;\n"
+        "        if (x) { y(); }\n"
+        "        int z;\n"
+        "        void q(@A(b = @B(c = {1, 2})) int p) {}\n"
+        "    }\n"
+        "}\n"
+    )
+    assert parsed.error is None
+    (cls,) = parsed.types
+    assert (cls.span, [(m.name, m.param_types, m.span) for m in cls.methods]) == ((1, 11), [("v", (), (2, 3))])
+    (enum,) = cls.nested
+    assert (enum.qualified, enum.span) == ("G.E", (4, 10))
+    assert [f.names for f in enum.fields] == [("r", "s")]
+    assert [(m.name, m.param_types, m.span) for m in enum.methods] == [("q", ("int",), (9, 9))]
+
+
+class _DepthLoopParser(javaparse._Parser):
+    """The parser before skip_to, with a hand-written depth loop for each construct it passes over.
+
+    It is the oracle that well-formed sources parse the same with one skip primitive.  The
+    package/import skip of parse_unit is left out: the generator writes no such statement.
+    """
+
+    def _parse_type(self, decl_start, chain, at_interface=False):
+        if at_interface:
+            self.advance()  # '@'
+            self.advance()  # 'interface'
+            keyword = "@interface"
+        else:
+            keyword = self.advance()[0]
+        name_tok = self.advance()
+        if not _is_word(name_tok):
+            raise _ParseError(f"expected type name after {keyword!r}")
+        name = name_tok[0]
+        if self.at("<"):
+            self.skip_balanced("<", ">")
+
+        extends_name = None
+        record_components = []
+        mode = None
+        while True:
+            tok = self.peek()
+            if tok is None:
+                raise _ParseError(f"unterminated {keyword} {name}")
+            text = tok[0]
+            if text == "{":
+                break
+            if text == ";" and keyword == "@interface":
+                break  # tolerate odd files
+            if text == "(" and keyword == "record":
+                record_components = self._parse_param_list()
+                continue
+            if text in ("extends", "implements", "permits"):
+                mode = text
+                self.advance()
+            elif _is_word(tok) and text not in KEYWORDS:
+                dotted = self._dotted_name()
+                if mode == "extends" and extends_name is None:
+                    extends_name = dotted
+            elif text == "<":
+                self.skip_balanced("<", ">")
+            else:
+                self.advance()
+
+        self.advance()  # '{'
+        decl = TypeDecl(".".join(chain + (name,)), extends_name, (0, 0))
+        for _, comp_name in record_components:
+            if comp_name:
+                decl.fields.append(FieldDecl((comp_name,), frozenset({"private", "final"})))
+        if keyword == "enum":
+            self._skip_enum_constants()
+        close = self._parse_members(decl, chain + (name,))
+        decl.span = (self.pf.line_of(decl_start), self.pf.line_of(close.start()))
+        return decl
+
+    def _skip_enum_constants(self):
+        depth = 0
+        while True:
+            tok = self.peek()
+            if tok is None:
+                raise _ParseError("unterminated enum body")
+            text = tok[0]
+            if depth == 0 and text == ";":
+                self.advance()
+                return
+            if depth == 0 and text == "}":
+                return  # constants only; member loop closes the body
+            if text in ("{", "("):
+                depth += 1
+            elif text in ("}", ")"):
+                depth -= 1
+            self.advance()
+
+    def _skip_initializers(self, names):
+        depth = 0
+        while True:
+            c = self.advance()[0]
+            if c in "({[":
+                depth += 1
+            elif c in ")}]":
+                depth -= 1
+            elif c == ";" and depth == 0:
+                return
+            elif c == "," and depth == 0:
+                if (
+                    self.at_word()
+                    and self.peek()[0] not in KEYWORDS
+                    and self.peek(1) is not None
+                    and self.peek(1)[0] in ("=", ",", ";", "[")
+                ):
+                    names.append(self.peek()[0])
+
+    def _parse_method(self, pending, start):
+        name = next((tok[0] for tok in reversed(pending) if _is_word(tok)), None)
+        params = self._parse_param_list()
+        if name is None or name in KEYWORDS:
+            self._resync_member()
+            return None
+        end = self._finish_method_header().start()
+        return MethodDecl(
+            name,
+            tuple(pt for pt, _ in params),
+            _modifier_set(pending),
+            (self.pf.line_of(start), self.pf.line_of(end)),
+        )
+
+    def _resync_member(self):
+        depth = 0
+        while self.peek() is not None:
+            c = self.advance()[0]
+            if c in "({[":
+                depth += 1
+            elif c in ")}]":
+                depth -= 1
+            elif c == ";" and depth <= 0:
+                return
+
+    def _finish_method_header(self):
+        saw_default = False
+        while True:
+            tok = self.peek()
+            if tok is None:
+                raise _ParseError("unterminated method header")
+            text = tok[0]
+            if text == "{":
+                if saw_default:
+                    self.skip_balanced("{", "}")  # annotation element array default
+                    saw_default = False
+                    continue
+                return self.skip_balanced("{", "}")
+            if text == ";":
+                return self.advance()
+            if text == "@":
+                self.skip_annotation()
+                continue
+            if text == "default":
+                saw_default = True
+            self.advance()
+
+    def _parse_param_list(self):
+        first = self.i
+        self.skip_balanced("(", ")")
+        segments, _ = _split_commas(self.toks[first + 1:self.i - 1])
+        return [p for p in map(_depth_loop_param, segments) if p is not None]
+
+
+def _depth_loop_param(seg):
+    flat = []
+    gdepth = 0
+    k = 0
+    while k < len(seg):
+        text = seg[k][0]
+        k += 1
+        if text == "<":
+            gdepth += 1
+        elif text == ">":
+            gdepth = max(0, gdepth - 1)
+        elif gdepth > 0 or text == "final":
+            pass
+        elif text == "@":
+            if k < len(seg) and _is_word(seg[k]):
+                k += 1
+                while k + 1 < len(seg) and seg[k][0] == "." and _is_word(seg[k + 1]):
+                    k += 2
+            if k < len(seg) and seg[k][0] == "(":
+                depth = 0
+                while k < len(seg):
+                    c = seg[k][0]
+                    k += 1
+                    if c == "(":
+                        depth += 1
+                    elif c == ")":
+                        depth -= 1
+                        if depth == 0:
+                            break
+        else:
+            flat.append(seg[k - 1])
+
+    words = [idx for idx, tok in enumerate(flat) if _is_word(tok)]
+    if not words:
+        return None
+    name_idx = words[-1]
+    name = flat[name_idx][0]
+    base = "".join(tok[0] for tok in flat[:name_idx] if _is_word(tok) or tok[0] == ".").strip(".")
+    if not base:
+        base, name = name, None
+    texts = [tok[0] for tok in flat]
+    brackets = texts.count("[")
+    ellipsis = any(a == b == c == "." for a, b, c in zip(texts, texts[1:], texts[2:]))
+    return base + "[]" * brackets + ("..." if ellipsis else ""), name
+
+
+def _parsed_fields(parsed):
+    return parsed.masked, parsed.line_starts, parsed.error, [asdict(t) for t in parsed.types]
+
+
+@settings(deadline=None)
+@given(st.lists(_declarations(st.sampled_from(_WELL_FORMED_MEMBERS)), max_size=8).map("\n".join))
+def test_skip_to_parses_well_formed_sources_like_the_depth_loops(text):
+    parsed = parse_source(text)
+    with mock.patch.object(javaparse, "_Parser", _DepthLoopParser):
+        oracle = parse_source(text)
+    assert _parsed_fields(parsed) == _parsed_fields(oracle)
 
 
 def test_non_ascii_identifiers_are_whole_words():
