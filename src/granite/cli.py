@@ -86,14 +86,21 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    k_values = [int(k) for k in args.k.split(",") if k.strip()]
+    try:
+        k_values = [int(k) for k in args.k.split(",") if k.strip()]
+    except ValueError:
+        k_values = []
     if not k_values or k_values != sorted(set(k_values)) or k_values[0] <= 0:
         return _usage_error("--k must be a strictly increasing list of positive integers")
 
     scored: List[PredictionScore] = []
     locs = {}
     sizes = {}
-    with open(args.predictions, encoding="utf-8", newline="") as fp:
+    try:
+        fp = open(args.predictions, encoding="utf-8", newline="")
+    except OSError as exc:
+        return _usage_error(f"granite: {exc}")
+    with fp:
         reader = csv.DictReader(fp, restval="")  # a short row's missing fields read as empty
         for row in reader:
             try:

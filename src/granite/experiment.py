@@ -85,8 +85,21 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+def _repo_spec(entry) -> RepoSpec:
+    if not isinstance(entry, Mapping) or not isinstance(entry.get("path"), str):
+        raise ValueError(f"a repository entry needs a string path, got {entry!r}")
+    spec = RepoSpec(entry["path"], entry.get("tags", "*"))
+    if not isinstance(spec.tags, str):
+        raise ValueError(f"the tags of repository {spec.path!r} must be a string glob")
+    return spec
+
+
 def config_from_dict(raw: Mapping) -> ExperimentConfig:
-    repos = tuple(RepoSpec(r["path"], r.get("tags", "*")) for r in raw.get("repos", []))
+    if not isinstance(raw, Mapping):
+        raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
+    if not isinstance(raw.get("repos", []), list):
+        raise ValueError("repos must be a list of repository entries")
+    repos = tuple(_repo_spec(r) for r in raw.get("repos", []))
     if not repos:
         raise ValueError("config needs at least one repository")
     path_of: Dict[str, str] = {}
@@ -94,19 +107,22 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         if r.name in path_of:  # reports and dataset files are keyed by the name
             raise ValueError(f"repositories {path_of[r.name]!r} and {r.path!r} share the directory name {r.name!r}")
         path_of[r.name] = r.path
-    k_values = tuple(int(k) for k in raw.get("k_values", DEFAULT_K))
+    try:
+        k_values = tuple(int(k) for k in raw.get("k_values", DEFAULT_K))
+        folds, seed = int(raw.get("folds", 10)), int(raw.get("seed", 0))
+    except TypeError:  # null, a list or an object where a number belongs
+        raise ValueError("k_values must be a list of integers, and folds and seed integers") from None
     if any(k <= 0 for k in k_values) or list(k_values) != sorted(set(k_values)):
         raise ValueError("k_values must be positive and strictly increasing")
     if "output_dir" not in raw:
         raise ValueError("config needs output_dir")
-    folds = int(raw.get("folds", 10))
     if folds < 2:
         raise ValueError(f"folds must be at least 2, got {folds}")
     return ExperimentConfig(
         repos=repos,
         output_dir=str(raw["output_dir"]),
         k_values=k_values,
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
         folds=folds,
     )
 

@@ -24,6 +24,25 @@ FileChange = Tuple[Optional[str], Optional[str]]  # (old blob, new blob); None w
 _NO_FILE = ("000000", "160000")  # raw diff modes of an absent path and of a gitlink
 
 
+def _lines(text: str) -> List[str]:
+    """Split at '\n' only, as git ends its output lines; one empty last line is dropped, as str.splitlines does.
+
+    str.splitlines also breaks at '\v', '\f', '\x1c'-'\x1e', '\x85', U+2028 and U+2029, which a name or a
+    source line may hold.
+    """
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _source_lines(text: str) -> Tuple[str, ...]:
+    """A source file's lines as Java ends them (JLS 3.4): at '\n', '\r' or '\r\n' only."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return tuple(_lines(text))
+
+
 class RepositoryError(RuntimeError):
     """Raised when the repository is unreadable or a revision cannot be resolved."""
 
@@ -152,7 +171,7 @@ class GitRepo:
         out = self._run("for-each-ref", "refs/tags", "--format=%(refname:short)%09%(objecttype)%09%(objectname)"
                         "%09%(committerdate:unix)%09%(*objecttype)%09%(*objectname)%09%(*committerdate:unix)")
         tags: List[Tag] = []
-        for line in out.splitlines():
+        for line in _lines(out):
             name, *target = line.split("\t")
             if not fnmatch.fnmatchcase(name, pattern):
                 continue
@@ -211,7 +230,7 @@ class GitRepo:
         for i in range(0, len(missing), 500):
             chunk = missing[i:i + 500]
             out = self._run("log", "--no-walk=unsorted", "--format=%H%x09%ct%x09%an", *chunk)
-            for line in out.splitlines():
+            for line in _lines(out):
                 sha, ts, author = line.split("\t", 2)
                 self._meta_cache[sha] = CommitMeta(author, int(ts))
         return {c: self._meta_cache[c] for c in commits if c in self._meta_cache}
@@ -276,7 +295,7 @@ class GitRepo:
         _, _, size = header.split()
         data = proc.stdout.read(int(size))
         proc.stdout.read(1)  # trailing newline after the object body
-        return tuple(data.decode("utf-8", "replace").splitlines())
+        return _source_lines(data.decode("utf-8", "replace"))
 
     def file_lines(self, commit: CommitId, path: str) -> Tuple[str, ...]:
         """Lines of a file at a commit; an absent file reads as empty."""

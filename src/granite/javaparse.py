@@ -3,9 +3,10 @@
 Extracts type and method/constructor declarations with their exact line spans
 so each one can be tracked as a module across commits.  The parser is purely
 syntactic: comments and string literals are masked out first, then a token
-scan recovers the declaration structure from brace nesting.  Anonymous and
-local classes are folded into their enclosing declaration; full semantic
-analysis (imports, classpath, overload resolution) is deliberately absent.
+scan recovers the declaration structure, passing over each body it does not
+read by brace matching, without tokenizing it.  Anonymous and local classes
+are folded into their enclosing declaration; full semantic analysis (imports,
+classpath, overload resolution) is deliberately absent.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import logging
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from granite.gitrepo import FileSnapshot
 
@@ -34,7 +35,7 @@ MODIFIER_WORDS = frozenset(
     "transient volatile strictfp default sealed".split()
 )
 
-_TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
+_TYPE_WORDS = frozenset({"class", "interface", "enum", "record"})
 
 # a Java identifier: a letter (any script), '_' or '$', then letters, digits, '_' or '$'
 IDENT = r"(?:[^\W\d]|\$)[\w$]*"
@@ -46,9 +47,11 @@ _TOKEN_RE = re.compile(rf"(?P<word>{IDENT})|\d[0-9A-Za-z_.]*|\S")
 # module identity
 
 
-@dataclass(frozen=True)
-class ModuleId:
-    """Identity of a class or method module; file_path is the path at birth."""
+class ModuleId(NamedTuple):
+    """Identity of a class or method module; file_path is the path at birth.
+
+    A tuple, so hashing and equality run in C: ids key every snapshot and history.
+    """
 
     kind: str  # "class" | "method"
     file_path: str
@@ -233,18 +236,42 @@ def _modifier_set(toks: Sequence[re.Match]) -> frozenset:
 
 
 class _Parser:
-    """Recursive descent over the tokenizer's matches: a token's text is tok[0], its offset tok.start()."""
+    """Recursive descent over the tokenizer's matches: a token's text is tok[0], its offset tok.start().
+
+    Tokens are made on demand, up to and including the next '{', and skip_balanced jumps over a
+    '{...}' group by the brace map without tokenizing it: the parser reads declarations, not bodies.
+    """
 
     def __init__(self, parsed: ParsedFile):
         self.pf = parsed
-        self.toks = list(_TOKEN_RE.finditer(parsed.masked))
+        self.toks: List[re.Match] = []  # the tokens made so far; the cursor is self.toks[self.i]
         self.i = 0
+        self.pos = 0  # offset in the masked text where tokenizing resumes
+        # masking blanks the braces of comments and literals, so every brace left is a token
+        self.close_of: Dict[int, int] = {}  # offset of each '{' -> offset of its '}'; an unmatched '{' has none
+        opened: List[int] = []
+        for m in re.finditer(r"[{}]", parsed.masked):
+            if m[0] == "{":
+                opened.append(m.start())
+            elif opened:  # a '}' that closes nothing is ignored
+                self.close_of[opened.pop()] = m.start()
 
     # cursor helpers --------------------------------------------------------
 
+    def _fill(self, j: int) -> bool:
+        """Tokenize on, up to and including each next '{', until token j exists; False at end of file."""
+        masked = self.pf.masked
+        while j >= len(self.toks):
+            if self.pos >= len(masked):
+                return False
+            end = masked.find("{", self.pos) + 1 or len(masked)
+            self.toks.extend(_TOKEN_RE.finditer(masked, self.pos, end))
+            self.pos = end
+        return True
+
     def peek(self, k: int = 0) -> Optional[re.Match]:
         j = self.i + k
-        return self.toks[j] if j < len(self.toks) else None
+        return self.toks[j] if j < len(self.toks) or self._fill(j) else None
 
     def at(self, text: str, k: int = 0) -> bool:
         tok = self.peek(k)
@@ -255,7 +282,7 @@ class _Parser:
         return tok is not None and _is_word(tok)
 
     def advance(self) -> re.Match:
-        if self.i >= len(self.toks):
+        if self.i >= len(self.toks) and not self._fill(self.i):
             raise _ParseError("unexpected end of file")
         tok = self.toks[self.i]
         self.i += 1
@@ -263,6 +290,16 @@ class _Parser:
 
     def skip_balanced(self, open_ch: str, close_ch: str) -> re.Match:
         """Cursor sits on open_ch; consume through the matching close_ch."""
+        if open_ch == "{":
+            close = self.close_of.get(self.toks[self.i].start())
+            if close is None:
+                raise _ParseError("unexpected end of file")
+            del self.toks[self.i + 1:]  # lookahead inside the group
+            tok = _TOKEN_RE.match(self.pf.masked, close)
+            self.toks.append(tok)
+            self.i += 2
+            self.pos = close + 1
+            return tok
         depth = 0
         while True:
             tok = self.advance()
@@ -330,7 +367,7 @@ class _Parser:
                 if not self.skip_annotation():
                     types.append(self._parse_type(stmt_start, (), at_interface=True))
                     stmt_start = None
-            elif self._at_type_keyword():
+            elif text in _TYPE_WORDS and self._at_type_keyword():
                 types.append(self._parse_type(stmt_start if stmt_start is not None else tok.start(), ()))
                 stmt_start = None
             elif text == ";":
@@ -343,19 +380,12 @@ class _Parser:
         return types
 
     def _at_type_keyword(self) -> bool:
-        if not self.at_word():
-            return False
-        text = self.peek()[0]
-        if text in _TYPE_KEYWORDS:
-            return True
-        if text == "record":
-            # contextual keyword: only a declaration when followed by Name ( or Name <
-            return (
-                self.at_word(1)
-                and self.peek(1)[0] not in KEYWORDS
-                and (self.at("(", 2) or self.at("<", 2))
-            )
-        return False
+        """Cursor on a word of _TYPE_WORDS; 'record' is contextual, a declaration only before Name ( or Name <."""
+        return self.peek()[0] != "record" or (
+            self.at_word(1)
+            and self.peek(1)[0] not in KEYWORDS
+            and (self.at("(", 2) or self.at("<", 2))
+        )
 
     def _parse_type(self, decl_start: int, chain: Tuple[str, ...], at_interface: bool = False) -> TypeDecl:
         if at_interface:
@@ -433,7 +463,7 @@ class _Parser:
                         self._parse_type(member_start, chain, at_interface=True)
                     )
                     reset()
-            elif self._at_type_keyword():
+            elif text in _TYPE_WORDS and self._at_type_keyword():
                 if member_start is None:
                     member_start = tok.start()
                 decl.nested.append(self._parse_type(member_start, chain))
@@ -466,7 +496,8 @@ class _Parser:
             else:
                 if member_start is None:
                     member_start = tok.start()
-                pending.append(self.advance())
+                pending.append(tok)
+                self.i += 1
 
     def _skip_initializers(self, names: List[str]) -> None:
         """After '=', move to the ';' or the type's '}' that ends the field, collecting further declarator names."""
@@ -522,9 +553,11 @@ class _Parser:
 
 
 def _param_from_segment(seg: List[re.Match]) -> Optional[Tuple[str, Optional[str]]]:
-    # drop 'final', erase generic argument lists
-    flat: List[re.Match] = []
-    gdepth = 0
+    """(type, name) of one parameter: 'final' dropped, generic argument lists erased; None without a word."""
+    kept = ""  # the words and dots outside generics; the last word is the name
+    name: Optional[str] = None
+    name_at = brackets = dots = gdepth = 0
+    ellipsis = False
     for tok in seg:
         text = tok[0]
         if text == "<":
@@ -532,19 +565,20 @@ def _param_from_segment(seg: List[re.Match]) -> Optional[Tuple[str, Optional[str
         elif text == ">":
             gdepth = max(0, gdepth - 1)
         elif not gdepth and text != "final":
-            flat.append(tok)
-
-    words = [idx for idx, tok in enumerate(flat) if _is_word(tok)]
-    if not words:
+            if _is_word(tok):
+                name, name_at = text, len(kept)
+                kept += text
+            elif text == ".":
+                kept += "."
+            elif text == "[":
+                brackets += 1
+            dots = dots + 1 if text == "." else 0
+            ellipsis = ellipsis or dots == 3
+    if name is None:
         return None
-    name_idx = words[-1]
-    name: Optional[str] = flat[name_idx][0]
-    base = "".join(tok[0] for tok in flat[:name_idx] if _is_word(tok) or tok[0] == ".").strip(".")
+    base = kept[:name_at].strip(".")
     if not base:
         base, name = name, None  # unnamed (e.g. receiver-less decl)
-    texts = [tok[0] for tok in flat]
-    brackets = texts.count("[")
-    ellipsis = any(a == b == c == "." for a, b, c in zip(texts, texts[1:], texts[2:]))
     return base + "[]" * brackets + ("..." if ellipsis else ""), name
 
 

@@ -511,8 +511,22 @@ def test_cli_mine_of_a_missing_repository_fails_before_writing(tmp_path, capsys)
     [
         (None, "granite: [Errno 2] No such file or directory: '{path}'"),
         ({"repos": [], "output_dir": "out"}, "granite: config needs at least one repository"),
+        ({"repos": [{"tags": "v*"}], "output_dir": "out"},
+         "granite: a repository entry needs a string path, got {{'tags': 'v*'}}"),
+        ({"repos": [{"path": 3}], "output_dir": "out"},
+         "granite: a repository entry needs a string path, got {{'path': 3}}"),
+        ({"repos": ["r"], "output_dir": "out"}, "granite: a repository entry needs a string path, got 'r'"),
+        ([{"repos": [{"path": "r"}]}], "granite: config must be a JSON object, got list"),
+        ({"repos": "r", "output_dir": "out"}, "granite: repos must be a list of repository entries"),
+        ({"repos": [{"path": "r", "tags": ["v*"]}], "output_dir": "out"},
+         "granite: the tags of repository 'r' must be a string glob"),
+        ({"repos": [{"path": "r"}], "output_dir": "out", "folds": None},
+         "granite: k_values must be a list of integers, and folds and seed integers"),
+        ({"repos": [{"path": "r"}], "output_dir": "out", "k_values": 5},
+         "granite: k_values must be a list of integers, and folds and seed integers"),
     ],
-    ids=["missing-config", "no-repos"],
+    ids=["missing-config", "no-repos", "repo-without-path", "non-string-path", "string-repo", "list-config",
+         "string-repos", "non-string-tags", "null-folds", "scalar-k-values"],
 )
 def test_cli_run_rejects_a_bad_config(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
@@ -566,6 +580,24 @@ def test_cli_eval_rejects_a_file_without_a_column(tmp_path, capsys):
     pred.write_text("module_id,score,loc,delta_commit\nmethod:src/A.java:A#a(),0.9,40,25\n")
     assert main(["eval", "--predictions", str(pred), "--k", "100"]) == 2
     assert capsys.readouterr() == ("", f"{pred}:2: no column delta_release\n")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--predictions", "{missing}"], "granite: [Errno 2] No such file or directory: '{missing}'"),
+        (["--predictions", "{pred}", "--k", "1,x"], "--k must be a strictly increasing list of positive integers"),
+    ],
+    ids=["missing-predictions", "non-integer-k"],
+)
+def test_cli_eval_rejects_bad_arguments(tmp_path, capsys, args, message):
+    pred = tmp_path / "preds.csv"
+    pred.write_text("module_id,score,loc,delta_release,delta_commit\nmethod:src/A.java:A#a(),0.9,40,20,25\n")
+    out = tmp_path / "ratios.csv"
+    paths = {"missing": tmp_path / "missing.csv", "pred": pred}
+    assert main(["eval", *(a.format(**paths) for a in args), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", message.format(**paths) + "\n")
+    assert not out.exists()
 
 
 def test_cli_eval_null_ratio_for_tiny_budget(tmp_path):

@@ -2,8 +2,11 @@ import logging
 import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from granite.gitrepo import GitRepo, RepositoryError, resolve_release_pairs
+from granite.gitrepo import FileSnapshot, GitRepo, RepositoryError, _lines, _source_lines, resolve_release_pairs
+from granite.javaparse import extract_modules
 
 from repobuilder import RepoBuilder
 
@@ -290,3 +293,44 @@ def test_first_parent_changes_equal_the_difference_of_two_listings(tmp_path):
         assert set(repo.source_files(head)) == {"A.java", "C2.java", "F.java", "L.java", "T.java"}
         with pytest.raises(RepositoryError):
             repo.first_parent_changes([chain[0], chain[2]])
+
+
+@pytest.mark.parametrize(
+    "source, spans",
+    [
+        ("class B {\n    void f() {} // page\f break; void g() {\n    void h() {}\n}\n",
+         {"class:B.java:B": (1, 4), "method:B.java:B#f()": (2, 2), "method:B.java:B#h()": (3, 3)}),
+        ('class B {\n    String s = "a\u2028b";\n    void m() {}\n}\n',
+         {"class:B.java:B": (1, 4), "method:B.java:B#m()": (3, 3)}),
+        ("class B {\r\n    void f() {}\r    void h() {}\r\n}\r\n",
+         {"class:B.java:B": (1, 4), "method:B.java:B#f()": (2, 2), "method:B.java:B#h()": (3, 3)}),
+    ],
+    ids=["form-feed-in-comment", "line-separator-in-string", "cr-and-crlf"],
+)
+def test_blob_lines_end_where_java_ends_them(tmp_path, source, spans):
+    rb = RepoBuilder(tmp_path / "r")
+    rb.write("B.java", source)
+    head = rb.commit("c1")
+    with GitRepo(rb.root) as repo:
+        lines = repo.blob_lines(repo.source_files(head)["B.java"])
+    assert len(lines) == 4
+    assert {str(d.id): d.span for d in extract_modules(FileSnapshot("B.java", lines, head))} == spans
+
+
+def test_commit_meta_reads_an_author_name_with_a_line_separator(tmp_path):
+    rb = RepoBuilder(tmp_path / "r")
+    rb.write("A.java", "class A {}\n")
+    sha = rb.commit("c1", author="Ann\u2028Lee")
+    with GitRepo(rb.root) as repo:
+        assert repo.commit_meta([sha])[sha].author == "Ann\u2028Lee"
+
+
+# the line breaks of str.splitlines that are no line breaks in Java or in git's output
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@given(st.text(st.sampled_from("\r\n a") | st.characters(blacklist_characters=_OTHER_BREAKS)))
+def test_lines_split_like_splitlines_without_other_breaks(text):
+    assert _source_lines(text) == tuple(text.splitlines())
+    if "\r" not in text:
+        assert _lines(text) == text.splitlines()

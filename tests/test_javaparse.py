@@ -344,7 +344,8 @@ _WELL_FORMED_MEMBERS = (
     "/* } */ // {", "ONE, TWO;", "int a, b[], c = 1, d;", "Map<K, List<V>> m, n;",
     "void p(@Named(value = \"x\", n = 2) final Map<String, List<Integer>> m, int[]... rest) {}",
     "int[] v() default {1, 2};", "A(1) { void f() {} }, B(2);", "Runnable r = () -> { a(); }, s = null;",
-    "void q(@A(b = @B(c = {1, 2})) int p) {}",
+    "void q(@A(b = @B(c = {1, 2})) int p) {}", "char c() { return '}'; }", "void k() { /* } */ x(); // }\n}",
+    'String t() { return """\n  } {\n  """; }',
 )
 _MEMBERS = st.sampled_from(_WELL_FORMED_MEMBERS + ("if (x) { y(); }",))  # a statement where a member belongs
 _STRAY = st.sampled_from((
@@ -560,7 +561,135 @@ def test_generated_skips_pinned():
     assert [(m.name, m.param_types, m.span) for m in enum.methods] == [("q", ("int",), (9, 9))]
 
 
-class _DepthLoopParser(javaparse._Parser):
+def test_braces_pinned():
+    # a stray '}' before a type opens its statement; braces in comments and literals are masked; a lambda
+    # body, an enum constant's body and an array default are passed over; a '{' that never closes fails
+    parsed = parse_source(
+        "}\n"
+        "class A {\n"
+        "    void c() { /* } */ x(); // }\n"
+        "    }\n"
+        "    String s() { return \"}\"; }\n"
+        "    char ch() { return '}'; }\n"
+        "    String t() {\n"
+        "        return \"\"\"\n"
+        "            }\n"
+        "            \"\"\";\n"
+        "    }\n"
+        "    Runnable r = () -> { a(); };\n"
+        "    enum E { ONE { void f() {} }, TWO; void g() {} }\n"
+        "    int[] v() default {1, 2};\n"
+        "    void last() {}\n"
+        "}\n"
+    )
+    assert parsed.error is None
+    (cls,) = parsed.types
+    assert (cls.span, [f.names for f in cls.fields]) == ((1, 16), [("r",)])
+    assert [(m.name, m.span) for m in cls.methods] == [
+        ("c", (3, 4)), ("s", (5, 5)), ("ch", (6, 6)), ("t", (7, 11)), ("v", (14, 14)), ("last", (15, 15)),
+    ]
+    (enum,) = cls.nested
+    assert (enum.qualified, enum.span) == ("A.E", (13, 13))
+    assert [(m.name, m.span) for m in enum.methods] == [("g", (13, 13))]
+    for source, error in (
+        ("class A {\n  void f() {\n    if (x) {\n  }\n}\n", "unterminated body of A"),
+        ("class A { void f() {} }\nclass B { void g() { { }\n", "unexpected end of file"),
+    ):
+        parsed = parse_source(source)
+        assert (parsed.error, parsed.types) == (error, [])
+
+
+def test_bodies_are_not_tokenized():
+    body = "\n".join(f"        s{i} = g(s{i - 1}); if (s{i} > 0) {{ s{i}--; }}" for i in range(1, 5001))
+    parsers = []
+
+    class Kept(javaparse._Parser):
+        def __init__(self, parsed):
+            super().__init__(parsed)
+            parsers.append(self)
+
+    with mock.patch.object(javaparse, "_Parser", Kept):
+        parsed = parse_source(f"class A {{\n    void f() {{\n{body}\n    }}\n}}\n")
+    assert [(m.name, m.span) for m in parsed.types[0].methods] == [("f", (2, 5003))]
+    assert len(parsers[0].toks) < 50  # class and method headers only
+
+
+class _EagerParser(javaparse._Parser):
+    """The cursor before the brace map: every token made up front, and '{...}' stepped through token by token.
+
+    It is the oracle that tokenizing on demand and jumping over bodies leave every parse as it was.
+    """
+
+    def __init__(self, parsed):
+        self.pf = parsed
+        self.toks = list(javaparse._TOKEN_RE.finditer(parsed.masked))
+        self.i = 0
+
+    def peek(self, k=0):
+        j = self.i + k
+        return self.toks[j] if j < len(self.toks) else None
+
+    def advance(self):
+        if self.i >= len(self.toks):
+            raise _ParseError("unexpected end of file")
+        tok = self.toks[self.i]
+        self.i += 1
+        return tok
+
+    def skip_balanced(self, open_ch, close_ch):
+        depth = 0
+        while True:
+            tok = self.advance()
+            if tok[0] == open_ch:
+                depth += 1
+            elif tok[0] == close_ch:
+                depth -= 1
+                if depth == 0:
+                    return tok
+
+
+def _listed_param(seg):
+    """_param_from_segment as it was, over lists of the kept tokens, their words and their texts."""
+    flat = []
+    gdepth = 0
+    for tok in seg:
+        text = tok[0]
+        if text == "<":
+            gdepth += 1
+        elif text == ">":
+            gdepth = max(0, gdepth - 1)
+        elif not gdepth and text != "final":
+            flat.append(tok)
+
+    words = [idx for idx, tok in enumerate(flat) if _is_word(tok)]
+    if not words:
+        return None
+    name_idx = words[-1]
+    name = flat[name_idx][0]
+    base = "".join(tok[0] for tok in flat[:name_idx] if _is_word(tok) or tok[0] == ".").strip(".")
+    if not base:
+        base, name = name, None
+    texts = [tok[0] for tok in flat]
+    brackets = texts.count("[")
+    ellipsis = any(a == b == c == "." for a, b, c in zip(texts, texts[1:], texts[2:]))
+    return base + "[]" * brackets + ("..." if ellipsis else ""), name
+
+
+@settings(deadline=None)
+@given(_SOURCES)
+@example("class A { void f() { if (x) { y(); } } int g() { return '}'; } }")
+@example('class A { void f() { /* } */ } String t() { return """\n}\n"""; } } } class B { {')
+@example("class A {\n int a = 1, { b(); }\n int c;\n void d() {}\n}")  # lookahead inside a group jumped over
+@example("class A { void f(a..b c, d....e f, final List<X>... g, int[] h[], @A() i, a.b.c.d j) {} }")
+def test_brace_map_parses_like_the_eager_tokenizer(text):
+    parsed = parse_source(text)
+    with mock.patch.object(javaparse, "_Parser", _EagerParser), \
+            mock.patch.object(javaparse, "_param_from_segment", _listed_param):
+        oracle = parse_source(text)
+    assert _parsed_fields(parsed) == _parsed_fields(oracle)
+
+
+class _DepthLoopParser(_EagerParser):
     """The parser before skip_to, with a hand-written depth loop for each construct it passes over.
 
     It is the oracle that well-formed sources parse the same with one skip primitive.  The
