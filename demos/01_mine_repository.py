@@ -13,7 +13,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from granite import GitRepo, HistoryScanner, count_changes_between, module_loc
+from granite.evaluation import change_sizes
+from granite.gitrepo import GitRepo
+from granite.tracking import HistoryScanner, module_loc
 
 
 def scripted_repo(root: Path) -> Path:
@@ -91,11 +93,10 @@ def main() -> None:
             scan = scanner.change_histories(pair.commits)
             print(f"   {len(scan.start_defs)} modules alive at {pair.r_tag}")
             for module in scan.alive_at_start():
-                history = scan.histories[module]
-                n = count_changes_between(history)
+                n = len(scan.histories[module].events)
                 if n == 0:
                     continue
-                churn = sum(e.churn for e in history.events)
+                churn = change_sizes(scan, module).delta_commit
                 loc = module_loc(scan.start_defs[module])
                 print(f"   {module}  changes={n}  churn={churn}  loc={loc}")
 

@@ -9,20 +9,18 @@ No repository needed.
 
 import numpy as np
 
-from granite import (
+from granite.dataset import assemble, label_change_prone, min_max_normalize, random_under_sample
+from granite.gitrepo import FileSnapshot
+from granite.javaparse import extract_modules
+from granite.metrics import (
     CLASS_METRIC_NAMES,
     METHOD_METRIC_NAMES,
     PROCESS_METRIC_NAMES,
-    FileSnapshot,
-    assemble,
     class_hierarchy,
     class_product_metrics,
-    extract_modules,
-    label_change_prone,
     method_product_metrics,
-    min_max_normalize,
-    random_under_sample,
 )
+from granite.tracking import module_loc
 
 SOURCE = """\
 public class Cart {
@@ -76,7 +74,7 @@ print("labels       ", {m.method_name: v for m, v in labels.items()})
 # assemble a toy dataset (zero process block for brevity) and preprocess it
 product = {m.id: method_product_metrics(m) for m in methods}
 process = {m.id: np.zeros(len(PROCESS_METRIC_NAMES)) for m in methods}
-locs = {m.id: m.span[1] - m.span[0] + 1 for m in methods}
+locs = {m.id: module_loc(m) for m in methods}
 ds = assemble(product, process, labels, locs, "demo", "method")
 print(f"\ndataset: {len(ds)} rows x {ds.X.shape[1]} features")
 

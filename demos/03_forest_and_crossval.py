@@ -8,7 +8,8 @@ shows vote-fraction scores plus stratified out-of-fold cross-validation.
 
 import numpy as np
 
-from granite import ForestParams, LabeledDataset, cross_validate, predict_proba, train_random_forest
+from granite.dataset import LabeledDataset
+from granite.forest import ForestParams, cross_validate, predict_proba, train_random_forest
 from granite.javaparse import ModuleId
 
 

@@ -9,15 +9,9 @@ to contrast class-level against method-level results.
 
 import numpy as np
 
-from granite import (
-    ChangeSizes,
-    PredictionScore,
-    compare_paired,
-    rank_by_score,
-    top_k_change_ratio,
-    top_k_cutoff,
-)
+from granite.evaluation import ChangeSizes, PredictionScore, rank_by_score, top_k_change_ratio, top_k_cutoff
 from granite.javaparse import ModuleId
+from granite.stats import compare_paired
 
 
 def mid(name):

@@ -14,7 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from granite import load_config, run_experiment
+from granite.experiment import load_config, run_experiment
 
 
 def scripted_repo(root: Path) -> Path:

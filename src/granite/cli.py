@@ -6,13 +6,14 @@ Subcommands:
   granite eval --predictions FILE --k LIST           effort ratios for external scores
 
 GRANITE_LOG sets the log level (DEBUG, INFO, WARNING, ERROR).  A bad config,
-repository or predictions file ends the command with one line on stderr and
-exit code 2.
+repository, predictions file or output path ends the command with one line on
+stderr and exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import logging
 import math
@@ -21,12 +22,18 @@ import sys
 from typing import List, Optional
 
 from granite import __version__
-from granite.evaluation import ChangeSizes, change_sizes, rank_by_score, top_k_change_ratio, top_k_cutoff
+from granite.evaluation import (
+    ChangeSizes,
+    PredictionScore,
+    change_sizes,
+    rank_by_score,
+    top_k_change_ratio,
+    top_k_cutoff,
+)
 from granite.experiment import DEFAULT_K, load_config, run_experiment
-from granite.forest import PredictionScore
 from granite.gitrepo import GitRepo, RepositoryError
 from granite.javaparse import parse_module_id
-from granite.tracking import HistoryScanner, count_changes_between, module_loc
+from granite.tracking import HistoryScanner, module_loc
 
 
 def _setup_logging() -> None:
@@ -40,12 +47,20 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _open_out(path: Optional[str]):
+    """The --out file to write, or stdout (left open on exit) when none is given."""
+    return open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext(sys.stdout)
+
+
 def _cmd_run(args) -> int:
     try:
         config = load_config(args.config)
     except (OSError, ValueError) as exc:
         return _usage_error(f"granite: {exc}")
-    return run_experiment(config)
+    try:
+        return run_experiment(config)
+    except OSError as exc:  # the output directory cannot be made or written
+        return _usage_error(f"granite: {exc}")
 
 
 def _cmd_mine(args) -> int:
@@ -53,12 +68,15 @@ def _cmd_mine(args) -> int:
         repo = GitRepo(args.repo)
     except RepositoryError as exc:
         return _usage_error(f"granite: {exc}")
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    try:
-        with repo:
+    with repo:
+        try:
+            out = _open_out(args.out)
+        except OSError as exc:
+            return _usage_error(f"granite: {exc}")
+        with out as fp:
             scanner = HistoryScanner(repo)
             pairs = repo.release_pairs(args.tags)
-            writer = csv.writer(out, lineterminator="\n")
+            writer = csv.writer(fp, lineterminator="\n")
             writer.writerow(
                 ["release_pair", "granularity", "module_id", "loc",
                  "changes", "total_churn", "delta_release", "delta_commit"]
@@ -66,22 +84,12 @@ def _cmd_mine(args) -> int:
             for pair in pairs:
                 scan = scanner.change_histories(pair.commits)
                 for module in scan.alive_at_start():
-                    history = scan.histories[module]
-                    end = scan.end_defs.get(module)
-                    sizes = change_sizes(
-                        module, history, scan.start_defs[module].body,
-                        end.body if end is not None else (),
-                    )
+                    sizes = change_sizes(scan, module)
                     writer.writerow(
-                        [pair.label, module.kind, str(module),
-                         module_loc(scan.start_defs[module]),
-                         count_changes_between(history),
-                         sum(e.churn for e in history.events),
+                        [pair.label, module.kind, str(module), module_loc(scan.start_defs[module]),
+                         len(scan.histories[module].events), sizes.delta_commit,
                          sizes.delta_release, sizes.delta_commit]
                     )
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -124,18 +132,18 @@ def _cmd_eval(args) -> int:
             locs[module] = loc
             sizes[module] = ChangeSizes(module, delta_release, delta_commit)
     ranking = rank_by_score(scored, locs)
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
-        writer = csv.writer(out, lineterminator="\n")
+        out = _open_out(args.out)
+    except OSError as exc:
+        return _usage_error(f"granite: {exc}")
+    with out as fp:
+        writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(["kind", "k", "cutoff", "ratio"])
         for kind in ("release", "commit"):
             for k in k_values:
                 ratio = top_k_change_ratio(ranking, k, sizes, kind)
                 writer.writerow([kind, k, top_k_cutoff(ranking, k),
                                  "" if ratio is None else repr(float(ratio))])
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

@@ -13,7 +13,7 @@ from typing import Hashable, Iterable, List, Mapping, Optional, Sequence, Set, T
 from granite.javaparse import ModuleId
 from granite.stats import average_ranks
 from granite.textdiff import line_churn
-from granite.tracking import ChangeHistory
+from granite.tracking import ScanResult
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,16 @@ class EvalScores:
     f1: float
     accuracy: float
     auc: Optional[float] = None  # absent for projected evaluations
+
+
+@dataclass(frozen=True)
+class PredictionScore:
+    module: ModuleId
+    score: float
+
+    @property
+    def predicted(self) -> int:
+        return 1 if self.score >= 0.5 else 0
 
 
 @dataclass(frozen=True)
@@ -99,7 +109,7 @@ def project_class_predictions_to_methods(
     return out
 
 
-def rank_by_score(scores, locs: Mapping[ModuleId, int]) -> Ranking:
+def rank_by_score(scores: Iterable[PredictionScore], locs: Mapping[ModuleId, int]) -> Ranking:
     """Descending-score ranking; ties order by ascending LOC then module id."""
     items: List[RankedModule] = []
     for s in scores:
@@ -129,19 +139,15 @@ def top_k_cutoff(ranking: Ranking, k: int) -> int:
     return cutoff
 
 
-def change_sizes(
-    module: ModuleId,
-    history: ChangeHistory,
-    body_at_r: Sequence[str],
-    body_at_rprime: Sequence[str],
-) -> ChangeSizes:
-    """Release-based and commit-based change size of one module.
+def change_sizes(scan: ScanResult, module: ModuleId) -> ChangeSizes:
+    """Release-based and commit-based change size of a module alive at the scan's first commit.
 
-    A module deleted mid-release has an empty body at r', so its deletions
-    count toward the release-based size.
+    A module that died before the last commit has an empty body there, so its
+    deletions count toward the release-based size.
     """
-    delta_release = line_churn(tuple(body_at_r), tuple(body_at_rprime))
-    delta_commit = sum(e.churn for e in history.events)
+    end = scan.end_defs.get(module)
+    delta_release = line_churn(scan.start_defs[module].body, end.body if end is not None else ())
+    delta_commit = sum(e.churn for e in scan.histories[module].events)
     return ChangeSizes(module=module, delta_release=delta_release, delta_commit=delta_commit)
 
 

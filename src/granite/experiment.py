@@ -23,7 +23,6 @@ import numpy as np
 from granite import __version__
 from granite.dataset import LabeledDataset, assemble, label_change_prone, write_csv
 from granite.evaluation import (
-    ChangeSizes,
     EvalScores,
     change_sizes,
     classification_scores,
@@ -37,7 +36,7 @@ from granite.gitrepo import GitRepo, ReleasePair
 from granite.javaparse import ModuleId
 from granite.metrics import class_hierarchy, class_product_metrics, method_product_metrics, process_metrics
 from granite.stats import compare_paired
-from granite.tracking import HistoryScanner, PriorHistories, count_changes_between, module_loc
+from granite.tracking import HistoryScanner, PriorHistories, module_loc
 
 log = logging.getLogger(__name__)
 
@@ -148,10 +147,6 @@ class ReleaseResult:
     projected: Optional[EvalScores]  # class predictions scored on method truth
     skipped: Dict[str, str]  # granularity -> why it has no result
 
-    @property
-    def label(self) -> str:
-        return self.pair.label
-
 
 def analyze_release_pair(
     repo: GitRepo,
@@ -187,7 +182,7 @@ def analyze_release_pair(
             skipped[granularity] = f"no {granularity} modules at release"
             log.warning("%s %s: %s", repo.path, pair.label, skipped[granularity])
             continue
-        counts = {m: count_changes_between(pair_scan.histories[m]) for m in mods}
+        counts = {m: len(pair_scan.histories[m].events) for m in mods}
         labels = label_change_prone(counts)
         locs = {m: module_loc(start_defs[m]) for m in mods}
         touched = {c: kinds.get(granularity, 0) for c, kinds in prior.touched.items()}
@@ -209,15 +204,7 @@ def analyze_release_pair(
             log.warning("%s %s %s: %s", repo.path, pair.label, granularity, skipped[granularity])
             continue
 
-        sizes: Dict[ModuleId, ChangeSizes] = {}
-        for m in mods:
-            end = pair_scan.end_defs.get(m)
-            sizes[m] = change_sizes(
-                m,
-                pair_scan.histories[m],
-                start_defs[m].body,
-                end.body if end is not None else (),
-            )
+        sizes = {m: change_sizes(pair_scan, m) for m in mods}
         ranking = rank_by_score(cv.predictions, locs)
         ratios = {(kind, k): top_k_change_ratio(ranking, k, sizes, kind) for kind, k in _ratio_columns(k_values)}
         results[granularity] = GranularityResult(
@@ -291,7 +278,6 @@ def emit_report(
 ) -> None:
     out_dir = Path(config.output_dir)
     dataset_dir = out_dir / "datasets"
-    dataset_dir.mkdir(parents=True, exist_ok=True)
     ratio_cols = _ratio_columns(config.k_values)
 
     # releases.csv: one row per (repo, release pair, granularity), then the pair's projection row;
@@ -306,20 +292,20 @@ def emit_report(
         for granularity, gr in sorted(res.by_granularity.items()):  # GRANULARITIES order
             s = gr.scores
             releases.append(
-                [res.repo, res.label, granularity, len(gr.dataset), _fmt(gr.cp_ratio),
+                [res.repo, res.pair.label, granularity, len(gr.dataset), _fmt(gr.cp_ratio),
                  _fmt(s.precision), _fmt(s.recall), _fmt(s.f1), _fmt(s.accuracy), _fmt(s.auc)]
                 + [_fmt(gr.ratios[col]) for col in ratio_cols]
             )
             fold_rows.extend(
-                [res.repo, res.label, granularity, str(module), int(fold)]
+                [res.repo, res.pair.label, granularity, str(module), int(fold)]
                 for module, fold in zip(gr.dataset.modules, gr.cv.fold_assignment)
             )
-            name = f"{_safe(res.repo)}__{_safe(res.label)}__{granularity}.csv"
+            name = f"{_safe(res.repo)}__{_safe(res.pair.label)}__{granularity}.csv"
             with open(dataset_dir / name, "w", encoding="utf-8", newline="") as fp:
                 write_csv(gr.dataset, fp)
         if (p := res.projected) is not None:
             releases.append(
-                [res.repo, res.label, "class_to_method", len(res.by_granularity["method"].dataset), "",
+                [res.repo, res.pair.label, "class_to_method", len(res.by_granularity["method"].dataset), "",
                  _fmt(p.precision), _fmt(p.recall), _fmt(p.f1), _fmt(p.accuracy), ""]
                 + [""] * len(ratio_cols)
             )
@@ -338,11 +324,11 @@ def emit_report(
         "release_pairs": len(results),
         "failed_release_pairs": list(failed_pairs),
         "skipped_granularities": [
-            {"repo": res.repo, "release_pair": res.label, "granularity": g, "reason": reason}
+            {"repo": res.repo, "release_pair": res.pair.label, "granularity": g, "reason": reason}
             for res in results for g, reason in res.skipped.items()
         ],
         "skipped_folds": [
-            {"repo": res.repo, "release_pair": res.label, "granularity": g, "folds": folds}
+            {"repo": res.repo, "release_pair": res.pair.label, "granularity": g, "folds": folds}
             for res in results for g, gr in res.by_granularity.items()
             if (folds := [f.fold for f in gr.cv.folds if f.skipped])
         ],
@@ -389,7 +375,11 @@ def _summary_rows(results: List[ReleaseResult], config: ExperimentConfig) -> Lis
 
 
 def run_experiment(config: ExperimentConfig) -> int:
-    """Run every repository; nonzero exit only when all of them fail."""
+    """Run every repository; nonzero exit only when all of them fail.
+
+    The output directory is made first, so an OSError for it comes before any analysis.
+    """
+    Path(config.output_dir, "datasets").mkdir(parents=True, exist_ok=True)
     all_results: List[ReleaseResult] = []
     failed_pairs: List[Dict[str, str]] = []
     status: Dict[str, str] = {}

@@ -16,8 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from granite.dataset import LabeledDataset, apply_min_max, fit_min_max, random_under_sample
-from granite.evaluation import EvalScores, auc_roc, classification_scores, confusion_counts
-from granite.javaparse import ModuleId
+from granite.evaluation import EvalScores, PredictionScore, auc_roc, classification_scores, confusion_counts
 
 log = logging.getLogger(__name__)
 
@@ -39,16 +38,6 @@ class ForestModel:
     right: np.ndarray
     counts: np.ndarray  # (label-0, label-1) training rows per node, shape (n_nodes, 2)
     feature_names: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class PredictionScore:
-    module: ModuleId
-    score: float
-
-    @property
-    def predicted(self) -> int:
-        return 1 if self.score >= 0.5 else 0
 
 
 def _best_split(

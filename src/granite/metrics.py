@@ -25,7 +25,7 @@ from granite.javaparse import (
     WORD_RE,
     mask_source,
 )
-from granite.tracking import ChangeHistory
+from granite.tracking import ChangeHistory, module_loc
 
 CLASS_METRIC_NAMES: Tuple[str, ...] = (
     "loc",
@@ -245,7 +245,7 @@ def method_product_metrics(mdef: ModuleDef) -> np.ndarray:
     words = _words(masked)
     invocations = _invocation_names(body)
     values = (
-        float(mdef.span[1] - mdef.span[0] + 1),
+        float(module_loc(mdef)),
         float(_cyclomatic(masked)),
         float(len(mdef.id.param_types or ())),
         float(_max_nesting(masked)),
@@ -362,7 +362,7 @@ def class_product_metrics(
     )
 
     values = (
-        float(mdef.span[1] - mdef.span[0] + 1),
+        float(module_loc(mdef)),
         float(len(methods)),
         float(sum(len(f.names) for f in fields)),
         float(wmc),

@@ -35,11 +35,6 @@ class ChangeHistory:
     birth_commit: CommitId
 
 
-def count_changes_between(history: ChangeHistory) -> int:
-    """Number of commits in which the module's text changed."""
-    return len(history.events)
-
-
 def module_loc(mdef: ModuleDef) -> int:
     """Physical lines of the extracted code segment."""
     return mdef.span[1] - mdef.span[0] + 1

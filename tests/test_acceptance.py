@@ -33,7 +33,7 @@ from granite.forest import ForestParams, cross_validate
 from granite.gitrepo import GitRepo
 from granite.javaparse import ModuleId
 from granite.stats import cliffs_delta, magnitude_of, wilcoxon_signed_rank
-from granite.tracking import HistoryScanner, count_changes_between, module_loc
+from granite.tracking import HistoryScanner, module_loc
 
 
 def report(criterion, started):
@@ -64,14 +64,10 @@ def test_criterion_1_fixture_ledger_exact(fixture_repo):
             for module in scan.alive_at_start():
                 expected = ledger.entries[str(module)]
                 history = scan.histories[module]
-                assert count_changes_between(history) == expected.count, module
+                assert len(history.events) == expected.count, module
                 assert tuple(e.churn for e in history.events) == expected.churns, module
                 assert module_loc(scan.start_defs[module]) == expected.loc, module
-                end = scan.end_defs.get(module)
-                sizes = change_sizes(
-                    module, history, scan.start_defs[module].body,
-                    end.body if end is not None else (),
-                )
+                sizes = change_sizes(scan, module)
                 assert sizes.delta_release == expected.delta_release, module
                 assert sizes.delta_commit == expected.delta_commit, module
     elapsed = time.monotonic() - started
@@ -329,11 +325,7 @@ def test_criterion_7_release_delta_bounded_by_commit_delta(fixture_repo):
         for pair in repo.release_pairs("v*"):
             scan = scanner.change_histories(pair.commits)
             for module in scan.alive_at_start():
-                end = scan.end_defs.get(module)
-                sizes = change_sizes(
-                    module, scan.histories[module], scan.start_defs[module].body,
-                    end.body if end is not None else (),
-                )
+                sizes = change_sizes(scan, module)
                 assert sizes.delta_release <= sizes.delta_commit, module
                 if pair.label == "v1.0..v1.1" and str(module) == "method:src/Alpha.java:Alpha#hot()":
                     assert (sizes.delta_release, sizes.delta_commit) == (0, 4)
@@ -361,7 +353,7 @@ def test_criterion_8_commons_io_change_prone_ratios():
             scan = scanner.change_histories(pair.commits)
             by_kind = {"class": {}, "method": {}}
             for module in scan.start_defs:
-                by_kind[module.kind][module] = count_changes_between(scan.histories[module])
+                by_kind[module.kind][module] = len(scan.histories[module].events)
             if not by_kind["class"] or not by_kind["method"]:
                 continue
             usable += 1

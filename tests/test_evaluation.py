@@ -18,8 +18,8 @@ from granite.evaluation import (
     top_k_change_ratio,
     top_k_cutoff,
 )
-from granite.javaparse import ModuleId
-from granite.tracking import ChangeEvent, ChangeHistory
+from granite.javaparse import ModuleDef, ModuleId
+from granite.tracking import ChangeEvent, ChangeHistory, ScanResult
 
 
 def mod(i, kind="method"):
@@ -270,13 +270,18 @@ def test_cutoff_nondecreasing_in_k():
 # -- change sizes and ratios ---------------------------------------------------------
 
 
-def hist(module, events):
-    return ChangeHistory(module, list(events), "b" * 40)
+def scan_of(module, events, body_r, body_rp):
+    """A scan of one module: body_r at the first commit, body_rp at the last (None once it died)."""
+    def define(body):
+        return ModuleDef(module, (1, len(body)), tuple(body))
+    end_defs = {} if body_rp is None else {module: define(body_rp)}
+    history = ChangeHistory(module, list(events), "b" * 40)
+    return ScanResult(("b" * 40, "e" * 40), {module: history}, {module: define(body_r)}, end_defs, {}, {})
 
 
 def test_untouched_module_sizes_zero():
     m = mod(0)
-    sizes = change_sizes(m, hist(m, []), ["a", "b"], ["a", "b"])
+    sizes = change_sizes(scan_of(m, [], ["a", "b"], ["a", "b"]), m)
     assert (sizes.delta_release, sizes.delta_commit) == (0, 0)
 
 
@@ -284,19 +289,15 @@ def test_single_commit_release_sizes_equal():
     m = mod(0)
     body_r = ["int f() {", "  return 1;", "}"]
     body_rp = ["int f() {", "  return 2;", "}"]
-    history = hist(m, [ChangeEvent("c" * 40, 2, 1, 1)])
-    sizes = change_sizes(m, history, body_r, body_rp)
+    sizes = change_sizes(scan_of(m, [ChangeEvent("c" * 40, 2, 1, 1)], body_r, body_rp), m)
     assert sizes.delta_release == sizes.delta_commit == 2
 
 
 def test_flip_flop_has_zero_release_delta():
     m = mod(0)
     body = ["int f() {", "  int x = 1;", "}"]
-    history = hist(
-        m,
-        [ChangeEvent("1" * 40, 2, 1, 1), ChangeEvent("2" * 40, 2, 1, 1)],
-    )
-    sizes = change_sizes(m, history, body, body)
+    events = [ChangeEvent("1" * 40, 2, 1, 1), ChangeEvent("2" * 40, 2, 1, 1)]
+    sizes = change_sizes(scan_of(m, events, body, body), m)
     assert sizes.delta_release == 0
     assert sizes.delta_commit == 4
 
@@ -304,8 +305,7 @@ def test_flip_flop_has_zero_release_delta():
 def test_deleted_module_contributes_deletions():
     m = mod(0)
     body_r = ["line1", "line2", "line3"]
-    history = hist(m, [ChangeEvent("1" * 40, 3, 0, 3)])
-    sizes = change_sizes(m, history, body_r, [])
+    sizes = change_sizes(scan_of(m, [ChangeEvent("1" * 40, 3, 0, 3)], body_r, None), m)
     assert sizes.delta_release == 3
 
 

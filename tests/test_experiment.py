@@ -450,7 +450,7 @@ def test_carried_histories_match_a_walk_from_the_root(tmp_path, monkeypatch):
     results, failed = experiment.analyze_repository(RepoSpec(str(rb.root), "t*"), (100,), seed=0, folds=2)
     monkeypatch.undo()
     assert failed == []
-    assert [r.label for r in results] == ["t1..t2", "t2..t3", "t4..t5"]
+    assert [r.pair.label for r in results] == ["t1..t2", "t2..t3", "t4..t5"]
     assert root_walks == 2  # the first pair and the restart after the skipped t3..t4; t2..t3 is carried
 
     with GitRepo(rb.root) as repo:
@@ -459,13 +459,13 @@ def test_carried_histories_match_a_walk_from_the_root(tmp_path, monkeypatch):
             reference = HistoryScanner(repo).change_histories(chain)
             metas = repo.commit_meta(chain)
             for granularity in ("class", "method"):
-                process = process_by_unit[res.label, granularity]
+                process = process_by_unit[res.pair.label, granularity]
                 assert set(process) == {m for m in reference.end_histories if m.kind == granularity}
                 touched = {c: kinds[granularity] for c, kinds in reference.touched.items()}
                 for module, vector in process.items():
                     expected = process_metrics(reference.end_histories[module], metas, touched, res.pair.r_commit)
-                    assert np.array_equal(vector, expected), (res.label, module)
-            assert any(v[0] > 0 for v in process_by_unit[res.label, "method"].values())
+                    assert np.array_equal(vector, expected), (res.pair.label, module)
+            assert any(v[0] > 0 for v in process_by_unit[res.pair.label, "method"].values())
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -504,6 +504,24 @@ def test_cli_mine_of_a_missing_repository_fails_before_writing(tmp_path, capsys)
     assert main(["mine", str(missing), "--out", str(out_file)]) == 2
     assert capsys.readouterr().err == f"granite: not a directory: {missing}\n"
     assert not out_file.exists()
+
+
+def test_cli_mine_to_a_missing_directory_fails(fixture_repo, tmp_path, capsys):
+    out_file = tmp_path / "missing" / "h.csv"
+    assert main(["mine", str(fixture_repo.root), "--tags", "v*", "--out", str(out_file)]) == 2
+    assert capsys.readouterr() == ("", f"granite: [Errno 2] No such file or directory: '{out_file}'\n")
+
+
+def test_cli_run_to_an_output_dir_under_a_file_fails_before_analysis(fixture_repo, tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    analysed = []
+    monkeypatch.setattr(experiment, "analyze_repository", lambda *args: analysed.append(args))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"repos": [{"path": str(fixture_repo.root)}], "output_dir": str(blocker / "out")}))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"granite: [Errno 20] Not a directory: '{blocker / 'out' / 'datasets'}'\n"
+    assert analysed == []
 
 
 @pytest.mark.parametrize(
@@ -587,15 +605,17 @@ def test_cli_eval_rejects_a_file_without_a_column(tmp_path, capsys):
     [
         (["--predictions", "{missing}"], "granite: [Errno 2] No such file or directory: '{missing}'"),
         (["--predictions", "{pred}", "--k", "1,x"], "--k must be a strictly increasing list of positive integers"),
+        (["--predictions", "{pred}", "--out", "{missing}/ratios.csv"],
+         "granite: [Errno 2] No such file or directory: '{missing}/ratios.csv'"),
     ],
-    ids=["missing-predictions", "non-integer-k"],
+    ids=["missing-predictions", "non-integer-k", "out-in-missing-directory"],
 )
 def test_cli_eval_rejects_bad_arguments(tmp_path, capsys, args, message):
     pred = tmp_path / "preds.csv"
     pred.write_text("module_id,score,loc,delta_release,delta_commit\nmethod:src/A.java:A#a(),0.9,40,20,25\n")
     out = tmp_path / "ratios.csv"
     paths = {"missing": tmp_path / "missing.csv", "pred": pred}
-    assert main(["eval", *(a.format(**paths) for a in args), "--out", str(out)]) == 2
+    assert main(["eval", "--out", str(out), *(a.format(**paths) for a in args)]) == 2
     assert capsys.readouterr() == ("", message.format(**paths) + "\n")
     assert not out.exists()
 

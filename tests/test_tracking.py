@@ -14,7 +14,6 @@ from granite.textdiff import similarity
 from granite.tracking import (
     HistoryScanner,
     build_change_histories,
-    count_changes_between,
     match_renames,
     module_loc,
 )
@@ -177,7 +176,7 @@ def test_untouched_module_has_empty_events(history_repo):
         histories = build_change_histories(repo, pair)
     stable = next(h for m, h in histories.items() if m.method_name == "stable")
     assert stable.events == []
-    assert count_changes_between(stable) == 0
+    assert len(stable.events) == 0
     gamma = next(h for m, h in histories.items() if m.qualified_class == "Gamma" and m.kind == "class")
     assert gamma.events == []
 
@@ -188,13 +187,13 @@ def test_edited_module_event_counts_and_churn(history_repo):
         histories = build_change_histories(repo, pair)
     hot = next(h for m, h in histories.items() if m.method_name == "hot")
     # three edits: value change, whitespace change, flip back
-    assert count_changes_between(hot) == 3
+    assert len(hot.events) == 3
     assert [e.churn for e in hot.events] == [2, 2, 2]
     assert all(e.added == 1 and e.deleted == 1 for e in hot.events)
     alpha = next(
         h for m, h in histories.items() if m.kind == "class" and m.qualified_class == "Alpha"
     )
-    assert count_changes_between(alpha) == 3
+    assert len(alpha.events) == 3
 
 
 def test_whitespace_only_edit_counts_as_change(tmp_path):
@@ -210,7 +209,7 @@ def test_whitespace_only_edit_counts_as_change(tmp_path):
         pair = repo.release_pairs("r*")[0]
         histories = build_change_histories(repo, pair)
     w = next(h for m, h in histories.items() if m.method_name == "w")
-    assert count_changes_between(w) == 1
+    assert len(w.events) == 1
     assert w.events[0].churn == 2
 
 
@@ -240,7 +239,7 @@ def test_rename_threads_identity_and_counts_signature_edit(tmp_path):
     assert len(method_ids) == 1
     assert method_ids[0].method_name == "compute"
     history = scan.histories[method_ids[0]]
-    assert count_changes_between(history) == 1
+    assert len(history.events) == 1
     assert history.events[0].churn == 2  # signature line replaced
     # the end-of-range definition carries the new name
     assert scan.end_defs[method_ids[0]].id.method_name == "computeTotal"
@@ -292,7 +291,7 @@ def test_counts_bounded_by_commit_count(history_repo):
         histories = build_change_histories(repo, pair)
         n = len(pair.commits)
     for history in histories.values():
-        assert count_changes_between(history) <= n - 1
+        assert len(history.events) <= n - 1
 
 
 def test_module_born_under_a_renamed_modules_old_id_keeps_its_own_history(tmp_path):
