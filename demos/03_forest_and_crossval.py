@@ -9,6 +9,7 @@ shows vote-fraction scores plus stratified out-of-fold cross-validation.
 import numpy as np
 
 from granite.dataset import LabeledDataset
+from granite.evaluation import PREDICTION_THRESHOLD
 from granite.forest import ForestParams, cross_validate, predict_proba, train_random_forest
 from granite.javaparse import ModuleId
 
@@ -46,6 +47,6 @@ print(f"  recall    {pooled.recall:.3f}")
 print(f"  f1        {pooled.f1:.3f}")
 print(f"  accuracy  {pooled.accuracy:.3f}")
 print(f"  auc       {pooled.auc:.3f}")
-correct = (result.out_of_fold_scores >= 0.5) == (ds.y == 1)
+correct = (result.out_of_fold_scores >= PREDICTION_THRESHOLD) == (ds.y == 1)
 per_fold = [f"{correct[result.fold_assignment == f.fold].mean():.2f}" for f in result.folds if not f.skipped]
 print("  per-fold accuracy:", " ".join(per_fold))

@@ -23,6 +23,8 @@ from typing import List, Optional
 
 from granite import __version__
 from granite.evaluation import (
+    CHANGE_SIZE_KINDS,
+    DEFAULT_K,
     ChangeSizes,
     PredictionScore,
     change_sizes,
@@ -30,7 +32,7 @@ from granite.evaluation import (
     top_k_change_ratio,
     top_k_cutoff,
 )
-from granite.experiment import DEFAULT_K, load_config, run_experiment
+from granite.experiment import load_config, run_experiment
 from granite.gitrepo import GitRepo, RepositoryError
 from granite.javaparse import parse_module_id
 from granite.tracking import HistoryScanner, module_loc
@@ -139,7 +141,7 @@ def _cmd_eval(args) -> int:
     with out as fp:
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(["kind", "k", "cutoff", "ratio"])
-        for kind in ("release", "commit"):
+        for kind in CHANGE_SIZE_KINDS:
             for k in k_values:
                 ratio = top_k_change_ratio(ranking, k, sizes, kind)
                 writer.writerow([kind, k, top_k_cutoff(ranking, k),

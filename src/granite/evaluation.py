@@ -15,6 +15,10 @@ from granite.stats import average_ranks
 from granite.textdiff import line_churn
 from granite.tracking import ScanResult
 
+DEFAULT_K = (100, 500, 1000, 5000, 10000)  # LOC budgets of the effort-aware ratios
+CHANGE_SIZE_KINDS = ("release", "commit")  # the two change sizes a ratio can sum
+PREDICTION_THRESHOLD = 0.5  # a score at or above it predicts change-prone
+
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -44,7 +48,7 @@ class PredictionScore:
 
     @property
     def predicted(self) -> int:
-        return 1 if self.score >= 0.5 else 0
+        return 1 if self.score >= PREDICTION_THRESHOLD else 0
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,7 @@ def top_k_change_ratio(
     kind: str,
 ) -> Optional[float]:
     """Summed change size over summed LOC of the top-l modules; None when l is 0."""
-    if kind not in ("release", "commit"):
+    if kind not in CHANGE_SIZE_KINDS:
         raise ValueError(f"unknown change size kind: {kind!r}")
     cutoff = top_k_cutoff(ranking, k)
     if cutoff == 0:

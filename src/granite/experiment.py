@@ -23,6 +23,8 @@ import numpy as np
 from granite import __version__
 from granite.dataset import LabeledDataset, assemble, label_change_prone, write_csv
 from granite.evaluation import (
+    CHANGE_SIZE_KINDS,
+    DEFAULT_K,
     EvalScores,
     change_sizes,
     classification_scores,
@@ -41,11 +43,10 @@ from granite.tracking import HistoryScanner, PriorHistories, module_loc
 log = logging.getLogger(__name__)
 
 GRANULARITIES = ("class", "method")
-DEFAULT_K = (100, 500, 1000, 5000, 10000)
 
 
 def _ratio_columns(k_values: Sequence[int]) -> List[Tuple[str, int]]:
-    return [(kind, k) for kind in ("release", "commit") for k in k_values]
+    return [(kind, k) for kind in CHANGE_SIZE_KINDS for k in k_values]
 
 
 @dataclass(frozen=True)
@@ -106,11 +107,12 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         if r.name in path_of:  # reports and dataset files are keyed by the name
             raise ValueError(f"repositories {path_of[r.name]!r} and {r.path!r} share the directory name {r.name!r}")
         path_of[r.name] = r.path
-    try:
-        k_values = tuple(int(k) for k in raw.get("k_values", DEFAULT_K))
-        folds, seed = int(raw.get("folds", 10)), int(raw.get("seed", 0))
-    except TypeError:  # null, a list or an object where a number belongs
-        raise ValueError("k_values must be a list of integers, and folds and seed integers") from None
+    k_values, folds, seed = raw.get("k_values", DEFAULT_K), raw.get("folds", 10), raw.get("seed", 0)
+    # JSON integers only (no float, bool or string), so config_hash hashes the values that run
+    if not isinstance(k_values, (list, tuple)) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in (*k_values, folds, seed)
+    ):
+        raise ValueError("k_values must be a list of integers, and folds and seed integers")
     if any(k <= 0 for k in k_values) or list(k_values) != sorted(set(k_values)):
         raise ValueError("k_values must be positive and strictly increasing")
     if "output_dir" not in raw:
@@ -120,7 +122,7 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     return ExperimentConfig(
         repos=repos,
         output_dir=str(raw["output_dir"]),
-        k_values=k_values,
+        k_values=tuple(k_values),
         seed=seed,
         folds=folds,
     )
@@ -164,7 +166,7 @@ def analyze_release_pair(
     """
     if prior is None or prior.commits[-1] != pair.r_commit:
         root_scan = scanner.change_histories(list(reversed(repo.first_parent_chain(pair.r_commit))))
-        prior = PriorHistories(root_scan.commits, root_scan.end_histories, root_scan.touched)
+        prior = PriorHistories(root_scan.commits, root_scan.end_histories)
     pair_scan = scanner.change_histories(pair.commits)
     metas = repo.commit_meta(prior.commits)
 
@@ -185,7 +187,6 @@ def analyze_release_pair(
         counts = {m: len(pair_scan.histories[m].events) for m in mods}
         labels = label_change_prone(counts)
         locs = {m: module_loc(start_defs[m]) for m in mods}
-        touched = {c: kinds.get(granularity, 0) for c, kinds in prior.touched.items()}
         product = {}
         process = {}
         for m in mods:
@@ -194,7 +195,7 @@ def analyze_release_pair(
                 product[m] = class_product_metrics(d, hierarchy)
             else:
                 product[m] = method_product_metrics(d)
-            process[m] = process_metrics(prior.histories[m], metas, touched, pair.r_commit)
+            process[m] = process_metrics(prior.histories[m], metas, pair.r_commit)
         ds = assemble(product, process, labels, locs, pair.label, granularity)
 
         try:

@@ -16,7 +16,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from granite.dataset import LabeledDataset, apply_min_max, fit_min_max, random_under_sample
-from granite.evaluation import EvalScores, PredictionScore, auc_roc, classification_scores, confusion_counts
+from granite.evaluation import (
+    PREDICTION_THRESHOLD,
+    EvalScores,
+    PredictionScore,
+    auc_roc,
+    classification_scores,
+    confusion_counts,
+)
 
 log = logging.getLogger(__name__)
 
@@ -182,7 +189,7 @@ class CrossValResult:
         scores = self.out_of_fold_scores[rows]
         labels = self.dataset.y[rows].astype(int)
         counts = confusion_counts(
-            set(rows[scores >= 0.5].tolist()), set(rows[labels == 1].tolist()), rows.tolist()
+            set(rows[scores >= PREDICTION_THRESHOLD].tolist()), set(rows[labels == 1].tolist()), rows.tolist()
         )
         scored = list(zip(scores.tolist(), labels.tolist()))
         return replace(classification_scores(counts), auc=auc_roc(scored))

@@ -20,7 +20,6 @@ from granite.textdiff import line_churn
 log = logging.getLogger(__name__)
 
 CommitId = str  # 40-hex object name
-FileChange = Tuple[Optional[str], Optional[str]]  # (old blob, new blob); None where the path holds no file
 _NO_FILE = ("000000", "160000")  # raw diff modes of an absent path and of a gitlink
 
 
@@ -235,11 +234,11 @@ class GitRepo:
                 self._meta_cache[sha] = CommitMeta(author, int(ts))
         return {c: self._meta_cache[c] for c in commits if c in self._meta_cache}
 
-    def first_parent_changes(self, commits: Sequence[CommitId]) -> List[Dict[str, FileChange]]:
-        """For each commit of a first-parent chain after commits[0], the .java files its diff changed.
+    def first_parent_changes(self, commits: Sequence[CommitId]) -> List[Dict[str, Optional[str]]]:
+        """Per commit of a first-parent chain after commits[0], the .java files its diff changed: path -> new blob.
 
-        A side is None where the path holds no file (absent, or a gitlink); a change of mode or type
-        alone is no change.  Caches the commits' metadata.
+        The blob is None where the path no longer holds a file (removed, or now a gitlink); a change of
+        mode or type alone is no change.  Caches the commits' metadata.
         """
         if len(commits) < 2:
             return []
@@ -251,10 +250,10 @@ class GitRepo:
             token = token.lstrip(b"\n")
             if token.startswith(b":"):  # ":<old mode> <new mode> <old sha> <new sha> <status>", then the path
                 old_mode, new_mode, old, new, _ = token[1:].decode().split(" ")
-                change = (None if old_mode in _NO_FILE else old, None if new_mode in _NO_FILE else new)
+                old, new = (None if old_mode in _NO_FILE else old), (None if new_mode in _NO_FILE else new)
                 path = self._java_path(next(tokens))
-                if change[0] != change[1] and path is not None:
-                    steps[-1][path] = change
+                if old != new and path is not None:
+                    steps[-1][path] = new
             elif token:  # "<sha>\t<committer time>\t<author>"
                 sha, ts, author = token.decode("utf-8", "replace").split("\t", 2)
                 self._meta_cache[sha] = CommitMeta(author, int(ts))

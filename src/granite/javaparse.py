@@ -600,16 +600,16 @@ def parse_source(text: str) -> ParsedFile:
     return parsed
 
 
-def extract_modules(snapshot: FileSnapshot) -> List[ModuleDef]:
+def extract_modules(snapshot: FileSnapshot) -> Optional[List[ModuleDef]]:
     """One ModuleDef per type declaration and per method/constructor declaration.
 
-    Unparseable files are skipped with a warning and contribute no modules.
+    A file that does not parse is warned about and gives None; [] is a file without types.
     """
     text = "\n".join(snapshot.lines)
     parsed = parse_source(text)
     if parsed.error:
         log.warning("%s@%s: skipped, parse failed: %s", snapshot.path, snapshot.commit[:10], parsed.error)
-        return []
+        return None
     defs: List[ModuleDef] = []
     seen: Dict[ModuleId, bool] = {}
 

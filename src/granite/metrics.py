@@ -388,14 +388,12 @@ def class_product_metrics(
 def process_metrics(
     history: ChangeHistory,
     commit_metadata: Mapping[CommitId, CommitMeta],
-    modules_touched: Mapping[CommitId, int],
     r_commit: CommitId,
 ) -> np.ndarray:
     """17 history metrics of one module, ordered as PROCESS_METRIC_NAMES.
 
     Only events strictly before r_commit count; a module born at the release
-    has age 0 and every count 0.  modules_touched gives, per commit, how many
-    modules of this granularity changed in it (for the co-change metric).
+    has age 0 and every count 0.
     """
     events = [e for e in history.events if e.commit != r_commit]
     r_time = commit_metadata[r_commit].timestamp
@@ -439,7 +437,7 @@ def process_metrics(
         entropy = 0.0
     dominant = (max(author_counts.values()) / n) if n else 0.0
 
-    co_change = sum(1 for e in events if modules_touched.get(e.commit, 0) >= 2)
+    co_change = sum(1 for e in events if e.co_changed >= 2)
 
     values = (
         float(n),

@@ -7,10 +7,11 @@ history even when its name or path changes mid-range.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from granite.gitrepo import CommitId, FileChange, FileSnapshot, GitRepo, ReleasePair
+from granite.gitrepo import CommitId, FileSnapshot, GitRepo, ReleasePair
 from granite.javaparse import ModuleDef, ModuleId, extract_modules
 from granite.textdiff import diff_sizes, similarity
 
@@ -18,6 +19,7 @@ from granite.textdiff import diff_sizes, similarity
 RENAME_SIMILARITY = 0.6
 
 Snapshot = Dict[ModuleId, ModuleDef]  # the modules of one commit
+Files = Dict[str, Optional[str]]  # path -> blob sha; None where the path holds no file
 
 
 @dataclass(frozen=True)
@@ -26,6 +28,7 @@ class ChangeEvent:
     churn: int
     added: int
     deleted: int
+    co_changed: int  # modules of this kind whose body changed in the commit, this one included
 
 
 @dataclass
@@ -121,11 +124,10 @@ class ScanResult:
     """Change histories over one linearized commit range."""
 
     commits: Tuple[CommitId, ...]
-    histories: Dict[ModuleId, ChangeHistory]  # keyed by birth identity; the first lineage born under an id keeps it
+    histories: Dict[ModuleId, ChangeHistory]  # module id at commits[0] -> its lineage's history
     start_defs: Dict[ModuleId, ModuleDef]  # snapshot at commits[0]
     end_defs: Dict[ModuleId, ModuleDef]  # histories key -> def at commits[-1], if alive
-    end_histories: Dict[ModuleId, ChangeHistory]  # module id at commits[-1] -> its lineage's history
-    touched: Dict[CommitId, Dict[str, int]]  # commit -> kind -> modules changed
+    end_histories: Dict[ModuleId, ChangeHistory]  # module id at commits[-1] -> its lineage's history, births too
 
     def alive_at_start(self) -> List[ModuleId]:
         return sorted(self.start_defs, key=lambda m: m.sort_key)
@@ -134,33 +136,36 @@ class ScanResult:
 class HistoryScanner:
     """Builds module snapshots and change histories over a repository.
 
-    A range's files are listed at its first commit; each later commit steps
-    by the files its first-parent diff changed, read for the whole range at
-    once.  The modules of an unchanged file keep their identity and history
-    without matching, and rename matching and body diffs run over the
-    modules of the changed files alone.  Parses are cached per (blob, path),
-    so each is parsed once; snapshots are built at the first and last commit.
+    A range's files are listed at its first commit into a path -> blob map,
+    which each later commit steps by the files its first-parent diff changed
+    (read for the whole range at once); the map gives their parent blobs.
+    A blob that does not parse is no change, so the map keeps its file's
+    last parsed blob and the file's modules carry on.  The modules of an
+    unchanged file keep their identity and history without matching, and
+    rename matching and body diffs run over the modules of the changed files
+    alone.  Parses are cached per (blob, path), so each is parsed once;
+    snapshots are built at the first and last commit.
     """
 
     def __init__(self, repo: GitRepo):
         self.repo = repo
-        self._defs_cache: Dict[Tuple[str, str], List[ModuleDef]] = {}
+        self._defs_cache: Dict[Tuple[str, str], Optional[List[ModuleDef]]] = {}
 
-    def _file_modules(self, commit: CommitId, path: str, sha: str) -> List[ModuleDef]:
-        defs = self._defs_cache.get((sha, path))
-        if defs is None:
-            lines = self.repo.blob_lines(sha)
-            defs = self._defs_cache[(sha, path)] = extract_modules(FileSnapshot(path, lines, commit))
-        return defs
+    def _file_modules(self, commit: CommitId, path: str, sha: str) -> Optional[List[ModuleDef]]:
+        """The blob's modules; None when it does not parse."""
+        key = (sha, path)
+        if key not in self._defs_cache:
+            self._defs_cache[key] = extract_modules(FileSnapshot(path, self.repo.blob_lines(sha), commit))
+        return self._defs_cache[key]
 
-    def snapshot_modules(self, commit: CommitId, files: Dict[str, Optional[str]]) -> Snapshot:
-        # files maps path -> blob sha, or None once removed; module ids carry their file's path
-        return {d.id: d for p, sha in sorted(files.items()) if sha for d in self._file_modules(commit, p, sha)}
+    def snapshot_modules(self, commit: CommitId, files: Files) -> Snapshot:
+        # module ids carry their file's path
+        return {d.id: d for p, sha in sorted(files.items()) if sha for d in self._file_modules(commit, p, sha) or ()}
 
-    def adjacent_delta(self, a: CommitId, b: CommitId, changed: Dict[str, FileChange]) -> _Delta:
-        """The step from commit a to its child b over the files whose blob differs (added and removed too)."""
-        prev = {d.id: d for p, (old, _) in sorted(changed.items()) if old for d in self._file_modules(a, p, old)}
-        cur = {d.id: d for p, (_, new) in sorted(changed.items()) if new for d in self._file_modules(b, p, new)}
+    def adjacent_delta(self, a: CommitId, b: CommitId, changed: Files, files: Files) -> _Delta:
+        """From a to its child b over the files whose blob differs: changed gives their blobs at b, files all at a."""
+        prev = {d.id: d for p in sorted(changed) if (old := files.get(p)) for d in self._file_modules(a, p, old) or ()}
+        cur = {d.id: d for p, new in sorted(changed.items()) if new for d in self._file_modules(b, p, new) or ()}
         mapping = match_renames(list(prev.values()), list(cur.values()))
         changes: Dict[ModuleId, Tuple[int, int, int]] = {}
         for pid, cid in mapping.items():
@@ -178,25 +183,23 @@ class HistoryScanner:
         start = self.snapshot_modules(commits[0], files)
         histories = {mid: ChangeHistory(mid, [], commits[0]) for mid in start}
         alive: Dict[ModuleId, ChangeHistory] = dict(histories)  # id at the current commit -> lineage
-        touched: Dict[CommitId, Dict[str, int]] = {}
         for a, b, changed in zip(commits, commits[1:], self.repo.first_parent_changes(commits)):
-            delta = self.adjacent_delta(a, b, changed)
-            files.update((path, new) for path, (_, new) in changed.items())
+            # a blob that does not parse is left out, so files keeps the path's last parsed blob
+            changed = {p: sha for p, sha in changed.items() if sha is None or self._file_modules(b, p, sha) is not None}
+            delta = self.adjacent_delta(a, b, changed, files)
+            files.update(changed)
             stepped = {pid: alive.pop(pid) for pid in delta.prev}
-            counts = {"class": 0, "method": 0}
+            co_changed = Counter(cid.kind for cid in delta.changes)
             for pid, cid in delta.matched.items():
                 history = alive[cid] = stepped[pid]
                 change = delta.changes.get(cid)
                 if change is not None:
-                    history.events.append(ChangeEvent(b, *change))
-                    counts[cid.kind] += 1
+                    history.events.append(ChangeEvent(b, *change, co_changed[cid.kind]))
             for bid in delta.births:
                 alive[bid] = ChangeHistory(bid, [], b)
-                histories.setdefault(bid, alive[bid])
-            touched[b] = counts
         end = self.snapshot_modules(commits[-1], files)
-        end_defs = {h.module: end[cid] for cid, h in alive.items() if histories[h.module] is h}
-        return ScanResult(tuple(commits), histories, start, end_defs, alive, touched)
+        end_defs = {h.module: end[cid] for cid, h in alive.items() if h.birth_commit == commits[0]}
+        return ScanResult(tuple(commits), histories, start, end_defs, alive)
 
 
 @dataclass(frozen=True)
@@ -205,7 +208,6 @@ class PriorHistories:
 
     commits: Tuple[CommitId, ...]  # the chain, oldest first
     histories: Dict[ModuleId, ChangeHistory]  # module id at commits[-1] -> its lineage's history
-    touched: Dict[CommitId, Dict[str, int]]  # commit -> kind -> modules changed
 
     def extended(self, scan: ScanResult) -> "PriorHistories":
         """These histories continued by a scan that starts at commits[-1]."""
@@ -215,7 +217,7 @@ class PriorHistories:
                 before = self.histories[h.module]
                 h = ChangeHistory(before.module, before.events + h.events, before.birth_commit)
             histories[mid] = h
-        return PriorHistories(self.commits + scan.commits[1:], histories, {**self.touched, **scan.touched})
+        return PriorHistories(self.commits + scan.commits[1:], histories)
 
 
 def build_change_histories(repo: GitRepo, pair: ReleasePair) -> Dict[ModuleId, ChangeHistory]:

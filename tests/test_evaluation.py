@@ -276,7 +276,7 @@ def scan_of(module, events, body_r, body_rp):
         return ModuleDef(module, (1, len(body)), tuple(body))
     end_defs = {} if body_rp is None else {module: define(body_rp)}
     history = ChangeHistory(module, list(events), "b" * 40)
-    return ScanResult(("b" * 40, "e" * 40), {module: history}, {module: define(body_r)}, end_defs, {}, {})
+    return ScanResult(("b" * 40, "e" * 40), {module: history}, {module: define(body_r)}, end_defs, {})
 
 
 def test_untouched_module_sizes_zero():
@@ -289,14 +289,14 @@ def test_single_commit_release_sizes_equal():
     m = mod(0)
     body_r = ["int f() {", "  return 1;", "}"]
     body_rp = ["int f() {", "  return 2;", "}"]
-    sizes = change_sizes(scan_of(m, [ChangeEvent("c" * 40, 2, 1, 1)], body_r, body_rp), m)
+    sizes = change_sizes(scan_of(m, [ChangeEvent("c" * 40, 2, 1, 1, 1)], body_r, body_rp), m)
     assert sizes.delta_release == sizes.delta_commit == 2
 
 
 def test_flip_flop_has_zero_release_delta():
     m = mod(0)
     body = ["int f() {", "  int x = 1;", "}"]
-    events = [ChangeEvent("1" * 40, 2, 1, 1), ChangeEvent("2" * 40, 2, 1, 1)]
+    events = [ChangeEvent("1" * 40, 2, 1, 1, 1), ChangeEvent("2" * 40, 2, 1, 1, 1)]
     sizes = change_sizes(scan_of(m, events, body, body), m)
     assert sizes.delta_release == 0
     assert sizes.delta_commit == 4
@@ -305,7 +305,7 @@ def test_flip_flop_has_zero_release_delta():
 def test_deleted_module_contributes_deletions():
     m = mod(0)
     body_r = ["line1", "line2", "line3"]
-    sizes = change_sizes(scan_of(m, [ChangeEvent("1" * 40, 3, 0, 3)], body_r, None), m)
+    sizes = change_sizes(scan_of(m, [ChangeEvent("1" * 40, 3, 0, 3, 1)], body_r, None), m)
     assert sizes.delta_release == 3
 
 

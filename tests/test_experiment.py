@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shutil
 import statistics
@@ -296,6 +297,36 @@ def test_same_seed_byte_identical_reports(fixture_repo, tmp_path, first_run):
         assert first[name] == second[name], f"{name} not reproducible"
 
 
+# sha256 of every file the fixture run (seed 7, k 50-5000) and `granite mine` write; like
+# test_out_of_fold_scores_pinned this assumes numpy's random streams stay as they are
+PINNED_OUTPUTS = {
+    "datasets/repo__v1.0..v1.1__class.csv": "b87986af25bd4c43dfd79b10c51ed90891ccd3c464d865218e39623acdce8596",
+    "datasets/repo__v1.0..v1.1__method.csv": "7b543fda59fb188be557299100a71779254719b8f04e9c8f1bc7295f0e8aadad",
+    "datasets/repo__v1.1..v2.0__class.csv": "af7cc24169bdc7ae18262bc8726c3f6bf0a950786a5ef32ba290bd206fce5cfd",
+    "datasets/repo__v1.1..v2.0__method.csv": "598a904759b66fa8dd6e33f620b6a5bbc101bc93ffd38a9453e9fe80568228ea",
+    "fold_assignments.csv": "1028ac1b889e91bb89db5c0c22f1b90f18a0937ed007be36682bb4c41d6c4737",
+    "manifest.json": "66afd36b0a97bd0bf97e5a19204bb2673ad2fd759c7e967fc5a132dce7e8b1e3",
+    "mine.csv": "69a4cf2d5d1a906307531d7139fb974af7b0c0c8a0370f6d109587d793c79937",
+    "releases.csv": "de9156f26bde00ec4dc92d46eb330002f8e401175f113fd803e985a095cca24a",
+    "summary.csv": "4839ea9a4a1497b149c8747de5f1dcf0a751a5af15fdfd52a278819e58c26751",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_outputs_pinned(fixture_repo, tmp_path, first_run):
+    _, out, _ = first_run
+    digests = {name: _sha256(data) for name, data in _file_bytes(out).items()}
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    del manifest["config_hash"]  # hashes the repository's temporary path
+    digests["manifest.json"] = _sha256(json.dumps(manifest, indent=2, sort_keys=True).encode())
+    assert main(["mine", str(fixture_repo.root), "--tags", "v*", "--out", str(tmp_path / "mine.csv")]) == 0
+    digests["mine.csv"] = _sha256((tmp_path / "mine.csv").read_bytes())
+    assert digests == PINNED_OUTPUTS
+
+
 def test_different_seed_changes_fold_assignment(fixture_repo, tmp_path, first_run):
     _, first_out, config = first_run
     other_out = tmp_path / "other"
@@ -461,9 +492,8 @@ def test_carried_histories_match_a_walk_from_the_root(tmp_path, monkeypatch):
             for granularity in ("class", "method"):
                 process = process_by_unit[res.pair.label, granularity]
                 assert set(process) == {m for m in reference.end_histories if m.kind == granularity}
-                touched = {c: kinds[granularity] for c, kinds in reference.touched.items()}
                 for module, vector in process.items():
-                    expected = process_metrics(reference.end_histories[module], metas, touched, res.pair.r_commit)
+                    expected = process_metrics(reference.end_histories[module], metas, res.pair.r_commit)
                     assert np.array_equal(vector, expected), (res.pair.label, module)
             assert any(v[0] > 0 for v in process_by_unit[res.pair.label, "method"].values())
 
@@ -542,9 +572,20 @@ def test_cli_run_to_an_output_dir_under_a_file_fails_before_analysis(fixture_rep
          "granite: k_values must be a list of integers, and folds and seed integers"),
         ({"repos": [{"path": "r"}], "output_dir": "out", "k_values": 5},
          "granite: k_values must be a list of integers, and folds and seed integers"),
+        ({"repos": [{"path": "r"}], "output_dir": "out", "k_values": [100.7, 500]},
+         "granite: k_values must be a list of integers, and folds and seed integers"),
+        ({"repos": [{"path": "r"}], "output_dir": "out", "k_values": "5"},
+         "granite: k_values must be a list of integers, and folds and seed integers"),
+        ({"repos": [{"path": "r"}], "output_dir": "out", "folds": 2.9},
+         "granite: k_values must be a list of integers, and folds and seed integers"),
+        ({"repos": [{"path": "r"}], "output_dir": "out", "seed": True},
+         "granite: k_values must be a list of integers, and folds and seed integers"),
+        ({"repos": [{"path": "r"}], "output_dir": "out", "seed": "7"},
+         "granite: k_values must be a list of integers, and folds and seed integers"),
     ],
     ids=["missing-config", "no-repos", "repo-without-path", "non-string-path", "string-repo", "list-config",
-         "string-repos", "non-string-tags", "null-folds", "scalar-k-values"],
+         "string-repos", "non-string-tags", "null-folds", "scalar-k-values", "fractional-k-value",
+         "string-k-values", "fractional-folds", "boolean-seed", "string-seed"],
 )
 def test_cli_run_rejects_a_bad_config(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"

@@ -287,7 +287,7 @@ def test_first_parent_changes_equal_the_difference_of_two_listings(tmp_path):
         assert side not in chain and len(steps) == len(chain) - 1 == 9
         for a, b, step in zip(chain, chain[1:], steps):
             old, new = _java_listing(rb, a), _java_listing(rb, b)
-            assert step == {p: (old.get(p), new.get(p)) for p in old.keys() | new.keys() if old.get(p) != new.get(p)}
+            assert step == {p: new.get(p) for p in old.keys() | new.keys() if old.get(p) != new.get(p)}
         by_commit = dict(zip(chain[1:], steps))
         assert by_commit[chmod] == by_commit[retype] == by_commit[gitlink] == by_commit[regitlink] == {}
         assert set(repo.source_files(head)) == {"A.java", "C2.java", "F.java", "L.java", "T.java"}

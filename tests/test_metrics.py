@@ -378,7 +378,7 @@ def metas(*entries):
 def test_no_prior_commits_all_zero():
     r = "r" * 40
     history = hist(events=[], birth=r)
-    vec = process_metrics(history, metas((r, "Alice", 1000 * DAY)), {}, r)
+    vec = process_metrics(history, metas((r, "Alice", 1000 * DAY)), r)
     assert np.all(vec == 0)
 
 
@@ -386,9 +386,9 @@ def test_counts_authors_and_churn():
     r, c1, c2, c3 = "r" * 40, "1" * 40, "2" * 40, "3" * 40
     history = hist(
         events=[
-            ChangeEvent(c1, 4, 2, 2),
-            ChangeEvent(c2, 6, 5, 1),
-            ChangeEvent(c3, 2, 1, 1),
+            ChangeEvent(c1, 4, 2, 2, co_changed=2),
+            ChangeEvent(c2, 6, 5, 1, co_changed=1),
+            ChangeEvent(c3, 2, 1, 1, co_changed=3),
         ],
         birth="b" * 40,
     )
@@ -399,8 +399,7 @@ def test_counts_authors_and_churn():
         (c3, "Alice", 60 * DAY),
         (r, "Carol", 140 * DAY),
     )
-    touched = {c1: 2, c2: 1, c3: 3}
-    vec = dict(zip(PROCESS_METRIC_NAMES, process_metrics(history, meta, touched, r)))
+    vec = dict(zip(PROCESS_METRIC_NAMES, process_metrics(history, meta, r)))
     assert vec["commit_count"] == 3
     assert vec["distinct_authors"] == 2
     assert vec["total_churn"] == 12
@@ -425,27 +424,29 @@ def test_counts_authors_and_churn():
 
 def test_entropy_zero_for_single_author():
     r, c1 = "r" * 40, "1" * 40
-    history = hist(events=[ChangeEvent(c1, 2, 1, 1)], birth="b" * 40)
+    history = hist(events=[ChangeEvent(c1, 2, 1, 1, co_changed=1)], birth="b" * 40)
     meta = metas(("b" * 40, "A", 0), (c1, "A", DAY), (r, "A", 2 * DAY))
-    vec = dict(zip(PROCESS_METRIC_NAMES, process_metrics(history, meta, {}, r)))
+    vec = dict(zip(PROCESS_METRIC_NAMES, process_metrics(history, meta, r)))
     assert vec["author_entropy"] == 0
     assert vec["distinct_authors"] == 1
 
 
 def test_events_at_release_commit_excluded():
     r, c1 = "r" * 40, "1" * 40
-    history = hist(events=[ChangeEvent(c1, 2, 1, 1), ChangeEvent(r, 8, 4, 4)], birth="b" * 40)
+    events = [ChangeEvent(c1, 2, 1, 1, co_changed=1), ChangeEvent(r, 8, 4, 4, co_changed=2)]
+    history = hist(events=events, birth="b" * 40)
     meta = metas(("b" * 40, "A", 0), (c1, "A", DAY), (r, "A", 2 * DAY))
-    vec = dict(zip(PROCESS_METRIC_NAMES, process_metrics(history, meta, {}, r)))
+    vec = dict(zip(PROCESS_METRIC_NAMES, process_metrics(history, meta, r)))
     assert vec["commit_count"] == 1
     assert vec["total_churn"] == 2
+    assert vec["co_change_count"] == 0
 
 
 def test_never_changed_module_days_since_last_equals_age():
     r = "r" * 40
     history = hist(events=[], birth="b" * 40)
     meta = metas(("b" * 40, "A", 0), (r, "A", 50 * DAY))
-    vec = dict(zip(PROCESS_METRIC_NAMES, process_metrics(history, meta, {}, r)))
+    vec = dict(zip(PROCESS_METRIC_NAMES, process_metrics(history, meta, r)))
     assert vec["age_days"] == 50
     assert vec["days_since_last_change"] == 50
     assert vec["commit_count"] == 0

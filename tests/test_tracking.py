@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from granite import gitrepo
+from granite.evaluation import change_sizes
 from granite.gitrepo import GitRepo
 from granite.javaparse import ModuleDef, ModuleId
 from granite.textdiff import similarity
@@ -280,9 +281,10 @@ def test_birth_and_death_commits(tmp_path):
         scan = HistoryScanner(repo).change_histories(pair.commits)
     gone = next(m for m in scan.histories if m.qualified_class == "Gone" and m.kind == "class")
     assert gone not in scan.end_defs  # dead at r'
-    new = next(m for m in scan.histories if m.qualified_class == "New" and m.kind == "class")
-    assert scan.histories[new].birth_commit == c2
-    assert new in scan.end_defs
+    assert ModuleId("class", "src/Keep.java", "Keep") in scan.end_defs
+    new = next(m for m in scan.end_histories if m.qualified_class == "New" and m.kind == "class")
+    assert scan.end_histories[new].birth_commit == c2
+    assert new not in scan.histories and new not in scan.end_defs  # only modules alive at r are keyed there
 
 
 def test_counts_bounded_by_commit_count(history_repo):
@@ -335,6 +337,65 @@ def test_module_born_under_a_renamed_modules_old_id_keeps_its_own_history(tmp_pa
     new = scan.end_histories[foo]
     assert new.birth_commit == c4
     assert new.events == []
+
+
+def test_co_changed_counts_the_modules_of_the_kind_whose_body_changed_in_the_commit(tmp_path):
+    rb = RepoBuilder(tmp_path / "co")
+    source = (
+        "public class A {{\n    int f() {{\n        return {};\n    }}\n"
+        "    int g() {{\n        return {};\n    }}\n}}\n"
+    )
+    rb.write("src/A.java", source.format(1, 1))
+    rb.commit("c1")
+    rb.write("src/A.java", source.format(2, 2))
+    both = rb.commit("c2 edit f() and g()")
+    rb.write("src/A.java", source.format(3, 2))
+    alone = rb.commit("c3 edit f() alone")
+    with GitRepo(rb.root) as repo:
+        scan = HistoryScanner(repo).change_histories(repo.first_parent_chain(alone)[::-1])
+    events = {str(m): [(e.commit, e.co_changed) for e in h.events] for m, h in scan.histories.items()}
+    assert events == {
+        "class:src/A.java:A": [(both, 1), (alone, 1)],
+        "method:src/A.java:A#f()": [(both, 2), (alone, 1)],
+        "method:src/A.java:A#g()": [(both, 2)],
+    }
+
+
+def test_end_histories_are_keyed_by_the_modules_of_the_last_commit(fixture_repo):
+    # every blob of the fixture parses, so the scanner's file map ends as the last commit's listing
+    with GitRepo(fixture_repo.root) as repo:
+        chain = repo.first_parent_chain("HEAD")[::-1]
+        scanner = HistoryScanner(repo)
+        scan = scanner.change_histories(chain)
+        assert len(chain) > 20
+        assert set(scan.end_histories) == set(scanner.snapshot_modules(chain[-1], repo.source_files(chain[-1])))
+
+
+def test_a_blob_that_does_not_parse_keeps_its_files_last_parsed_modules(tmp_path, caplog):
+    # c3 does not parse and c4 restores the text of c2: f() changed at c2 and c5 only, and lives on
+    rb = RepoBuilder(tmp_path / "broken")
+    source = "public class A {{\n    int f() {{\n        return {};\n    }}\n}}\n"
+    rb.write("src/A.java", source.format(1))
+    rb.commit("c1")
+    rb.tag("r1")
+    rb.write("src/A.java", source.format(2))
+    c2 = rb.commit("c2 edit f()")
+    rb.write("src/A.java", "public class A {\n    int f() {\n")
+    rb.commit("c3 does not parse")
+    rb.write("src/A.java", source.format(2))
+    rb.commit("c4 restore c2")
+    rb.write("src/A.java", source.format(3))
+    c5 = rb.commit("c5 edit f()")
+    rb.tag("r2")
+    with caplog.at_level(logging.WARNING, logger="granite.javaparse"), GitRepo(rb.root) as repo:
+        scan = HistoryScanner(repo).change_histories(repo.release_pairs("r*")[0].commits)
+    for module in (ModuleId("class", "src/A.java", "A"), ModuleId("method", "src/A.java", "A", "f", ())):
+        assert [e.commit for e in scan.histories[module].events] == [c2, c5]
+        assert module in scan.end_defs
+        sizes = change_sizes(scan, module)
+        assert (sizes.delta_release, sizes.delta_commit) == (2, 4)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and warnings[0].startswith("src/A.java@") and "parse failed" in warnings[0]
 
 
 def test_commit_step_matches_only_the_files_whose_blob_changed(tmp_path, monkeypatch):
@@ -412,7 +473,8 @@ def test_paths_that_are_not_utf8_are_skipped_with_one_warning_each(tmp_path, cap
         scan = HistoryScanner(repo).change_histories(chain)
     assert [sorted(step) for step in steps] == [["Ok.java"], ["Ok.java"]]
     assert sorted(listed) == ["Ok.java"]
-    assert {m.file_path for m in scan.histories} == {"Ok.java"}
+    assert scan.histories == {}  # no .java file at c0
+    assert {m.file_path for m in scan.end_histories} == {"Ok.java"}
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert sorted(warnings) == [
         f"{rb.root}: skipping path {raw!r}: not valid UTF-8" for raw in (b"\xfe.java", b"\xff.java")
