@@ -113,6 +113,8 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         isinstance(v, int) and not isinstance(v, bool) for v in (*k_values, folds, seed)
     ):
         raise ValueError("k_values must be a list of integers, and folds and seed integers")
+    if not k_values:  # no k gives no rq3 rows and no ratio columns
+        raise ValueError("k_values must name at least one k")
     if any(k <= 0 for k in k_values) or list(k_values) != sorted(set(k_values)):
         raise ValueError("k_values must be positive and strictly increasing")
     if "output_dir" not in raw:

@@ -1,9 +1,10 @@
 """Seeded random forest of Gini decision trees, plus stratified cross-validation.
 
 Per-tree randomness derives from (seed, tree index) only, so training is
-bit-reproducible regardless of scheduling.  Scores are vote fractions: each
-tree votes the majority label of its leaf (ties vote change-prone) and the
-forest score is the fraction of trees voting 1.
+bit-reproducible regardless of scheduling.  A forest's trees grow in lockstep,
+with batched split searches, and each comes out as a per-tree recursion grows
+it.  Scores are vote fractions: each tree votes the majority label of its leaf
+(ties vote change-prone) and the forest score is the fraction of trees voting 1.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from granite.evaluation import (
 )
 
 log = logging.getLogger(__name__)
+
+SEARCH_CAP = 8192  # elements (nodes x rows x drawn features) in one batched split search
 
 
 @dataclass(frozen=True)
@@ -47,72 +50,91 @@ class ForestModel:
     feature_names: Tuple[str, ...]
 
 
-def _best_split(
-    X: np.ndarray, y: np.ndarray, features: Sequence[int]
-) -> Optional[Tuple[int, float, np.ndarray]]:
-    """Best (feature, threshold, left mask) by weighted Gini over the node rows.
+def _best_splits(
+    X: np.ndarray, y: np.ndarray, rows: Sequence[np.ndarray], features: np.ndarray
+) -> Tuple[List[Tuple[int, int, float, int, int]], np.ndarray]:
+    """Best split by weighted Gini of each node b, which holds rows[b] of (X, y) and draws features[b].
 
-    All drawn features are sorted and scored in one (n-1) x k matrix; a split
-    lies between two adjacent sorted values that differ.  Ties: within a
-    feature the first minimum in sorted order wins, and across features the
-    first one in draw order wins unless a later one scores lower by more than
-    1e-12.  The threshold is the midpoint of the two values around the split.
+    All nodes and their drawn features are sorted and scored in one
+    (B, n_max - 1, k) array.  Rows past a node's own count are padding: NaN
+    with label 0, which a stable sort keeps after the node's real rows (its
+    NaN included), so no split falls in the padding.  A split lies between two
+    adjacent sorted values that differ.  Ties: within a feature the first
+    minimum in sorted order wins, and across features the first one in draw
+    order wins unless a later one scores lower by more than 1e-12.  The
+    threshold is the midpoint of the two values around the split, or the lower
+    one where the midpoint rounds up to the upper, so the rows <= threshold,
+    which go left, are exactly those before the split.
+
+    Returns (b, feature, threshold, left rows, left positives) for each node b
+    that some drawn feature splits, and, one per split in the same order, the
+    node's rows sorted by that feature.
     """
-    n = len(y)
-    total_pos = int(y.sum())
-    cols = X[:, features]
-    k = cols.shape[1]
-    column = np.arange(k)
-    order = np.argsort(cols, axis=0, kind="stable")
-    xs = cols[order, column]
-    pos_l = np.cumsum(y[order], axis=0)[:-1].astype(np.float64)
-    n_l = np.arange(1, n, dtype=np.float64)[:, None]
-    n_r = n - n_l
-    pos_r = total_pos - pos_l
+    sizes = np.array([len(r) for r in rows])
+    n_max = int(sizes.max())
+    real = np.arange(n_max) < sizes[:, None]
+    index = np.zeros(real.shape, dtype=np.int64)
+    index[real] = np.concatenate(rows)
+    cols = X[index[:, :, None], features[:, None, :]]
+    cols[~real] = np.nan
+    labels = np.where(real, y[index], 0)
+    order = np.argsort(cols, axis=1, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=1)
+    cum_pos = np.cumsum(labels[np.arange(len(rows))[:, None, None], order], axis=1)
+    pos_l = cum_pos[:, :-1].astype(np.float64)
+    n_l = np.arange(1, n_max, dtype=np.float64)[:, None]
+    n_r = np.maximum(sizes[:, None, None] - n_l, 1.0)  # below 1 only in the padding, where 0/0 would warn
+    pos_r = cum_pos[:, -1:] - pos_l
     # weighted Gini impurity, up to the constant 1/n factor
     gini_l = n_l - (pos_l**2 + (n_l - pos_l) ** 2) / n_l
     gini_r = n_r - (pos_r**2 + (n_r - pos_r) ** 2) / n_r
     scores = gini_l + gini_r
-    scores[~(xs[1:] > xs[:-1])] = math.inf  # not `<=`: a NaN next to a value is no split either
-    rows = scores.argmin(axis=0)
-    best = None
-    best_score = math.inf
-    for c, score in enumerate(scores[rows, column].tolist()):
-        if score < best_score - 1e-12:
-            best_score = score
-            best = c
-    if best is None:
-        return None
-    r = rows[best]
-    threshold = float((xs[r, best] + xs[r + 1, best]) / 2.0)
-    return int(features[best]), threshold, cols[:, best] <= threshold
+    scores[~(xs[:, 1:] > xs[:, :-1])] = math.inf  # not `<=`: a NaN next to a value is no split either
+    at = scores.argmin(axis=1)
+    at_score = np.take_along_axis(scores, at[:, None], axis=1)[:, 0]
+    best = np.full(len(rows), -1)
+    best_score = np.full(len(rows), math.inf)
+    for c in range(features.shape[1]):
+        better = at_score[:, c] < best_score - 1e-12
+        best[better] = c
+        best_score[better] = at_score[better, c]
+    node = np.flatnonzero(best >= 0)
+    column = best[node]
+    split = at[node, column]
+    lower, upper = xs[node, split, column], xs[node, split + 1, column]
+    threshold = (lower + upper) / 2.0
+    threshold = np.where(threshold < upper, threshold, lower)  # the midpoint of two adjacent floats may round up
+    splits = (node, features[node, column], threshold, split + 1, cum_pos[node, split, column])
+    return list(zip(*(a.tolist() for a in splits))), index[node[:, None], order[node, :, column]]
 
 
-def _grow(X: np.ndarray, y: np.ndarray, rng: np.random.Generator, max_features: int, nodes: List[list]) -> int:
-    """Append the subtree over (X, y) to nodes in preorder; return its root index.
+def _chunks(searches: List[tuple], k: int):
+    """The searches by row count, in runs of at most SEARCH_CAP elements each; a larger node goes alone.
 
-    A node is a leaf when it is pure (a node of one row always is) or when no
-    drawn feature splits it; trees grow to full depth.
+    Sorting by row count keeps the padding small; the features are drawn
+    before, so the order cannot move them.
     """
-    n = len(y)
-    pos = int(y.sum())
-    node = len(nodes)
-    nodes.append([-1, 0.0, -1, -1, n - pos, pos])
-    if pos == 0 or pos == n:
-        return node
-    features = rng.choice(X.shape[1], size=max_features, replace=False)
-    split = _best_split(X, y, features)
-    if split is None:
-        return node
-    f, threshold, left_mask = split
-    left = _grow(X[left_mask], y[left_mask], rng, max_features, nodes)
-    right = _grow(X[~left_mask], y[~left_mask], rng, max_features, nodes)
-    nodes[node][:4] = [f, threshold, left, right]
-    return node
+    chunk: List[tuple] = []
+    for search in sorted(searches, key=lambda search: search[0]):
+        if chunk and (len(chunk) + 1) * search[0] * k > SEARCH_CAP:
+            yield chunk
+            chunk = []
+        chunk.append(search)
+    if chunk:
+        yield chunk
 
 
 def train_random_forest(train: LabeledDataset, params: ForestParams) -> ForestModel:
-    """Grow n_trees on bootstrap samples; per-tree draws depend only on (seed, i)."""
+    """Grow n_trees on bootstrap samples; per-tree draws depend only on (seed, i).
+
+    A node is a leaf when it is pure (a node of one row always is) or when no
+    drawn feature splits it; trees grow to full depth.  The trees grow in
+    lockstep: each step pops one node from every tree's stack, appends it and
+    draws its features, then scores the impure ones in a few batched searches
+    (by row count, at most SEARCH_CAP elements each).  A split node pushes its
+    right child and then its left, so each tree draws and lists its nodes in
+    preorder.
+    """
     X, y = train.X, train.y.astype(np.int64)
     n, m = X.shape
     if n < 2:
@@ -122,15 +144,44 @@ def train_random_forest(train: LabeledDataset, params: ForestParams) -> ForestMo
     if params.n_trees < 1:
         raise ValueError("need at least one tree")
     max_features = min(max(1, math.isqrt(m)), m)  # floor(sqrt(m)) candidate features per node
-    nodes: List[list] = []
-    roots = []
+    trees: List[List[list]] = []  # per tree, its nodes in preorder: feature, threshold, left, right, neg, pos
+    growing = []  # (generator, stack of (rows, positives, parent node, link slot), nodes) per unfinished tree
     for i in range(params.n_trees):
         rng = np.random.default_rng([params.seed & 0x7FFFFFFFFFFF, i])
         sample = rng.integers(0, n, size=n)
-        roots.append(_grow(X[sample], y[sample], rng, max_features, nodes))
-    feature, threshold, left, right, neg, pos = (np.array(column) for column in zip(*nodes))
+        trees.append([])
+        growing.append((rng, [(sample, int(y[sample].sum()), None, 0)], trees[-1]))
+    while growing:
+        searches = []
+        for rng, stack, nodes in growing:
+            rows, pos, parent, link = stack.pop()
+            if parent is not None:
+                parent[link] = len(nodes)
+            nodes.append([-1, 0.0, -1, -1, len(rows) - pos, pos])
+            if 0 < pos < len(rows):
+                features = rng.choice(m, size=max_features, replace=False)
+                searches.append((len(rows), rows, features, stack, nodes))
+        for chunk in _chunks(searches, max_features):
+            splits, sorted_rows = _best_splits(
+                X, y, [search[1] for search in chunk], np.array([search[2] for search in chunk])
+            )
+            for row, (b, f, threshold, cut, left_pos) in enumerate(splits):
+                size, _, _, stack, nodes = chunk[b]
+                node = nodes[-1]
+                node[:2] = f, threshold
+                # the left child is popped next step; the right one may wait long, so it keeps only its rows
+                stack.append((sorted_rows[row, cut:size].copy(), node[5] - left_pos, node, 3))
+                stack.append((sorted_rows[row, :cut], left_pos, node, 2))
+        growing = [g for g in growing if g[1]]
+    sizes = [len(nodes) for nodes in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    all_nodes = (node for nodes in trees for node in nodes)
+    feature, threshold, left, right, neg, pos = (np.array(column) for column in zip(*all_nodes))
+    shift = np.repeat(roots, sizes)
+    left = np.where(left >= 0, left + shift, -1)
+    right = np.where(right >= 0, right + shift, -1)
     counts = np.column_stack([neg, pos])
-    return ForestModel(np.array(roots), feature, threshold, left, right, counts, train.feature_names)
+    return ForestModel(roots, feature, threshold, left, right, counts, train.feature_names)
 
 
 def score_matrix(model: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -202,8 +253,7 @@ def _stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> np
     for label in (1, 0):
         idx = np.flatnonzero(y == label)
         rng.shuffle(idx)
-        for i, row in enumerate(idx):
-            assignment[row] = (next_fold + i) % folds
+        assignment[idx] = (next_fold + np.arange(len(idx))) % folds
         next_fold = (next_fold + len(idx)) % folds
     return assignment
 

@@ -582,10 +582,11 @@ def test_cli_run_to_an_output_dir_under_a_file_fails_before_analysis(fixture_rep
          "granite: k_values must be a list of integers, and folds and seed integers"),
         ({"repos": [{"path": "r"}], "output_dir": "out", "seed": "7"},
          "granite: k_values must be a list of integers, and folds and seed integers"),
+        ({"repos": [{"path": "r"}], "output_dir": "out", "k_values": []}, "granite: k_values must name at least one k"),
     ],
     ids=["missing-config", "no-repos", "repo-without-path", "non-string-path", "string-repo", "list-config",
          "string-repos", "non-string-tags", "null-folds", "scalar-k-values", "fractional-k-value",
-         "string-k-values", "fractional-folds", "boolean-seed", "string-seed"],
+         "string-k-values", "fractional-folds", "boolean-seed", "string-seed", "empty-k-values"],
 )
 def test_cli_run_rejects_a_bad_config(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"

@@ -1,9 +1,10 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from granite import forest
@@ -184,9 +185,84 @@ def per_feature_best_split(X, y, features):
     return best
 
 
+def recursive_best_split(X, y, features):
+    """The search that scored one node at a time, all its drawn features in one matrix; kept as the oracle."""
+    n = len(y)
+    total_pos = int(y.sum())
+    cols = X[:, features]
+    k = cols.shape[1]
+    column = np.arange(k)
+    order = np.argsort(cols, axis=0, kind="stable")
+    xs = cols[order, column]
+    pos_l = np.cumsum(y[order], axis=0)[:-1].astype(np.float64)
+    n_l = np.arange(1, n, dtype=np.float64)[:, None]
+    n_r = n - n_l
+    pos_r = total_pos - pos_l
+    gini_l = n_l - (pos_l**2 + (n_l - pos_l) ** 2) / n_l
+    gini_r = n_r - (pos_r**2 + (n_r - pos_r) ** 2) / n_r
+    scores = gini_l + gini_r
+    scores[~(xs[1:] > xs[:-1])] = math.inf
+    rows = scores.argmin(axis=0)
+    best = None
+    best_score = math.inf
+    for c, score in enumerate(scores[rows, column].tolist()):
+        if score < best_score - 1e-12:
+            best_score = score
+            best = c
+    if best is None:
+        return None
+    r = rows[best]
+    threshold = float((xs[r, best] + xs[r + 1, best]) / 2.0)
+    return int(features[best]), threshold, cols[:, best] <= threshold
+
+
+def recursive_grow(X, y, rng, max_features, nodes, best_split):
+    """Append the subtree over (X, y) to nodes in preorder and return its root; kept as the oracle."""
+    n = len(y)
+    pos = int(y.sum())
+    node = len(nodes)
+    nodes.append([-1, 0.0, -1, -1, n - pos, pos])
+    if pos == 0 or pos == n:
+        return node
+    features = rng.choice(X.shape[1], size=max_features, replace=False)
+    split = best_split(X, y, features)
+    if split is None:
+        return node
+    f, threshold, left_mask = split
+    left = recursive_grow(X[left_mask], y[left_mask], rng, max_features, nodes, best_split)
+    right = recursive_grow(X[~left_mask], y[~left_mask], rng, max_features, nodes, best_split)
+    nodes[node][:4] = [f, threshold, left, right]
+    return node
+
+
+def recursive_forest(ds, params, best_split=recursive_best_split):
+    """The forest as grown one tree at a time, each by recursion over its own row copies; kept as the oracle."""
+    X, y = ds.X, ds.y.astype(np.int64)
+    n, m = X.shape
+    max_features = min(max(1, math.isqrt(m)), m)
+    nodes, roots = [], []
+    for i in range(params.n_trees):
+        rng = np.random.default_rng([params.seed & 0x7FFFFFFFFFFF, i])
+        sample = rng.integers(0, n, size=n)
+        roots.append(recursive_grow(X[sample], y[sample], rng, max_features, nodes, best_split))
+    feature, threshold, left, right, neg, pos = (np.array(column) for column in zip(*nodes))
+    counts = np.column_stack([neg, pos])
+    return forest.ForestModel(np.array(roots), feature, threshold, left, right, counts, ds.feature_names)
+
+
+def assert_same_nodes(got, want):
+    for name in ("trees", "feature", "threshold", "left", "right", "counts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 @st.composite
 def tied_nodes(draw):
-    """Node rows with heavy ties and some NaN: constant and duplicated columns, maybe one positive, repeated draws."""
+    """Nodes over one table with heavy ties and some NaN: constant and duplicated columns, maybe one positive.
+
+    Each node has its own rows (repeats allowed, as in a bootstrap) and its
+    own 1-8 drawn features (repeats allowed); all nodes draw the same number.
+    """
     n = draw(st.integers(2, 40))
     value = st.sampled_from([0.0, 1.0, 2.0, 3.0, math.nan])
     columns = []
@@ -204,34 +280,106 @@ def tied_nodes(draw):
         y[draw(st.integers(0, n - 1))] = 1
     else:
         y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
-    features = np.array(draw(st.lists(st.integers(0, len(columns) - 1), min_size=1, max_size=8)))
-    return X, y, features
+    k = draw(st.integers(1, 8))
+    row = st.integers(0, n - 1)
+    rows = draw(st.lists(st.lists(row, min_size=2, max_size=2 * n).map(np.array), min_size=1, max_size=5))
+    feature = st.integers(0, len(columns) - 1)
+    features = np.array(draw(st.lists(st.lists(feature, min_size=k, max_size=k), min_size=len(rows), max_size=len(rows))))
+    return X, y, rows, features
 
 
 @given(tied_nodes())
-def test_split_search_equals_the_per_feature_search(node):
-    X, y, features = node
-    got = forest._best_split(X, y, features)
-    want = per_feature_best_split(X, y, features)
-    if want is None:
-        assert got is None
-    else:
-        assert got[:2] == want[:2]
-        assert np.array_equal(got[2], want[2])
+def test_split_search_equals_the_per_feature_search(nodes):
+    X, y, rows, features = nodes
+    splits, sorted_rows = forest._best_splits(X, y, rows, features)
+    found = {split[0]: (i, split[1:]) for i, split in enumerate(splits)}
+    for b, (node_rows, node_features) in enumerate(zip(rows, features)):
+        want = per_feature_best_split(X[node_rows], y[node_rows], node_features)
+        if want is None:
+            assert b not in found
+            continue
+        i, (feature, threshold, cut, left_pos) = found[b]
+        assert (feature, threshold) == want[:2]
+        left, right = sorted_rows[i, :cut], sorted_rows[i, cut : len(node_rows)]
+        assert sorted(left.tolist()) == sorted(node_rows[want[2]].tolist())
+        assert sorted(right.tolist()) == sorted(node_rows[~want[2]].tolist())
+        assert left_pos == y[left].sum()
 
 
 @pytest.mark.parametrize("tied", [True, False])
-def test_forest_nodes_equal_those_grown_with_the_per_feature_search(monkeypatch, tied):
+def test_forest_nodes_equal_those_grown_with_the_per_feature_search(tied):
     rng = np.random.default_rng(99)
     X = rng.integers(0, 4, (70, 9)).astype(np.float64) if tied else rng.random((70, 9))
     ds = make_dataset(X, rng.integers(0, 2, 70))
     params = ForestParams(n_trees=30, seed=5)
-    got = train_random_forest(ds, params)
-    monkeypatch.setattr(forest, "_best_split", per_feature_best_split)
-    want = train_random_forest(ds, params)
-    for name in ("trees", "feature", "threshold", "left", "right", "counts"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert_same_nodes(train_random_forest(ds, params), recursive_forest(ds, params, per_feature_best_split))
+
+
+@st.composite
+def training_sets(draw):
+    """Up to 1,000 rows of 1-8 features: tied, NaN, random, constant and duplicated columns, maybe one positive."""
+    n = draw(st.integers(2, 1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["tied", "random", "constant", "copy"]))
+        if kind == "copy" and columns:
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+        elif kind == "constant":
+            columns.append(np.full(n, draw(st.sampled_from([0.0, 1.0, math.nan]))))
+        elif kind == "random":
+            columns.append(rng.random(n))
+        else:
+            columns.append(rng.choice([0.0, 1.0, 2.0, 3.0, math.nan], n) / draw(st.sampled_from([1.0, 3.0, 7.0])))
+    if draw(st.booleans()):
+        y = np.zeros(n, dtype=np.int64)
+        y[draw(st.integers(0, n - 1))] = 1
+    else:
+        y = (rng.random(n) < draw(st.sampled_from([0.1, 0.5, 0.9]))).astype(np.int64)
+        y[:2] = [0, 1]
+    params = ForestParams(n_trees=draw(st.integers(1, 12)), seed=draw(st.integers(0, 2**40)))
+    return make_dataset(np.column_stack(columns), y), params
+
+
+@settings(deadline=None)
+@given(training_sets())
+def test_forest_nodes_equal_the_recursive_forests(training):
+    ds, params = training
+    assert_same_nodes(train_random_forest(ds, params), recursive_forest(ds, params))
+
+
+def test_a_step_over_the_cap_is_searched_in_chunks_by_row_count(monkeypatch):
+    steps = []
+    chunks = forest._chunks
+
+    def recorded(searches, k):
+        step = list(chunks(searches, k))
+        steps.append((k, [[search[0] for search in chunk] for chunk in step]))
+        return step
+
+    monkeypatch.setattr(forest, "_chunks", recorded)
+    rng = np.random.default_rng(3)
+    ds = make_dataset(rng.random((300, 5)), rng.integers(0, 2, 300))
+    params = ForestParams(n_trees=40, seed=8)
+    assert_same_nodes(train_random_forest(ds, params), recursive_forest(ds, params))
+    assert len(steps[0][1]) >= 3  # 40 roots of 300 rows and 2 drawn features: 24,000 elements
+    for k, step in steps:
+        sizes = [size for chunk in step for size in chunk]
+        assert sizes == sorted(sizes)
+        assert all(len(chunk) == 1 or len(chunk) * chunk[-1] * k <= forest.SEARCH_CAP for chunk in step)
+
+
+def test_a_split_between_adjacent_floats_separates_them():
+    # the midpoint of 0.75 and the float just below rounds up to 0.75, which as a
+    # threshold would send both rows left, to be split again without end
+    upper = 0.75
+    lower = np.nextafter(upper, 0.0)
+    assert (lower + upper) / 2.0 == upper
+    model = train_random_forest(make_dataset([[lower], [upper]], [0, 1]), ForestParams(n_trees=6, seed=0))
+    split = np.flatnonzero(model.feature >= 0)
+    assert split.size and np.all(model.threshold[split] == lower)
+    assert model.counts[model.left[split]].tolist() == [[1, 0]] * split.size
+    assert model.counts[model.right[split]].tolist() == [[0, 1]] * split.size
 
 
 # -- cross-validation ---------------------------------------------------------
@@ -280,6 +428,21 @@ def test_out_of_fold_scores_pinned():
     assert hashlib.sha256(payload).hexdigest() == (
         "2465fdb3dd8ef70030d231806b24b8ac74b7bc1d90fe4f5ee452548c184e6319"
     )
+
+
+def test_training_and_cross_validation_warn_nothing():
+    # padded rows of a batched split search must not divide 0 by 0 where a warning could escape
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 3, (160, 7)).astype(np.float64)
+    X[:, 4] = 1.0
+    y = rng.integers(0, 2, 160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cv = cross_validate(make_dataset(X, y), folds=10, params=ForestParams(n_trees=30, seed=6))
+        X[rng.random(X.shape) < 0.2] = np.nan
+        model = train_random_forest(make_dataset(X, y), ForestParams(n_trees=30, seed=6))
+    assert not np.isnan(cv.out_of_fold_scores).any()
+    assert len(model.trees) == 30 and (model.feature >= 0).any()
 
 
 def test_fewer_rows_than_folds_errors():
