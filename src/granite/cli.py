@@ -83,8 +83,10 @@ def _cmd_mine(args) -> int:
                 ["release_pair", "granularity", "module_id", "loc",
                  "changes", "total_churn", "delta_release", "delta_commit"]
             )
-            for pair in pairs:
-                scan = scanner.change_histories(pair.commits)
+            scan = None
+            for pair in pairs:  # a pair that starts where the last one ended continues its walk
+                prior = scan if scan is not None and scan.commits[-1] == pair.r_commit else None
+                scan = scanner.change_histories(pair.commits, prior)
                 for module in scan.alive_at_start():
                     sizes = change_sizes(scan, module)
                     writer.writerow(
@@ -97,7 +99,7 @@ def _cmd_mine(args) -> int:
 
 def _cmd_eval(args) -> int:
     try:
-        k_values = [int(k) for k in args.k.split(",") if k.strip()]
+        k_values = [int(k) for k in args.k.split(",")]  # an empty entry raises too
     except ValueError:
         k_values = []
     if not k_values or k_values != sorted(set(k_values)) or k_values[0] <= 0:
@@ -126,6 +128,8 @@ def _cmd_eval(args) -> int:
                     f"module_id {row['module_id']} appears twice" if module in locs
                     else "score is NaN" if math.isnan(score)
                     else f"loc must be a positive integer, got {loc}" if loc < 1
+                    else f"delta_release and delta_commit must be non-negative, got {delta_release} and {delta_commit}"
+                    if min(delta_release, delta_commit) < 0
                     else None
                 )
             if problem:

@@ -38,7 +38,7 @@ from granite.gitrepo import GitRepo, ReleasePair
 from granite.javaparse import ModuleId
 from granite.metrics import class_hierarchy, class_product_metrics, method_product_metrics, process_metrics
 from granite.stats import compare_paired
-from granite.tracking import HistoryScanner, PriorHistories, module_loc
+from granite.tracking import HistoryScanner, ScanResult, module_loc
 
 log = logging.getLogger(__name__)
 
@@ -88,6 +88,8 @@ def load_config(path) -> ExperimentConfig:
 def _repo_spec(entry) -> RepoSpec:
     if not isinstance(entry, Mapping) or not isinstance(entry.get("path"), str):
         raise ValueError(f"a repository entry needs a string path, got {entry!r}")
+    if not entry["path"]:  # an empty path would open the working directory
+        raise ValueError("a repository path must not be empty")
     spec = RepoSpec(entry["path"], entry.get("tags", "*"))
     if not isinstance(spec.tags, str):
         raise ValueError(f"the tags of repository {spec.path!r} must be a string glob")
@@ -117,13 +119,13 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         raise ValueError("k_values must name at least one k")
     if any(k <= 0 for k in k_values) or list(k_values) != sorted(set(k_values)):
         raise ValueError("k_values must be positive and strictly increasing")
-    if "output_dir" not in raw:
-        raise ValueError("config needs output_dir")
+    if not isinstance(raw.get("output_dir"), str) or not raw["output_dir"]:
+        raise ValueError("config needs output_dir, a non-empty string")
     if folds < 2:
         raise ValueError(f"folds must be at least 2, got {folds}")
     return ExperimentConfig(
         repos=repos,
-        output_dir=str(raw["output_dir"]),
+        output_dir=raw["output_dir"],
         k_values=tuple(k_values),
         seed=seed,
         folds=folds,
@@ -156,21 +158,21 @@ def analyze_release_pair(
     repo: GitRepo,
     scanner: HistoryScanner,
     pair: ReleasePair,
-    prior: Optional[PriorHistories],
+    prior: Optional[ScanResult],
     k_values: Sequence[int],
     seed: int,
     folds: int,
-) -> Tuple[ReleaseResult, PriorHistories]:
-    """The pair's result, and the histories at r' to carry to the next pair.
+) -> Tuple[ReleaseResult, ScanResult]:
+    """The pair's result, and its scan for the next pair to continue.
 
-    prior holds the histories at the previous pair's r'; when it does not end
-    at this pair's r, the first-parent chain up to r is walked from the root.
+    The pair's scan continues prior, the previous pair's scan, or, when that
+    does not end at r, a walk from the root to r; so the pair's modules and
+    their histories up to r are those of a walk from the root.
     """
     if prior is None or prior.commits[-1] != pair.r_commit:
-        root_scan = scanner.change_histories(list(reversed(repo.first_parent_chain(pair.r_commit))))
-        prior = PriorHistories(root_scan.commits, root_scan.end_histories)
-    pair_scan = scanner.change_histories(pair.commits)
-    metas = repo.commit_meta(prior.commits)
+        prior = scanner.change_histories(list(reversed(repo.first_parent_chain(pair.r_commit))))
+    pair_scan = scanner.change_histories(pair.commits, prior)
+    metas = repo.commit_meta(prior.chain)
 
     start_defs = pair_scan.start_defs
     class_context = [d for d in start_defs.values() if d.id.kind == "class"]
@@ -179,9 +181,7 @@ def analyze_release_pair(
     results: Dict[str, GranularityResult] = {}
     skipped: Dict[str, str] = {}
     for granularity in GRANULARITIES:
-        mods = sorted(
-            (m for m in start_defs if m.kind == granularity), key=lambda m: m.sort_key
-        )
+        mods = [m for m in pair_scan.alive_at_start() if m.kind == granularity]
         if not mods:
             skipped[granularity] = f"no {granularity} modules at release"
             log.warning("%s %s: %s", repo.path, pair.label, skipped[granularity])
@@ -189,15 +189,11 @@ def analyze_release_pair(
         counts = {m: len(pair_scan.histories[m].events) for m in mods}
         labels = label_change_prone(counts)
         locs = {m: module_loc(start_defs[m]) for m in mods}
-        product = {}
-        process = {}
-        for m in mods:
-            d = start_defs[m]
-            if granularity == "class":
-                product[m] = class_product_metrics(d, hierarchy)
-            else:
-                product[m] = method_product_metrics(d)
-            process[m] = process_metrics(prior.histories[m], metas, pair.r_commit)
+        if granularity == "class":
+            product = {m: class_product_metrics(start_defs[m], hierarchy) for m in mods}
+        else:
+            product = {m: method_product_metrics(start_defs[m]) for m in mods}
+        process = {m: process_metrics(prior.end_histories[m], metas, pair.r_commit) for m in mods}
         ds = assemble(product, process, labels, locs, pair.label, granularity)
 
         try:
@@ -230,7 +226,7 @@ def analyze_release_pair(
         projected = classification_scores(confusion_counts(p_cm, truth_m, set(method_ds.modules)))
 
     result = ReleaseResult(Path(str(repo.path)).name, pair, results, projected, skipped)
-    return result, prior.extended(pair_scan)
+    return result, pair_scan
 
 
 def analyze_repository(

@@ -121,13 +121,15 @@ class _Delta:
 
 @dataclass
 class ScanResult:
-    """Change histories over one linearized commit range."""
+    """Change histories over one linearized commit range, and the walk that reached its last commit."""
 
     commits: Tuple[CommitId, ...]
-    histories: Dict[ModuleId, ChangeHistory]  # module id at commits[0] -> its lineage's history
+    chain: Tuple[CommitId, ...]  # the walk's commits, oldest first, from where it started to commits[-1]
+    histories: Dict[ModuleId, ChangeHistory]  # module id at commits[0] -> its lineage's events in this range
     start_defs: Dict[ModuleId, ModuleDef]  # snapshot at commits[0]
     end_defs: Dict[ModuleId, ModuleDef]  # histories key -> def at commits[-1], if alive
-    end_histories: Dict[ModuleId, ChangeHistory]  # module id at commits[-1] -> its lineage's history, births too
+    end_histories: Dict[ModuleId, ChangeHistory]  # module id at commits[-1] -> its lineage's whole walk, births too
+    files: Files  # the walk's path -> blob map at commits[-1]
 
     def alive_at_start(self) -> List[ModuleId]:
         return sorted(self.start_defs, key=lambda m: m.sort_key)
@@ -136,9 +138,12 @@ class ScanResult:
 class HistoryScanner:
     """Builds module snapshots and change histories over a repository.
 
-    A range's files are listed at its first commit into a path -> blob map,
-    which each later commit steps by the files its first-parent diff changed
-    (read for the whole range at once); the map gives their parent blobs.
+    A walk lists its files at the commit it starts from into a path -> blob
+    map, which each later commit steps by the files its first-parent diff
+    changed (read for the whole range at once); the map gives their parent
+    blobs.  A scan given the scan that ended at its first commit takes over
+    that map instead, so consecutive scans are one walk and their
+    end_histories equal a walk from where the first one started.
     A blob that does not parse is no change, so the map keeps its file's
     last parsed blob and the file's modules carry on.  The modules of an
     unchanged file keep their identity and history without matching, and
@@ -176,10 +181,13 @@ class HistoryScanner:
         births = tuple(sorted(cur.keys() - mapping.values(), key=lambda m: m.sort_key))
         return _Delta(tuple(prev), mapping, changes, births)
 
-    def change_histories(self, commits: Sequence[CommitId]) -> ScanResult:
+    def change_histories(self, commits: Sequence[CommitId], prior: Optional[ScanResult] = None) -> ScanResult:
+        """Histories over commits; prior, the scan that ended at commits[0], is the walk this one continues."""
         if not commits:
             raise ValueError("empty commit range")
-        files = self.repo.source_files(commits[0])
+        if prior is not None and prior.commits[-1] != commits[0]:
+            raise ValueError(f"the prior scan ends at {prior.commits[-1]}, not at {commits[0]}")
+        files = dict(prior.files) if prior is not None else self.repo.source_files(commits[0])
         start = self.snapshot_modules(commits[0], files)
         histories = {mid: ChangeHistory(mid, [], commits[0]) for mid in start}
         alive: Dict[ModuleId, ChangeHistory] = dict(histories)  # id at the current commit -> lineage
@@ -199,25 +207,14 @@ class HistoryScanner:
                 alive[bid] = ChangeHistory(bid, [], b)
         end = self.snapshot_modules(commits[-1], files)
         end_defs = {h.module: end[cid] for cid, h in alive.items() if h.birth_commit == commits[0]}
-        return ScanResult(tuple(commits), histories, start, end_defs, alive)
-
-
-@dataclass(frozen=True)
-class PriorHistories:
-    """Every module's change history along a first-parent chain, up to and including its last commit."""
-
-    commits: Tuple[CommitId, ...]  # the chain, oldest first
-    histories: Dict[ModuleId, ChangeHistory]  # module id at commits[-1] -> its lineage's history
-
-    def extended(self, scan: ScanResult) -> "PriorHistories":
-        """These histories continued by a scan that starts at commits[-1]."""
-        histories: Dict[ModuleId, ChangeHistory] = {}
-        for mid, h in scan.end_histories.items():
-            if h.birth_commit == scan.commits[0]:  # alive when the scan began
-                before = self.histories[h.module]
-                h = ChangeHistory(before.module, before.events + h.events, before.birth_commit)
-            histories[mid] = h
-        return PriorHistories(self.commits + scan.commits[1:], histories)
+        chain = tuple(commits)
+        if prior is not None:
+            chain = prior.chain + chain[1:]
+            for cid, h in alive.items():
+                if h.birth_commit == commits[0]:  # alive at commits[0]: its lineage so far comes first
+                    before = prior.end_histories[h.module]
+                    alive[cid] = ChangeHistory(before.module, before.events + h.events, before.birth_commit)
+        return ScanResult(tuple(commits), chain, histories, start, end_defs, alive, files)
 
 
 def build_change_histories(repo: GitRepo, pair: ReleasePair) -> Dict[ModuleId, ChangeHistory]:

@@ -276,7 +276,8 @@ def scan_of(module, events, body_r, body_rp):
         return ModuleDef(module, (1, len(body)), tuple(body))
     end_defs = {} if body_rp is None else {module: define(body_rp)}
     history = ChangeHistory(module, list(events), "b" * 40)
-    return ScanResult(("b" * 40, "e" * 40), {module: history}, {module: define(body_r)}, end_defs, {})
+    commits = ("b" * 40, "e" * 40)
+    return ScanResult(commits, commits, {module: history}, {module: define(body_r)}, end_defs, {}, {})
 
 
 def test_untouched_module_sizes_zero():

@@ -21,6 +21,7 @@ from granite.experiment import (
 )
 from granite.forest import FoldResult
 from granite.gitrepo import GitRepo
+from granite.javaparse import ModuleId
 from granite.metrics import process_metrics
 from granite.stats import compare_paired
 from granite.tracking import HistoryScanner
@@ -426,6 +427,34 @@ def _side_source(line="int v = 0;"):
     return f"public class Side {{\n    void side() {{\n        {line}\n    }}\n}}\n"
 
 
+def _capture_process(monkeypatch):
+    """The process vectors that analyze_release_pair assembles, filled in by (pair label, granularity)."""
+    process_by_unit = {}
+    assemble = experiment.assemble
+
+    def capturing_assemble(product, process, labels, locs, release, granularity):
+        process_by_unit[release, granularity] = process
+        return assemble(product, process, labels, locs, release, granularity)
+
+    monkeypatch.setattr(experiment, "assemble", capturing_assemble)
+    return process_by_unit
+
+
+def _assert_process_is_a_walk_from_the_root(root, results, process_by_unit):
+    """Each pair's modules and process vectors are those of a fresh walk from the root to its r."""
+    with GitRepo(root) as repo:
+        for res in results:
+            chain = list(reversed(repo.first_parent_chain(res.pair.r_commit)))
+            reference = HistoryScanner(repo).change_histories(chain)
+            metas = repo.commit_meta(chain)
+            for granularity in ("class", "method"):
+                process = process_by_unit[res.pair.label, granularity]
+                assert set(process) == {m for m in reference.end_histories if m.kind == granularity}
+                for module, vector in process.items():
+                    expected = process_metrics(reference.end_histories[module], metas, res.pair.r_commit)
+                    assert np.array_equal(vector, expected), (res.pair.label, module)
+
+
 def test_carried_histories_match_a_walk_from_the_root(tmp_path, monkeypatch):
     rb = RepoBuilder(tmp_path / "offchain")
     rb.write("src/Svc.java", _svc_source())
@@ -461,41 +490,59 @@ def test_carried_histories_match_a_walk_from_the_root(tmp_path, monkeypatch):
     rb.commit("side again", author="Alice Dev")
     rb.tag("t5")
 
-    process_by_unit = {}
-    assemble = experiment.assemble
-
-    def capturing_assemble(product, process, labels, locs, release, granularity):
-        process_by_unit[release, granularity] = process
-        return assemble(product, process, labels, locs, release, granularity)
-
+    process_by_unit = _capture_process(monkeypatch)
     change_histories = HistoryScanner.change_histories
     root_walks = 0
 
-    def counting_histories(self, commits):
+    def counting_histories(self, commits, prior=None):
         nonlocal root_walks
         root_walks += commits[0] == root
-        return change_histories(self, commits)
+        return change_histories(self, commits, prior)
 
-    monkeypatch.setattr(experiment, "assemble", capturing_assemble)
     monkeypatch.setattr(HistoryScanner, "change_histories", counting_histories)
     results, failed = experiment.analyze_repository(RepoSpec(str(rb.root), "t*"), (100,), seed=0, folds=2)
     monkeypatch.undo()
     assert failed == []
     assert [r.pair.label for r in results] == ["t1..t2", "t2..t3", "t4..t5"]
     assert root_walks == 2  # the first pair and the restart after the skipped t3..t4; t2..t3 is carried
+    _assert_process_is_a_walk_from_the_root(rb.root, results, process_by_unit)
+    for res in results:
+        assert any(v[0] > 0 for v in process_by_unit[res.pair.label, "method"].values())
 
-    with GitRepo(rb.root) as repo:
-        for res in results:
-            chain = list(reversed(repo.first_parent_chain(res.pair.r_commit)))
-            reference = HistoryScanner(repo).change_histories(chain)
-            metas = repo.commit_meta(chain)
-            for granularity in ("class", "method"):
-                process = process_by_unit[res.pair.label, granularity]
-                assert set(process) == {m for m in reference.end_histories if m.kind == granularity}
-                for module, vector in process.items():
-                    expected = process_metrics(reference.end_histories[module], metas, res.pair.r_commit)
-                    assert np.array_equal(vector, expected), (res.pair.label, module)
-            assert any(v[0] > 0 for v in process_by_unit[res.pair.label, "method"].values())
+
+def test_a_release_whose_blob_does_not_parse_carries_what_a_walk_from_the_root_holds(tmp_path, monkeypatch):
+    # c3 breaks A.java and is tagged t2; c4 mends it: every pair must see A's lineage from c1
+    source = (
+        "public class A {{\n    int f() {{\n        return {};\n    }}\n\n"
+        "    int g() {{\n        return {};\n    }}\n}}\n"
+    )
+    rb = RepoBuilder(tmp_path / "broken-release")
+    rb.write("src/A.java", source.format(1, 1))
+    rb.write("src/Util.java", _util_source())
+    rb.commit("c1", author="Alice Dev")
+    rb.tag("t1")
+    rb.write("src/A.java", source.format(2, 1))
+    rb.commit("c2 edit f()", author="Bob Dev")
+    rb.write("src/A.java", "public class A {\n    int f() {\n")
+    rb.commit("c3 does not parse", author="Alice Dev")
+    rb.tag("t2")
+    rb.write("src/A.java", source.format(3, 2))
+    rb.write("src/Util.java", _util_source(3))
+    rb.commit("c4 mend, edit f() and g()", author="Carol Dev")
+    rb.tag("t3")
+    rb.write("src/A.java", source.format(4, 2))
+    rb.commit("c5 edit f()", author="Bob Dev")
+    rb.tag("t4")
+
+    process_by_unit = _capture_process(monkeypatch)
+    results, failed = experiment.analyze_repository(RepoSpec(str(rb.root), "t*"), (100,), seed=0, folds=2)
+    monkeypatch.undo()
+    assert failed == []
+    assert [r.pair.label for r in results] == ["t1..t2", "t2..t3", "t3..t4"]
+    broken = {ModuleId("class", "src/A.java", "A"), *(ModuleId("method", "src/A.java", "A", m, ()) for m in "fg")}
+    for label in ("t2..t3", "t3..t4"):
+        assert broken <= set(process_by_unit[label, "class"]) | set(process_by_unit[label, "method"]), label
+    _assert_process_is_a_walk_from_the_root(rb.root, results, process_by_unit)
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -526,6 +573,33 @@ def test_cli_mine_emits_histories(fixture_repo, tmp_path):
     assert int(hot["changes"]) == 2
     assert int(hot["delta_release"]) == 0
     assert int(hot["delta_commit"]) == 4
+
+
+def test_cli_mine_lists_the_tree_once_per_chain_and_mines_what_fresh_scans_do(fixture_repo, tmp_path, monkeypatch):
+    with GitRepo(fixture_repo.root) as repo:
+        pairs = repo.release_pairs("v*")
+    assert len(pairs) == 2 and pairs[0].rprime_commit == pairs[1].r_commit  # one chain
+    listed = []
+    source_files = GitRepo.source_files
+    change_histories = HistoryScanner.change_histories
+
+    def recording_source_files(self, commit):
+        listed.append(commit)
+        return source_files(self, commit)
+
+    def fresh_histories(self, commits, prior=None):
+        return change_histories(self, commits)
+
+    monkeypatch.setattr(GitRepo, "source_files", recording_source_files)
+    carried = tmp_path / "carried.csv"
+    assert main(["mine", str(fixture_repo.root), "--tags", "v*", "--out", str(carried)]) == 0
+    assert listed == [pairs[0].r_commit]
+    monkeypatch.setattr(HistoryScanner, "change_histories", fresh_histories)
+    fresh = tmp_path / "fresh.csv"
+    assert main(["mine", str(fixture_repo.root), "--tags", "v*", "--out", str(fresh)]) == 0
+    monkeypatch.undo()
+    assert listed == [pairs[0].r_commit] + [p.r_commit for p in pairs]  # each fresh scan lists its r
+    assert carried.read_bytes() == fresh.read_bytes()
 
 
 def test_cli_mine_of_a_missing_repository_fails_before_writing(tmp_path, capsys):
@@ -583,10 +657,14 @@ def test_cli_run_to_an_output_dir_under_a_file_fails_before_analysis(fixture_rep
         ({"repos": [{"path": "r"}], "output_dir": "out", "seed": "7"},
          "granite: k_values must be a list of integers, and folds and seed integers"),
         ({"repos": [{"path": "r"}], "output_dir": "out", "k_values": []}, "granite: k_values must name at least one k"),
+        ({"repos": [{"path": "r"}], "output_dir": None}, "granite: config needs output_dir, a non-empty string"),
+        ({"repos": [{"path": "r"}], "output_dir": ""}, "granite: config needs output_dir, a non-empty string"),
+        ({"repos": [{"path": ""}], "output_dir": "out"}, "granite: a repository path must not be empty"),
     ],
     ids=["missing-config", "no-repos", "repo-without-path", "non-string-path", "string-repo", "list-config",
          "string-repos", "non-string-tags", "null-folds", "scalar-k-values", "fractional-k-value",
-         "string-k-values", "fractional-folds", "boolean-seed", "string-seed", "empty-k-values"],
+         "string-k-values", "fractional-folds", "boolean-seed", "string-seed", "empty-k-values",
+         "null-output-dir", "empty-output-dir", "empty-path"],
 )
 def test_cli_run_rejects_a_bad_config(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
@@ -619,8 +697,12 @@ def test_cli_eval_computes_ratios(tmp_path):
         ("method:src/A.java:A#a(),0.8,30,10,15", "module_id method:src/A.java:A#a() appears twice"),
         ("method:src/B.java:B#b(),nan,30,10,15", "score is NaN"),
         ("method:src/B.java:B#b(),high,30,10,15", "could not convert string to float: 'high'"),
+        ("method:src/B.java:B#b(),0.8,30,-50,15",
+         "delta_release and delta_commit must be non-negative, got -50 and 15"),
+        ("method:src/B.java:B#b(),0.8,30,10,-1", "delta_release and delta_commit must be non-negative, got 10 and -1"),
     ],
-    ids=["zero-loc", "duplicate-module", "nan-score", "non-numeric-score"],
+    ids=["zero-loc", "duplicate-module", "nan-score", "non-numeric-score", "negative-delta-release",
+         "negative-delta-commit"],
 )
 def test_cli_eval_rejects_malformed_rows(tmp_path, capsys, bad_row, message):
     pred = tmp_path / "preds.csv"
@@ -647,10 +729,11 @@ def test_cli_eval_rejects_a_file_without_a_column(tmp_path, capsys):
     [
         (["--predictions", "{missing}"], "granite: [Errno 2] No such file or directory: '{missing}'"),
         (["--predictions", "{pred}", "--k", "1,x"], "--k must be a strictly increasing list of positive integers"),
+        (["--predictions", "{pred}", "--k", "100,,500"], "--k must be a strictly increasing list of positive integers"),
         (["--predictions", "{pred}", "--out", "{missing}/ratios.csv"],
          "granite: [Errno 2] No such file or directory: '{missing}/ratios.csv'"),
     ],
-    ids=["missing-predictions", "non-integer-k", "out-in-missing-directory"],
+    ids=["missing-predictions", "non-integer-k", "empty-k-entry", "out-in-missing-directory"],
 )
 def test_cli_eval_rejects_bad_arguments(tmp_path, capsys, args, message):
     pred = tmp_path / "preds.csv"

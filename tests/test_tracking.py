@@ -371,6 +371,24 @@ def test_end_histories_are_keyed_by_the_modules_of_the_last_commit(fixture_repo)
         assert set(scan.end_histories) == set(scanner.snapshot_modules(chain[-1], repo.source_files(chain[-1])))
 
 
+def test_a_scan_that_continues_a_prior_one_is_one_walk(fixture_repo):
+    with GitRepo(fixture_repo.root) as repo:
+        first, second = repo.release_pairs("v*")
+        scanner = HistoryScanner(repo)
+        prior = scanner.change_histories(first.commits)
+        with pytest.raises(ValueError, match="the prior scan ends at"):
+            scanner.change_histories(second.commits[1:], prior)
+        continued = scanner.change_histories(second.commits, prior)
+        whole = scanner.change_histories(first.commits + second.commits[1:])
+        fresh = scanner.change_histories(second.commits)
+    assert continued.chain == whole.commits == whole.chain
+    assert continued.end_histories == whole.end_histories
+    assert continued.files == whole.files
+    # this range's own events, snapshots and defs are those of a fresh scan of it
+    assert (continued.histories, continued.start_defs, continued.end_defs) == (
+        fresh.histories, fresh.start_defs, fresh.end_defs)
+
+
 def test_a_blob_that_does_not_parse_keeps_its_files_last_parsed_modules(tmp_path, caplog):
     # c3 does not parse and c4 restores the text of c2: f() changed at c2 and c5 only, and lives on
     rb = RepoBuilder(tmp_path / "broken")
