@@ -102,15 +102,10 @@ def auc_roc(scored: Sequence[Tuple[float, int]]) -> Optional[float]:
 
 
 def project_class_predictions_to_methods(
-    predicted_classes: Set[ModuleId], methods_of: Mapping[ModuleId, Set[ModuleId]]
+    predicted_classes: Set[ModuleId], methods: Iterable[ModuleId]
 ) -> Set[ModuleId]:
-    """Every method of every predicted class becomes a predicted method."""
-    out: Set[ModuleId] = set()
-    for cls in predicted_classes:
-        if cls not in methods_of:
-            raise KeyError(f"no method map entry for predicted class {cls}")
-        out |= methods_of[cls]
-    return out
+    """The methods whose class, the one their id names, is predicted."""
+    return {m for m in methods if ModuleId("class", m.file_path, m.qualified_class) in predicted_classes}
 
 
 def rank_by_score(scores: Iterable[PredictionScore], locs: Mapping[ModuleId, int]) -> Ranking:

@@ -35,7 +35,6 @@ from granite.evaluation import (
 )
 from granite.forest import CrossValResult, ForestParams, cross_validate
 from granite.gitrepo import GitRepo, ReleasePair
-from granite.javaparse import ModuleId
 from granite.metrics import class_hierarchy, class_product_metrics, method_product_metrics, process_metrics
 from granite.stats import compare_paired
 from granite.tracking import HistoryScanner, ScanResult, module_loc
@@ -175,8 +174,7 @@ def analyze_release_pair(
     metas = repo.commit_meta(prior.chain)
 
     start_defs = pair_scan.start_defs
-    class_context = [d for d in start_defs.values() if d.id.kind == "class"]
-    hierarchy = class_hierarchy(class_context)
+    hierarchy = class_hierarchy(start_defs.values())
 
     results: Dict[str, GranularityResult] = {}
     skipped: Dict[str, str] = {}
@@ -218,10 +216,7 @@ def analyze_release_pair(
     if "class" in results and "method" in results:
         method_ds = results["method"].dataset
         predicted_classes = {p.module for p in results["class"].cv.predictions if p.predicted}
-        methods_of: Dict[ModuleId, set] = {d.id: set() for d in class_context}
-        for m in method_ds.modules:  # every method's class is in the same start snapshot
-            methods_of[ModuleId("class", m.file_path, m.qualified_class)].add(m)
-        p_cm = project_class_predictions_to_methods(predicted_classes, methods_of)
+        p_cm = project_class_predictions_to_methods(predicted_classes, method_ds.modules)
         truth_m = {m for m, y in zip(method_ds.modules, method_ds.y) if y == 1}
         projected = classification_scores(confusion_counts(p_cm, truth_m, set(method_ds.modules)))
 

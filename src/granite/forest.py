@@ -39,12 +39,14 @@ class ForestParams:
 
 @dataclass
 class ForestModel:
-    """All trees' nodes in flat arrays, each tree in preorder; rows <= threshold go left."""
+    """All trees' nodes in flat arrays, each tree in preorder; rows <= threshold go left.
+
+    In preorder a split node's left child is the next node, so only the right child is stored.
+    """
 
     trees: np.ndarray  # root node index of each tree
     feature: np.ndarray  # -1 marks a leaf
     threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     counts: np.ndarray  # (label-0, label-1) training rows per node, shape (n_nodes, 2)
     feature_names: Tuple[str, ...]
@@ -133,7 +135,7 @@ def train_random_forest(train: LabeledDataset, params: ForestParams) -> ForestMo
     draws its features, then scores the impure ones in a few batched searches
     (by row count, at most SEARCH_CAP elements each).  A split node pushes its
     right child and then its left, so each tree draws and lists its nodes in
-    preorder.
+    preorder, and a split node's left child is the node after it.
     """
     X, y = train.X, train.y.astype(np.int64)
     n, m = X.shape
@@ -144,20 +146,20 @@ def train_random_forest(train: LabeledDataset, params: ForestParams) -> ForestMo
     if params.n_trees < 1:
         raise ValueError("need at least one tree")
     max_features = min(max(1, math.isqrt(m)), m)  # floor(sqrt(m)) candidate features per node
-    trees: List[List[list]] = []  # per tree, its nodes in preorder: feature, threshold, left, right, neg, pos
-    growing = []  # (generator, stack of (rows, positives, parent node, link slot), nodes) per unfinished tree
+    trees: List[List[list]] = []  # per tree, its nodes in preorder: feature, threshold, right, neg, pos
+    growing = []  # (generator, stack of (rows, positives, parent node of a right child), nodes) per unfinished tree
     for i in range(params.n_trees):
         rng = np.random.default_rng([params.seed & 0x7FFFFFFFFFFF, i])
         sample = rng.integers(0, n, size=n)
         trees.append([])
-        growing.append((rng, [(sample, int(y[sample].sum()), None, 0)], trees[-1]))
+        growing.append((rng, [(sample, int(y[sample].sum()), None)], trees[-1]))
     while growing:
         searches = []
         for rng, stack, nodes in growing:
-            rows, pos, parent, link = stack.pop()
+            rows, pos, parent = stack.pop()
             if parent is not None:
-                parent[link] = len(nodes)
-            nodes.append([-1, 0.0, -1, -1, len(rows) - pos, pos])
+                parent[2] = len(nodes)
+            nodes.append([-1, 0.0, -1, len(rows) - pos, pos])
             if 0 < pos < len(rows):
                 features = rng.choice(m, size=max_features, replace=False)
                 searches.append((len(rows), rows, features, stack, nodes))
@@ -170,18 +172,16 @@ def train_random_forest(train: LabeledDataset, params: ForestParams) -> ForestMo
                 node = nodes[-1]
                 node[:2] = f, threshold
                 # the left child is popped next step; the right one may wait long, so it keeps only its rows
-                stack.append((sorted_rows[row, cut:size].copy(), node[5] - left_pos, node, 3))
-                stack.append((sorted_rows[row, :cut], left_pos, node, 2))
+                stack.append((sorted_rows[row, cut:size].copy(), node[4] - left_pos, node))
+                stack.append((sorted_rows[row, :cut], left_pos, None))
         growing = [g for g in growing if g[1]]
     sizes = [len(nodes) for nodes in trees]
     roots = np.cumsum([0] + sizes[:-1])
     all_nodes = (node for nodes in trees for node in nodes)
-    feature, threshold, left, right, neg, pos = (np.array(column) for column in zip(*all_nodes))
-    shift = np.repeat(roots, sizes)
-    left = np.where(left >= 0, left + shift, -1)
-    right = np.where(right >= 0, right + shift, -1)
+    feature, threshold, right, neg, pos = (np.array(column) for column in zip(*all_nodes))
+    right = np.where(right >= 0, right + np.repeat(roots, sizes), -1)
     counts = np.column_stack([neg, pos])
-    return ForestModel(roots, feature, threshold, left, right, counts, train.feature_names)
+    return ForestModel(roots, feature, threshold, right, counts, train.feature_names)
 
 
 def score_matrix(model: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -196,7 +196,7 @@ def score_matrix(model: ForestModel, X: np.ndarray) -> np.ndarray:
     while active.size:
         at = node[active]
         go_left = X[row[active], model.feature[at]] <= model.threshold[at]
-        node[active] = np.where(go_left, model.left[at], model.right[at])
+        node[active] = np.where(go_left, at + 1, model.right[at])
         active = active[model.feature[node[active]] >= 0]
     votes = model.counts[node, 1] >= model.counts[node, 0]
     return votes.reshape(len(model.trees), len(X)).sum(axis=0) / len(model.trees)

@@ -97,6 +97,8 @@ class GitRepo:
     """
 
     def __init__(self, path):
+        if not str(path):  # Path("") is the working directory
+            raise RepositoryError("a repository path must not be empty")
         self.path = Path(path)
         if not self.path.is_dir():
             raise RepositoryError(f"not a directory: {self.path}")

@@ -77,18 +77,23 @@ class ModuleId(NamedTuple):
 
 
 def parse_module_id(text: str) -> ModuleId:
-    """Inverse of str(ModuleId); paths and parameter types may contain ':' and '#', types no ',', '(' or ')'."""
+    """Inverse of str(ModuleId); paths and parameter types may contain ':' and '#', types no ',', '(' or ')'.
+
+    Text that is not exactly some id's string raises ValueError.
+    """
     kind, _, rest = text.partition(":")
+    mid = None
     if kind == "class":
         path, _, qualified = rest.rpartition(":")
-        return ModuleId("class", path, qualified)
-    if kind == "method":
+        mid = ModuleId("class", path, qualified)
+    elif kind == "method":
         head, _, params = rest[:-1].rpartition("(")
         loc, _, name = head.rpartition("#")
         path, _, qualified = loc.rpartition(":")
-        types = tuple(params.split(",")) if params else ()
-        return ModuleId("method", path, qualified, name, types)
-    raise ValueError(f"not a module id: {text!r}")
+        mid = ModuleId("method", path, qualified, name, tuple(params.split(",")) if params else ())
+    if mid is None or str(mid) != text:
+        raise ValueError(f"not a module id: {text!r}")
+    return mid
 
 
 @dataclass(frozen=True)
@@ -164,30 +169,17 @@ class TypeDecl:
     span: Tuple[int, int]
     methods: List[MethodDecl] = field(default_factory=list)
     fields: List[FieldDecl] = field(default_factory=list)
-    nested: List["TypeDecl"] = field(default_factory=list)
 
 
 @dataclass
 class ParsedFile:
     masked: str
     line_starts: List[int]
-    types: List[TypeDecl] = field(default_factory=list)
+    types: List[TypeDecl] = field(default_factory=list)  # every type, nested ones too, in preorder
     error: Optional[str] = None
 
     def line_of(self, offset: int) -> int:
         return bisect_right(self.line_starts, offset)
-
-    def all_types(self) -> List[TypeDecl]:
-        out: List[TypeDecl] = []
-
-        def walk(t: TypeDecl):
-            out.append(t)
-            for n in t.nested:
-                walk(n)
-
-        for t in self.types:
-            walk(t)
-        return out
 
 
 class _ParseError(Exception):
@@ -353,8 +345,7 @@ class _Parser:
 
     # grammar ---------------------------------------------------------------
 
-    def parse_unit(self) -> List[TypeDecl]:
-        types: List[TypeDecl] = []
+    def parse_unit(self) -> None:
         stmt_start: Optional[int] = None
         while self.peek() is not None:
             tok = self.peek()
@@ -365,10 +356,10 @@ class _Parser:
                 if stmt_start is None:
                     stmt_start = tok.start()
                 if not self.skip_annotation():
-                    types.append(self._parse_type(stmt_start, (), at_interface=True))
+                    self._parse_type(stmt_start, (), at_interface=True)
                     stmt_start = None
             elif text in _TYPE_WORDS and self._at_type_keyword():
-                types.append(self._parse_type(stmt_start if stmt_start is not None else tok.start(), ()))
+                self._parse_type(stmt_start if stmt_start is not None else tok.start(), ())
                 stmt_start = None
             elif text == ";":
                 self.advance()
@@ -377,7 +368,6 @@ class _Parser:
                 if stmt_start is None:
                     stmt_start = tok.start()
                 self.advance()
-        return types
 
     def _at_type_keyword(self) -> bool:
         """Cursor on a word of _TYPE_WORDS; 'record' is contextual, a declaration only before Name ( or Name <."""
@@ -387,7 +377,7 @@ class _Parser:
             and (self.at("(", 2) or self.at("<", 2))
         )
 
-    def _parse_type(self, decl_start: int, chain: Tuple[str, ...], at_interface: bool = False) -> TypeDecl:
+    def _parse_type(self, decl_start: int, chain: Tuple[str, ...], at_interface: bool = False) -> None:
         if at_interface:
             self.advance()  # '@'
             self.advance()  # 'interface'
@@ -430,6 +420,7 @@ class _Parser:
 
         self.advance()  # '{'
         decl = TypeDecl(".".join(chain + (name,)), extends_name, (0, 0))
+        self.pf.types.append(decl)  # ahead of the types nested in it: preorder
         for _, comp_name in record_components:
             if comp_name:
                 decl.fields.append(FieldDecl((comp_name,), frozenset({"private", "final"})))
@@ -437,7 +428,6 @@ class _Parser:
             self.skip_to(";", "}")  # the constants; the member loop takes the ';' or closes the body
         close = self._parse_members(decl, chain + (name,))
         decl.span = (self.pf.line_of(decl_start), self.pf.line_of(close.start()))
-        return decl
 
     def _parse_members(self, decl: TypeDecl, chain: Tuple[str, ...]) -> re.Match:
         member_start: Optional[int] = None
@@ -459,14 +449,12 @@ class _Parser:
                 if member_start is None:
                     member_start = tok.start()
                 if not self.skip_annotation():
-                    decl.nested.append(
-                        self._parse_type(member_start, chain, at_interface=True)
-                    )
+                    self._parse_type(member_start, chain, at_interface=True)
                     reset()
             elif text in _TYPE_WORDS and self._at_type_keyword():
                 if member_start is None:
                     member_start = tok.start()
-                decl.nested.append(self._parse_type(member_start, chain))
+                self._parse_type(member_start, chain)
                 reset()
             elif text == ";":
                 self.advance()
@@ -587,13 +575,13 @@ def _param_from_segment(seg: List[re.Match]) -> Optional[Tuple[str, Optional[str
 
 
 def parse_source(text: str) -> ParsedFile:
-    """Parse Java source into a declaration tree; failures set .error."""
+    """Parse Java source into its type declarations, in preorder; failures set .error and leave no types."""
     masked, _ = mask_source(text)
     line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
     parsed = ParsedFile(masked=masked, line_starts=line_starts)
     parser = _Parser(parsed)
     try:
-        parsed.types = parser.parse_unit()
+        parser.parse_unit()
     except (_ParseError, RecursionError) as exc:
         parsed.types = []
         parsed.error = str(exc) or exc.__class__.__name__
@@ -617,7 +605,7 @@ def extract_modules(snapshot: FileSnapshot) -> Optional[List[ModuleDef]]:
         # the blob's own line strings, so a cached module holds no second copy
         return tuple(snapshot.lines[span[0] - 1:span[1]])
 
-    for t in parsed.all_types():
+    for t in parsed.types:
         cid = ModuleId("class", snapshot.path, t.qualified)
         if cid not in seen:
             seen[cid] = True

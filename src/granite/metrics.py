@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -278,7 +278,7 @@ def _coupled_types(masked: str, own_name: str) -> set:
     }
 
 
-def class_hierarchy(defs: Sequence[ModuleDef]) -> Dict[ModuleId, Tuple[int, int]]:
+def class_hierarchy(defs: Iterable[ModuleDef]) -> Dict[ModuleId, Tuple[int, int]]:
     """(inheritance depth, number of children) of every class module in defs.
 
     A supertype resolves by simple name to the first class of that name in

@@ -130,12 +130,16 @@ def test_criterion_2_formula_suite_randomized():
         # projection
         classes = [mid(i, "class") for i in range(rng.randrange(0, 5))]
         methods_of = {}
-        pool = list(universe)
         for cls in classes:
-            members = {m for m in pool if rng.random() < 0.3}
+            members = {
+                ModuleId("method", cls.file_path, cls.qualified_class, f"m{j}", ()) for j in range(12)
+                if rng.random() < 0.3
+            }
             methods_of[cls] = members
+        # and methods of classes not among them, which no prediction reaches
+        methods = [m for members in methods_of.values() for m in members] + [mid(i) for i in range(5, 12)]
         predicted_classes = {cls for cls in classes if rng.random() < 0.5}
-        got = project_class_predictions_to_methods(predicted_classes, methods_of)
+        got = project_class_predictions_to_methods(predicted_classes, methods)
         expected_union = set()
         for cls in predicted_classes:
             for m in methods_of[cls]:

@@ -174,19 +174,18 @@ def test_auc_invariant_under_monotone_transform():
 # -- projection ---------------------------------------------------------------------
 
 
+def method_of(cls, i):
+    return ModuleId("method", cls.file_path, cls.qualified_class, f"m{i}", ())
+
+
 def test_projection_union():
     a, b = mod(0, "class"), mod(1, "class")
-    methods_of = {a: {mod(10), mod(11)}, b: {mod(20)}}
-    assert project_class_predictions_to_methods({a}, methods_of) == {mod(10), mod(11)}
-    assert project_class_predictions_to_methods(set(), methods_of) == set()
-    union = project_class_predictions_to_methods({a, b}, methods_of)
-    assert union == {mod(10), mod(11), mod(20)}
+    methods = [method_of(a, 10), method_of(a, 11), method_of(b, 20)]
+    assert project_class_predictions_to_methods({a}, methods) == {method_of(a, 10), method_of(a, 11)}
+    assert project_class_predictions_to_methods(set(), methods) == set()
+    union = project_class_predictions_to_methods({a, b}, methods)
+    assert union == {method_of(a, 10), method_of(a, 11), method_of(b, 20)}
     assert len(union) == 3  # class memberships are disjoint
-
-
-def test_projection_missing_class_errors():
-    with pytest.raises(KeyError):
-        project_class_predictions_to_methods({mod(9, "class")}, {})
 
 
 def test_projection_partition_identities():
@@ -194,15 +193,13 @@ def test_projection_partition_identities():
     for _ in range(50):
         classes = [mod(i, "class") for i in range(rng.randrange(1, 6))]
         all_methods = set()
-        methods_of = {}
         counter = 0
         for c in classes:
-            members = {mod(100 + counter + j) for j in range(rng.randrange(0, 4))}
+            members = {method_of(c, 100 + counter + j) for j in range(rng.randrange(0, 4))}
             counter += len(members)
-            methods_of[c] = members
             all_methods |= members
         predicted = {c for c in classes if rng.random() < 0.5}
-        p_cm = project_class_predictions_to_methods(predicted, methods_of)
+        p_cm = project_class_predictions_to_methods(predicted, all_methods)
         complement = all_methods - p_cm
         assert p_cm | complement == all_methods
         assert p_cm & complement == set()

@@ -610,6 +610,14 @@ def test_cli_mine_of_a_missing_repository_fails_before_writing(tmp_path, capsys)
     assert not out_file.exists()
 
 
+def test_cli_mine_of_an_empty_repository_path_fails_before_writing(fixture_repo, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(fixture_repo.root)  # "" must not open the working directory, even where it is a repository
+    out_file = tmp_path / "h.csv"
+    assert main(["mine", "", "--out", str(out_file)]) == 2
+    assert capsys.readouterr() == ("", "granite: a repository path must not be empty\n")
+    assert not out_file.exists()
+
+
 def test_cli_mine_to_a_missing_directory_fails(fixture_repo, tmp_path, capsys):
     out_file = tmp_path / "missing" / "h.csv"
     assert main(["mine", str(fixture_repo.root), "--tags", "v*", "--out", str(out_file)]) == 2
@@ -700,9 +708,12 @@ def test_cli_eval_computes_ratios(tmp_path):
         ("method:src/B.java:B#b(),0.8,30,-50,15",
          "delta_release and delta_commit must be non-negative, got -50 and 15"),
         ("method:src/B.java:B#b(),0.8,30,10,-1", "delta_release and delta_commit must be non-negative, got 10 and -1"),
+        ("method:a:B#f(int,0.8,30,10,15", "not a module id: 'method:a:B#f(int'"),
+        ("method:x,0.8,30,10,15", "not a module id: 'method:x'"),
+        ("class:x,0.8,30,10,15", "not a module id: 'class:x'"),
     ],
     ids=["zero-loc", "duplicate-module", "nan-score", "non-numeric-score", "negative-delta-release",
-         "negative-delta-commit"],
+         "negative-delta-commit", "unclosed-parameter-list", "method-id-without-parts", "class-id-without-path"],
 )
 def test_cli_eval_rejects_malformed_rows(tmp_path, capsys, bad_row, message):
     pred = tmp_path / "preds.csv"

@@ -42,7 +42,7 @@ def blobs(n=500, m=10, shift=2.0, seed=1234):
 def walk_tree(model, node, row):
     while model.feature[node] >= 0:
         f = model.feature[node]
-        node = model.left[node] if row[f] <= model.threshold[node] else model.right[node]
+        node = node + 1 if row[f] <= model.threshold[node] else model.right[node]
     return 1 if model.counts[node][1] >= model.counts[node][0] else 0
 
 
@@ -114,7 +114,7 @@ def test_node_arrays_hold_each_tree_in_preorder():
     model = train_random_forest(ds, ForestParams(n_trees=4, seed=2))
     assert len(model.trees) == 4
     n_nodes = len(model.feature)
-    for arr in (model.threshold, model.left, model.right, model.counts):
+    for arr in (model.threshold, model.right, model.counts):
         assert len(arr) == n_nodes
     seen = []
 
@@ -124,7 +124,7 @@ def test_node_arrays_hold_each_tree_in_preorder():
             assert model.counts[node].sum() > 0
             return
         assert 0 <= model.feature[node] < 3
-        walk(model.left[node])
+        walk(node + 1)
         walk(model.right[node])
 
     for tree in model.trees:
@@ -142,7 +142,7 @@ def test_tree_paths_have_narrowing_boxes():
             return
         f, t = model.feature[node], model.threshold[node]
         assert lo[f] < t < hi[f]
-        check(model.left[node], lo, {**hi, f: t})
+        check(node + 1, lo, {**hi, f: t})
         check(model.right[node], {**lo, f: t}, hi)
 
     for tree in model.trees:
@@ -236,7 +236,10 @@ def recursive_grow(X, y, rng, max_features, nodes, best_split):
 
 
 def recursive_forest(ds, params, best_split=recursive_best_split):
-    """The forest as grown one tree at a time, each by recursion over its own row copies; kept as the oracle."""
+    """The forest as grown one tree at a time, each by recursion over its own row copies, and its left children.
+
+    Kept as the oracle; it stores each node's left child, which the model leaves to preorder.
+    """
     X, y = ds.X, ds.y.astype(np.int64)
     n, m = X.shape
     max_features = min(max(1, math.isqrt(m)), m)
@@ -247,11 +250,15 @@ def recursive_forest(ds, params, best_split=recursive_best_split):
         roots.append(recursive_grow(X[sample], y[sample], rng, max_features, nodes, best_split))
     feature, threshold, left, right, neg, pos = (np.array(column) for column in zip(*nodes))
     counts = np.column_stack([neg, pos])
-    return forest.ForestModel(np.array(roots), feature, threshold, left, right, counts, ds.feature_names)
+    return forest.ForestModel(np.array(roots), feature, threshold, right, counts, ds.feature_names), left
 
 
-def assert_same_nodes(got, want):
-    for name in ("trees", "feature", "threshold", "left", "right", "counts"):
+def assert_same_nodes(got, oracle):
+    """got holds the oracle's nodes, and the oracle's left child of each split node is the next node."""
+    want, left = oracle
+    split = np.flatnonzero(want.feature >= 0)
+    assert np.array_equal(left[split], split + 1)
+    for name in ("trees", "feature", "threshold", "right", "counts"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
@@ -378,7 +385,7 @@ def test_a_split_between_adjacent_floats_separates_them():
     model = train_random_forest(make_dataset([[lower], [upper]], [0, 1]), ForestParams(n_trees=6, seed=0))
     split = np.flatnonzero(model.feature >= 0)
     assert split.size and np.all(model.threshold[split] == lower)
-    assert model.counts[model.left[split]].tolist() == [[1, 0]] * split.size
+    assert model.counts[split + 1].tolist() == [[1, 0]] * split.size
     assert model.counts[model.right[split]].tolist() == [[0, 1]] * split.size
 
 

@@ -3,6 +3,7 @@ from dataclasses import asdict
 from typing import List, Tuple
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -336,6 +337,13 @@ def test_module_id_roundtrip():
         assert parse_module_id(str(cid)) == cid
 
 
+def test_parse_module_id_rejects_text_that_is_not_exactly_an_ids_string():
+    # the first four each parsed to another id: `method:a:B#f(in)`, `method::#()`, `class::x`, `method::#(a:B#)`
+    for text in ("method:a:B#f(int", "method:x", "class:x", "method:a:B#f", "None", "", "klass:a:B"):
+        with pytest.raises(ValueError, match="not a module id"):
+            parse_module_id(text)
+
+
 # well-formed declarations nest to any depth; stray tokens between and inside them break them in arbitrary places
 _WELL_FORMED_MEMBERS = (
     "int x;", "int[] a = {1, 2};", "void f() { g(); }", "int g(int a, String... b) { return a; }",
@@ -380,15 +388,13 @@ def test_parse_source_never_raises_and_nests_spans_in_bounds(text):
         assert 1 <= span[0] <= span[1] <= n_lines
         assert outer[0] <= span[0] and span[1] <= outer[1]
 
-    def walk(t, outer):
-        check(t.span, outer)
+    for i, t in enumerate(parsed.types):
+        # in preorder a nested type's enclosing type is the nearest earlier one whose name is its prefix
+        outer = next((o for o in reversed(parsed.types[:i]) if t.qualified.startswith(o.qualified + ".")), None)
+        assert (outer is None) == ("." not in t.qualified)
+        check(t.span, outer.span if outer else (1, n_lines))
         for m in t.methods:
             check(m.span, t.span)
-        for n in t.nested:
-            walk(n, t.span)
-
-    for t in parsed.types:
-        walk(t, (1, n_lines))
 
 
 _IDENT = st.from_regex(r"[A-Za-z_$][A-Za-z0-9_$]{0,6}", fullmatch=True)
@@ -553,9 +559,8 @@ def test_generated_skips_pinned():
         "}\n"
     )
     assert parsed.error is None
-    (cls,) = parsed.types
+    cls, enum = parsed.types
     assert (cls.span, [(m.name, m.param_types, m.span) for m in cls.methods]) == ((1, 11), [("v", (), (2, 3))])
-    (enum,) = cls.nested
     assert (enum.qualified, enum.span) == ("G.E", (4, 10))
     assert [f.names for f in enum.fields] == [("r", "s")]
     assert [(m.name, m.param_types, m.span) for m in enum.methods] == [("q", ("int",), (9, 9))]
@@ -583,12 +588,11 @@ def test_braces_pinned():
         "}\n"
     )
     assert parsed.error is None
-    (cls,) = parsed.types
+    cls, enum = parsed.types
     assert (cls.span, [f.names for f in cls.fields]) == ((1, 16), [("r",)])
     assert [(m.name, m.span) for m in cls.methods] == [
         ("c", (3, 4)), ("s", (5, 5)), ("ch", (6, 6)), ("t", (7, 11)), ("v", (14, 14)), ("last", (15, 15)),
     ]
-    (enum,) = cls.nested
     assert (enum.qualified, enum.span) == ("A.E", (13, 13))
     assert [(m.name, m.span) for m in enum.methods] == [("g", (13, 13))]
     for source, error in (
@@ -739,6 +743,7 @@ class _DepthLoopParser(_EagerParser):
 
         self.advance()  # '{'
         decl = TypeDecl(".".join(chain + (name,)), extends_name, (0, 0))
+        self.pf.types.append(decl)
         for _, comp_name in record_components:
             if comp_name:
                 decl.fields.append(FieldDecl((comp_name,), frozenset({"private", "final"})))
@@ -746,7 +751,6 @@ class _DepthLoopParser(_EagerParser):
             self._skip_enum_constants()
         close = self._parse_members(decl, chain + (name,))
         decl.span = (self.pf.line_of(decl_start), self.pf.line_of(close.start()))
-        return decl
 
     def _skip_enum_constants(self):
         depth = 0

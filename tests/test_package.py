@@ -1,11 +1,13 @@
-"""The package imports nothing itself, and `granite.cli` loads every layer the benchmark's tracer binds.
+"""The package imports nothing itself, `granite.cli` loads every layer the benchmark's tracer binds,
+and no module imports a name it does not use.
 
 perfbench/tracer.py imports `granite.cli` and then looks each layer of its
 LAYERS table up in `sys.modules`, so the command line must keep loading them
-all.  Each check runs in a fresh interpreter, where no other test has
-imported anything yet.
+all.  Each import check runs in a fresh interpreter, where no other test has
+imported anything yet.  The unused-import check reads the sources with `ast`.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -31,3 +33,32 @@ def test_importing_the_package_loads_no_submodule():
 def test_importing_the_cli_loads_every_traced_layer():
     loaded = set(_granite_modules_after("import granite.cli"))
     assert {f"granite.{layer}" for layer in _tracer_layers()} <= loaded
+
+
+def _unused_imports(source):
+    """Names a module's imports bind that no expression of the module reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_every_imported_name_is_used():
+    unused = {
+        path.name: found
+        for path in sorted((SRC / "granite").glob("*.py"))
+        if (found := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
+
+
+def test_the_unused_import_check_finds_what_it_looks_for():
+    source = "from __future__ import annotations\nimport os.path\nimport re as regex\nfrom x import a, b\nb.c(re)\n"
+    assert _unused_imports(source) == [(2, "os"), (3, "regex"), (4, "a")]
