@@ -9,7 +9,7 @@ shows vote-fraction scores plus stratified out-of-fold cross-validation.
 import numpy as np
 
 from granite.dataset import LabeledDataset
-from granite.evaluation import PREDICTION_THRESHOLD
+from granite.evaluation import PREDICTION_THRESHOLD, pooled_scores
 from granite.forest import ForestParams, cross_validate, predict_proba, train_random_forest
 from granite.javaparse import ModuleId
 
@@ -38,9 +38,12 @@ assert predict_proba(again, ds.X[0]) == predict_proba(model, ds.X[0])
 print("retraining with the same seed reproduces the scores exactly")
 
 # stratified 10-fold: every row scored once, by a model that never saw it;
-# min-max scaling and undersampling are fit inside each training fold
+# min-max scaling and undersampling are fit inside each training fold.
+# The result maps each module to its out-of-fold score; evaluation scores
+# that map against the change-prone modules (a score >= 0.5 predicts one)
 result = cross_validate(ds, folds=10, params=ForestParams(n_trees=50, seed=1))
-pooled = result.pooled_scores()
+change_prone = {m for m, label in zip(ds.modules, ds.y) if label}
+pooled = pooled_scores(result.predictions, change_prone)
 print("\nout-of-fold results")
 print(f"  precision {pooled.precision:.3f}")
 print(f"  recall    {pooled.recall:.3f}")

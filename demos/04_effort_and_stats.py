@@ -9,7 +9,7 @@ to contrast class-level against method-level results.
 
 import numpy as np
 
-from granite.evaluation import ChangeSizes, PredictionScore, rank_by_score, top_k_change_ratio, top_k_cutoff
+from granite.evaluation import ChangeSizes, rank_by_score, top_k_change_ratio, top_k_cutoff
 from granite.javaparse import ModuleId
 from granite.stats import compare_paired
 
@@ -18,13 +18,8 @@ def mid(name):
     return ModuleId("method", "src/Demo.java", "Demo", name, ())
 
 
-# a scored module list as cross-validation would produce it
-scores = [
-    PredictionScore(mid("hot"), 0.95),
-    PredictionScore(mid("warm"), 0.70),
-    PredictionScore(mid("tepid"), 0.40),
-    PredictionScore(mid("cold"), 0.10),
-]
+# module -> score, as cross-validation's predictions map them
+scores = {mid("hot"): 0.95, mid("warm"): 0.70, mid("tepid"): 0.40, mid("cold"): 0.10}
 locs = {mid("hot"): 40, mid("warm"): 60, mid("tepid"): 120, mid("cold"): 300}
 sizes = {
     mid("hot"): ChangeSizes(mid("hot"), 30, 44),

@@ -26,7 +26,6 @@ from granite.evaluation import (
     CHANGE_SIZE_KINDS,
     DEFAULT_K,
     ChangeSizes,
-    PredictionScore,
     change_sizes,
     rank_by_score,
     top_k_change_ratio,
@@ -105,7 +104,7 @@ def _cmd_eval(args) -> int:
     if not k_values or k_values != sorted(set(k_values)) or k_values[0] <= 0:
         return _usage_error("--k must be a strictly increasing list of positive integers")
 
-    scored: List[PredictionScore] = []
+    scores = {}
     locs = {}
     sizes = {}
     try:
@@ -134,10 +133,10 @@ def _cmd_eval(args) -> int:
                 )
             if problem:
                 return _usage_error(f"{args.predictions}:{reader.line_num}: {problem}")
-            scored.append(PredictionScore(module, score))
+            scores[module] = score
             locs[module] = loc
             sizes[module] = ChangeSizes(module, delta_release, delta_commit)
-    ranking = rank_by_score(scored, locs)
+    ranking = rank_by_score(scores, locs)
     try:
         out = _open_out(args.out)
     except OSError as exc:

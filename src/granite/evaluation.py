@@ -7,8 +7,8 @@ the realized change a top-k LOC budget of the ranking would have covered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Hashable, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 from granite.javaparse import ModuleId
 from granite.stats import average_ranks
@@ -39,16 +39,6 @@ class EvalScores:
     f1: float
     accuracy: float
     auc: Optional[float] = None  # absent for projected evaluations
-
-
-@dataclass(frozen=True)
-class PredictionScore:
-    module: ModuleId
-    score: float
-
-    @property
-    def predicted(self) -> int:
-        return 1 if self.score >= PREDICTION_THRESHOLD else 0
 
 
 @dataclass(frozen=True)
@@ -101,6 +91,17 @@ def auc_roc(scored: Sequence[Tuple[float, int]]) -> Optional[float]:
     return u / (n_pos * n_neg)
 
 
+def predicted_modules(scores: Mapping[ModuleId, float]) -> Set[ModuleId]:
+    """The modules whose score predicts change-prone."""
+    return {m for m, s in scores.items() if s >= PREDICTION_THRESHOLD}
+
+
+def pooled_scores(scores: Mapping[ModuleId, float], truth: Set[ModuleId]) -> EvalScores:
+    """Scores of the scored modules against the change-prone ones in truth; AUC in map order."""
+    counts = confusion_counts(predicted_modules(scores), truth.intersection(scores), scores)
+    return replace(classification_scores(counts), auc=auc_roc([(s, int(m in truth)) for m, s in scores.items()]))
+
+
 def project_class_predictions_to_methods(
     predicted_classes: Set[ModuleId], methods: Iterable[ModuleId]
 ) -> Set[ModuleId]:
@@ -108,13 +109,9 @@ def project_class_predictions_to_methods(
     return {m for m in methods if ModuleId("class", m.file_path, m.qualified_class) in predicted_classes}
 
 
-def rank_by_score(scores: Iterable[PredictionScore], locs: Mapping[ModuleId, int]) -> Ranking:
-    """Descending-score ranking; ties order by ascending LOC then module id."""
-    items: List[RankedModule] = []
-    for s in scores:
-        if s.module not in locs:
-            raise KeyError(f"no LOC for ranked module {s.module}")
-        items.append(RankedModule(s.module, float(s.score), int(locs[s.module])))
+def rank_by_score(scores: Mapping[ModuleId, float], locs: Mapping[ModuleId, int]) -> Ranking:
+    """Descending-score ranking of the scored modules; ties order by ascending LOC then module id."""
+    items = [RankedModule(m, float(s), int(locs[m])) for m, s in scores.items()]
     items.sort(key=lambda r: (-r.score, r.loc, r.module.sort_key))
     return tuple(items)
 

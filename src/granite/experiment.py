@@ -16,12 +16,10 @@ import re
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from granite import __version__
-from granite.dataset import LabeledDataset, assemble, label_change_prone, write_csv
+from granite.dataset import assemble, label_change_prone, write_csv
 from granite.evaluation import (
     CHANGE_SIZE_KINDS,
     DEFAULT_K,
@@ -29,10 +27,13 @@ from granite.evaluation import (
     change_sizes,
     classification_scores,
     confusion_counts,
+    pooled_scores,
+    predicted_modules,
     project_class_predictions_to_methods,
     rank_by_score,
     top_k_change_ratio,
 )
+from granite.javaparse import ModuleId
 from granite.forest import CrossValResult, ForestParams, cross_validate
 from granite.gitrepo import GitRepo, ReleasePair
 from granite.metrics import class_hierarchy, class_product_metrics, method_product_metrics, process_metrics
@@ -137,11 +138,10 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
 
 @dataclass
 class GranularityResult:
-    dataset: LabeledDataset
     cv: CrossValResult
+    truth: Set[ModuleId]  # the change-prone modules
     scores: EvalScores  # pooled out-of-fold scores
     ratios: Dict[Tuple[str, int], Optional[float]]
-    cp_ratio: float
 
 
 @dataclass
@@ -201,24 +201,19 @@ def analyze_release_pair(
             log.warning("%s %s %s: %s", repo.path, pair.label, granularity, skipped[granularity])
             continue
 
+        predictions = cv.predictions
+        truth = {m for m, y in labels.items() if y}
         sizes = {m: change_sizes(pair_scan, m) for m in mods}
-        ranking = rank_by_score(cv.predictions, locs)
+        ranking = rank_by_score(predictions, locs)
         ratios = {(kind, k): top_k_change_ratio(ranking, k, sizes, kind) for kind, k in _ratio_columns(k_values)}
-        results[granularity] = GranularityResult(
-            dataset=ds,
-            cv=cv,
-            scores=cv.pooled_scores(),
-            ratios=ratios,
-            cp_ratio=float(np.mean(ds.y)),
-        )
+        results[granularity] = GranularityResult(cv, truth, pooled_scores(predictions, truth), ratios)
 
     projected = None
     if "class" in results and "method" in results:
-        method_ds = results["method"].dataset
-        predicted_classes = {p.module for p in results["class"].cv.predictions if p.predicted}
-        p_cm = project_class_predictions_to_methods(predicted_classes, method_ds.modules)
-        truth_m = {m for m, y in zip(method_ds.modules, method_ds.y) if y == 1}
-        projected = classification_scores(confusion_counts(p_cm, truth_m, set(method_ds.modules)))
+        method = results["method"]
+        methods = method.cv.dataset.modules
+        p_cm = project_class_predictions_to_methods(predicted_modules(results["class"].cv.predictions), methods)
+        projected = classification_scores(confusion_counts(p_cm, method.truth, methods))
 
     result = ReleaseResult(Path(str(repo.path)).name, pair, results, projected, skipped)
     return result, pair_scan
@@ -286,20 +281,20 @@ def emit_report(
         for granularity, gr in sorted(res.by_granularity.items()):  # GRANULARITIES order
             s = gr.scores
             releases.append(
-                [res.repo, res.pair.label, granularity, len(gr.dataset), _fmt(gr.cp_ratio),
+                [res.repo, res.pair.label, granularity, len(gr.cv.dataset), _fmt(len(gr.truth) / len(gr.cv.dataset)),
                  _fmt(s.precision), _fmt(s.recall), _fmt(s.f1), _fmt(s.accuracy), _fmt(s.auc)]
                 + [_fmt(gr.ratios[col]) for col in ratio_cols]
             )
             fold_rows.extend(
                 [res.repo, res.pair.label, granularity, str(module), int(fold)]
-                for module, fold in zip(gr.dataset.modules, gr.cv.fold_assignment)
+                for module, fold in zip(gr.cv.dataset.modules, gr.cv.fold_assignment)
             )
             name = f"{_safe(res.repo)}__{_safe(res.pair.label)}__{granularity}.csv"
             with open(dataset_dir / name, "w", encoding="utf-8", newline="") as fp:
-                write_csv(gr.dataset, fp)
+                write_csv(gr.cv.dataset, fp)
         if (p := res.projected) is not None:
             releases.append(
-                [res.repo, res.pair.label, "class_to_method", len(res.by_granularity["method"].dataset), "",
+                [res.repo, res.pair.label, "class_to_method", len(res.by_granularity["method"].cv.dataset), "",
                  _fmt(p.precision), _fmt(p.recall), _fmt(p.f1), _fmt(p.accuracy), ""]
                 + [""] * len(ratio_cols)
             )

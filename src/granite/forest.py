@@ -12,19 +12,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from granite.dataset import LabeledDataset, apply_min_max, fit_min_max, random_under_sample
-from granite.evaluation import (
-    PREDICTION_THRESHOLD,
-    EvalScores,
-    PredictionScore,
-    auc_roc,
-    classification_scores,
-    confusion_counts,
-)
+from granite.javaparse import ModuleId
 
 log = logging.getLogger(__name__)
 
@@ -226,24 +219,9 @@ class CrossValResult:
     folds: List[FoldResult]
 
     @property
-    def predictions(self) -> List[PredictionScore]:
-        out = []
-        for i, m in enumerate(self.dataset.modules):
-            s = self.out_of_fold_scores[i]
-            if not np.isnan(s):
-                out.append(PredictionScore(m, float(s)))
-        return out
-
-    def pooled_scores(self) -> EvalScores:
-        """Scores over all out-of-fold predictions pooled together."""
-        rows = np.flatnonzero(~np.isnan(self.out_of_fold_scores))
-        scores = self.out_of_fold_scores[rows]
-        labels = self.dataset.y[rows].astype(int)
-        counts = confusion_counts(
-            set(rows[scores >= PREDICTION_THRESHOLD].tolist()), set(rows[labels == 1].tolist()), rows.tolist()
-        )
-        scored = list(zip(scores.tolist(), labels.tolist()))
-        return replace(classification_scores(counts), auc=auc_roc(scored))
+    def predictions(self) -> Dict[ModuleId, float]:
+        """Each module's out-of-fold score, in dataset order; modules of skipped folds have none."""
+        return {m: s for m, s in zip(self.dataset.modules, self.out_of_fold_scores.tolist()) if not math.isnan(s)}
 
 
 def _stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> np.ndarray:

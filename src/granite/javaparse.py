@@ -591,7 +591,9 @@ def parse_source(text: str) -> ParsedFile:
 def extract_modules(snapshot: FileSnapshot) -> Optional[List[ModuleDef]]:
     """One ModuleDef per type declaration and per method/constructor declaration.
 
-    A file that does not parse is warned about and gives None; [] is a file without types.
+    Of two types with one qualified name the first is kept; the second goes with its
+    methods and the types nested in it, each with a warning.  A file that does not
+    parse is warned about and gives None; [] is a file without types.
     """
     text = "\n".join(snapshot.lines)
     parsed = parse_source(text)
@@ -605,13 +607,18 @@ def extract_modules(snapshot: FileSnapshot) -> Optional[List[ModuleDef]]:
         # the blob's own line strings, so a cached module holds no second copy
         return tuple(snapshot.lines[span[0] - 1:span[1]])
 
+    dropped: Tuple[str, ...] = ()  # "A." per dropped type A; in preorder its nested types follow it
     for t in parsed.types:
         cid = ModuleId("class", snapshot.path, t.qualified)
-        if cid not in seen:
-            seen[cid] = True
-            defs.append(ModuleDef(cid, t.span, segment(t.span), t))
-        else:
-            log.warning("%s: duplicate type %s; keeping first", snapshot.path, t.qualified)
+        if cid in seen or t.qualified.startswith(dropped):
+            log.warning(
+                "%s: dropping type %s and its methods: it or a type around it repeats an earlier type",
+                snapshot.path, t.qualified,
+            )
+            dropped += (t.qualified + ".",)
+            continue
+        seen[cid] = True
+        defs.append(ModuleDef(cid, t.span, segment(t.span), t))
         for m in t.methods:
             mid = ModuleId("method", snapshot.path, t.qualified, m.name, m.param_types)
             if mid in seen:

@@ -162,16 +162,26 @@ def _invocation_names(masked_body: str) -> List[str]:
 
 
 def _count_locals(masked_body: str) -> int:
-    """Local variable declarators, recognized as `[final] Type name [= ...]`."""
+    """Local variable declarators, recognized as `[final] Type name [= ...]`.
+
+    Each parenthesized group is a statement of its own.  A `(` after a `=` does not
+    end the statement it is in: that statement resumes after the matching `)`.
+    """
     toks: List[str] = _LOCALS_TOKEN_RE.findall(masked_body)
     total = 0
     stmt: List[str] = []
+    outer: List[Optional[List[str]]] = []  # per open '(': the statement it interrupts, or None
     for tok in toks:
-        if tok in (";", "{", "}", "(", ")"):
-            total += _declarators_in(stmt)
-            stmt = []
-        else:
+        if tok not in (";", "{", "}", "(", ")"):
             stmt.append(tok)
+            continue
+        if tok == "(" and "=" in stmt:
+            outer.append(stmt)
+        else:
+            total += _declarators_in(stmt)
+            if tok == "(":
+                outer.append(None)
+        stmt = (outer.pop() or []) if tok == ")" and outer else []
     total += _declarators_in(stmt)
     return total
 

@@ -26,10 +26,8 @@ def _strip_common_affixes(a: Sequence[str], b: Sequence[str]) -> Tuple[Sequence[
 def _edit_distance(a: Sequence[int], b: Sequence[int]) -> int:
     """Length of the shortest edit script (Myers' greedy O(ND) algorithm)."""
     n, m = len(a), len(b)
-    if n == 0:
+    if n == 0:  # _churn_reduced passes two empty sequences or two non-empty ones
         return m
-    if m == 0:
-        return n
     max_d = n + m
     # v[k + max_d] = furthest x on diagonal k
     v = [0] * (2 * max_d + 1)

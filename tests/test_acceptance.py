@@ -23,6 +23,7 @@ from granite.evaluation import (
     change_sizes,
     classification_scores,
     confusion_counts,
+    pooled_scores,
     project_class_predictions_to_methods,
     rank_by_score,
     top_k_change_ratio,
@@ -106,12 +107,6 @@ def brute_cutoff(locs, k):
     raise AssertionError("no cutoff satisfies the condition")
 
 
-class _Scored:
-    def __init__(self, module, score):
-        self.module = module
-        self.score = score
-
-
 def test_criterion_2_formula_suite_randomized():
     started = time.monotonic()
     rng = random.Random(987654321)
@@ -149,7 +144,7 @@ def test_criterion_2_formula_suite_randomized():
         # ranking, cutoff, ratios
         m_count = rng.randrange(0, 10)
         locs = {mid(i): rng.randrange(1, 40) for i in range(m_count)}
-        scores = [_Scored(mid(i), round(rng.random(), 3)) for i in range(m_count)]
+        scores = {mid(i): round(rng.random(), 3) for i in range(m_count)}
         ranking = rank_by_score(scores, locs)
         k = rng.randrange(1, 200)
         cutoff = top_k_cutoff(ranking, k)
@@ -277,7 +272,7 @@ def test_criterion_5_learner_sanity_on_blobs():
         X, y, np.full(n, 10, dtype=np.int64),
     )
     result = cross_validate(ds, folds=10, params=ForestParams(n_trees=100, seed=99))
-    pooled = result.pooled_scores()
+    pooled = pooled_scores(result.predictions, {m for m, label in zip(modules, y) if label})
     assert pooled.auc is not None and pooled.auc >= 0.95, pooled
     assert pooled.f1 >= 0.9, pooled
     elapsed = time.monotonic() - started

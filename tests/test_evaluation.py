@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import given
@@ -13,6 +12,8 @@ from granite.evaluation import (
     change_sizes,
     classification_scores,
     confusion_counts,
+    pooled_scores,
+    predicted_modules,
     project_class_predictions_to_methods,
     rank_by_score,
     top_k_change_ratio,
@@ -26,12 +27,6 @@ def mod(i, kind="method"):
     if kind == "class":
         return ModuleId("class", f"f{i}.java", f"C{i}")
     return ModuleId("method", f"f{i}.java", f"C{i}", f"m{i}", ())
-
-
-@dataclass(frozen=True)
-class Scored:
-    module: ModuleId
-    score: float
 
 
 # -- confusion counts ----------------------------------------------------------
@@ -205,32 +200,42 @@ def test_projection_partition_identities():
         assert p_cm & complement == set()
 
 
+def test_pooled_scores_count_only_scored_modules_and_predict_at_the_threshold():
+    scores = {mod(0): 0.5, mod(1): 0.49, mod(2): 0.9, mod(3): 0.1}
+    truth = {mod(0), mod(3), mod(4)}  # mod(4) has no score, as in a skipped fold
+    assert predicted_modules(scores) == {mod(0), mod(2)}
+    pooled = pooled_scores(scores, truth)
+    # tp mod(0), fp mod(2), fn mod(3), tn mod(1)
+    assert (pooled.precision, pooled.recall, pooled.f1, pooled.accuracy) == (0.5, 0.5, 0.5, 0.5)
+    assert pooled.auc == 0.25  # of the four positive/negative pairs only (0.5, 0.49) ranks right
+
+
 # -- ranking and cutoffs ----------------------------------------------------------
 
 
 def test_rank_orders_by_score_then_loc_then_id():
     locs = {mod(0): 30, mod(1): 50, mod(2): 10}
-    scores = [Scored(mod(0), 0.5), Scored(mod(1), 0.5), Scored(mod(2), 0.9)]
+    scores = {mod(0): 0.5, mod(1): 0.5, mod(2): 0.9}
     ranking = rank_by_score(scores, locs)
     assert [r.module for r in ranking] == [mod(2), mod(0), mod(1)]
 
 
 def test_rank_missing_loc_errors():
     with pytest.raises(KeyError):
-        rank_by_score([Scored(mod(0), 0.5)], {})
+        rank_by_score({mod(0): 0.5}, {})
 
 
 def test_cutoff_examples():
     locs = [40, 30, 50]
     ranking = rank_by_score(
-        [Scored(mod(i), 1.0 - i * 0.1) for i in range(3)],
+        {mod(i): 1.0 - i * 0.1 for i in range(3)},
         {mod(i): locs[i] for i in range(3)},
     )
     assert top_k_cutoff(ranking, 100) == 2
     assert top_k_cutoff(ranking, 30) == 0
     small = ranking[:2]
     small = rank_by_score(
-        [Scored(mod(0), 0.9), Scored(mod(1), 0.8)], {mod(0): 10, mod(1): 10}
+        {mod(0): 0.9, mod(1): 0.8}, {mod(0): 10, mod(1): 10}
     )
     assert top_k_cutoff(small, 100) == 2  # whole ranking fits under the budget
 
@@ -241,7 +246,7 @@ def test_cutoff_condition_brute_force():
         n = rng.randrange(0, 12)
         locs = {mod(i): rng.randrange(1, 40) for i in range(n)}
         ranking = rank_by_score(
-            [Scored(mod(i), rng.random()) for i in range(n)], locs
+            {mod(i): rng.random() for i in range(n)}, locs
         )
         k = rng.randrange(1, 150)
         cutoff = top_k_cutoff(ranking, k)
@@ -256,7 +261,7 @@ def test_cutoff_condition_brute_force():
 
 def test_cutoff_nondecreasing_in_k():
     locs = {mod(i): 7 + i for i in range(8)}
-    ranking = rank_by_score([Scored(mod(i), 1 - i / 10) for i in range(8)], locs)
+    ranking = rank_by_score({mod(i): 1 - i / 10 for i in range(8)}, locs)
     prev = 0
     for k in range(1, 120):
         cur = top_k_cutoff(ranking, k)
@@ -309,7 +314,7 @@ def test_deleted_module_contributes_deletions():
 
 def test_ratio_formula_instantiated():
     locs = {mod(0): 40, mod(1): 30}
-    ranking = rank_by_score([Scored(mod(0), 0.9), Scored(mod(1), 0.8)], locs)
+    ranking = rank_by_score({mod(0): 0.9, mod(1): 0.8}, locs)
     sizes = {
         mod(0): ChangeSizes(mod(0), 20, 25),
         mod(1): ChangeSizes(mod(1), 10, 15),
@@ -322,7 +327,7 @@ def test_ratio_formula_instantiated():
 
 def test_ratio_null_when_budget_too_small():
     locs = {mod(0): 500}
-    ranking = rank_by_score([Scored(mod(0), 0.9)], locs)
+    ranking = rank_by_score({mod(0): 0.9}, locs)
     sizes = {mod(0): ChangeSizes(mod(0), 5, 5)}
     assert top_k_change_ratio(ranking, 100, sizes, "release") is None
 
@@ -336,7 +341,7 @@ def test_ratio_matches_brute_force_on_random_instances():
             mod(i): ChangeSizes(mod(i), rng.randrange(0, 50), rng.randrange(0, 80))
             for i in range(n)
         }
-        ranking = rank_by_score([Scored(mod(i), rng.random()) for i in range(n)], locs)
+        ranking = rank_by_score({mod(i): rng.random() for i in range(n)}, locs)
         k = rng.randrange(1, 120)
         for kind in ("release", "commit"):
             got = top_k_change_ratio(ranking, k, sizes, kind)

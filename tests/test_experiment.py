@@ -281,6 +281,36 @@ def test_manifest_lists_failed_pairs_and_skipped_units(fixture_repo, tmp_path, m
     assert [(r["release_pair"], r["granularity"]) for r in rows] == [("v1.1..v2.0", "class")]
 
 
+def test_a_release_pair_without_methods_skips_the_method_granularity(tmp_path):
+    rb = RepoBuilder(tmp_path / "fields")
+    for i in range(4):
+        rb.write(f"src/F{i}.java", f"class F{i} {{\n    int a = 0;\n}}\n")
+    rb.commit("c1")
+    rb.tag("t1")
+    for i in range(2):
+        rb.write(f"src/F{i}.java", f"class F{i} {{\n    int a = 1;\n}}\n")
+    rb.commit("c2")
+    rb.tag("t2")
+    out = tmp_path / "out"
+    config = ExperimentConfig(repos=(RepoSpec(str(rb.root), "t*"),), output_dir=str(out), k_values=(100,), folds=2)
+    assert run_experiment(config) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["skipped_granularities"] == [
+        {"repo": "fields", "release_pair": "t1..t2", "granularity": "method",
+         "reason": "no method modules at release"}
+    ]
+    rows = read_rows(out / "releases.csv")
+    assert [(r["release_pair"], r["granularity"]) for r in rows] == [("t1..t2", "class")]
+
+
+def test_a_budget_below_every_module_leaves_the_ratios_empty(fixture_repo, tmp_path):
+    out = tmp_path / "out"
+    assert run_experiment(make_config(fixture_repo, out, k_values=(1,))) == 0
+    rows = read_rows(out / "releases.csv")
+    assert rows and all(r["ratio_release_k1"] == r["ratio_commit_k1"] == "" for r in rows)
+    assert {r["rq"] for r in read_rows(out / "summary.csv")} == {"rq1", "rq2"}
+
+
 def _file_bytes(out: Path):
     names = ["releases.csv", "summary.csv", "fold_assignments.csv", "manifest.json"]
     names += sorted(str(p.relative_to(out)) for p in (out / "datasets").glob("*.csv"))

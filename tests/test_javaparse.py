@@ -1,3 +1,4 @@
+import logging
 import textwrap
 from dataclasses import asdict
 from typing import List, Tuple
@@ -439,6 +440,38 @@ def test_method_span_inside_exactly_one_class_span():
             and c.id.qualified_class == m.id.qualified_class
         ]
         assert len(owners) == 1
+
+
+def test_a_duplicate_type_goes_with_its_methods_and_nested_types(caplog):
+    source = "class A { void f() {} }\nclass A { void g() {} class C { void h() {} } }\nclass AB { void k() {} }"
+    with caplog.at_level(logging.WARNING, logger="granite.javaparse"):
+        defs = extract_modules(snap(source, "A.java"))
+    assert [(str(d.id), d.span) for d in defs] == [
+        ("class:A.java:A", (1, 1)),
+        ("method:A.java:A#f()", (1, 1)),
+        ("class:A.java:AB", (3, 3)),
+        ("method:A.java:AB#k()", (3, 3)),
+    ]
+    assert [m.name for m in defs[0].decl.methods] == ["f"]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"A.java: dropping type {name} and its methods: it or a type around it repeats an earlier type"
+        for name in ("A", "A.C")
+    ]
+
+
+def test_dotted_and_generic_supertypes_and_dotted_annotations_with_arguments():
+    parsed = parse_source(
+        "@java.lang.Deprecated\n"
+        "public class Sub extends p.Base<java.util.Map<String, Integer>>\n"
+        "        implements java.io.Serializable, Comparable<Sub> {\n"
+        "    @javax.annotation.Nullable(value = \"x\") int f(java.util.List<String> xs) { return 0; }\n"
+        "}\n"
+    )
+    assert parsed.error is None
+    sub = parsed.types[0]
+    assert sub.extends_name == "p.Base"
+    assert sub.span == (1, 5)  # from the annotation's line
+    assert [(m.name, m.param_types) for m in sub.methods] == [("f", ("java.util.List",))]
 
 
 def test_parse_source_structure_details():

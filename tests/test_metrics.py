@@ -2,11 +2,12 @@ import re
 import textwrap
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from granite.gitrepo import CommitMeta, FileSnapshot
-from granite.javaparse import extract_modules
+from granite.javaparse import ModuleId, extract_modules
 from granite.metrics import (
     CLASS_METRIC_NAMES,
     METHOD_METRIC_NAMES,
@@ -80,6 +81,18 @@ def test_inheritance_chain_within_project():
         "num_children"
     ]
     assert children == 1
+
+
+def test_a_dotted_generic_supertype_resolves_to_the_project_class():
+    sub = """\
+    @java.lang.Deprecated
+    public class Sub extends p.Base<java.util.Map<String, Integer>> implements java.io.Serializable, Comparable<Sub> {}
+    """
+    defs = modules_of(sub, "src/q/Sub.java") + modules_of("package p;\npublic class Base {}\n", "src/p/Base.java")
+    assert class_hierarchy(defs) == {
+        ModuleId("class", "src/q/Sub.java", "Sub"): (1, 0),
+        ModuleId("class", "src/p/Base.java", "Base"): (0, 1),
+    }
 
 
 def test_nested_type_on_its_enclosing_line_is_measured_from_its_own_declaration():
@@ -314,6 +327,33 @@ def test_method_counts_on_busy_fixture():
     assert vec["num_invocations"] == 1
     assert vec["fan_out"] == 1
     assert vec["max_nesting"] == 2  # for block, then if block inside it
+
+
+@pytest.mark.parametrize(
+    "statement, locals_",
+    [
+        ("int a = f(x), b = 2;", 2),
+        ("String s = g(), t = h(), u;", 3),
+        ("Map<K, V> m = new HashMap<>(), q = null;", 2),
+        ("int a = (int) x, b;", 2),
+        ('@SuppressWarnings("x") int a = 1;', 1),
+        ("try (Res r = open()) {}", 1),
+        ("catch (Exception e) {}", 1),
+        ("for (int i = 0, j = f(x); i < j; i++) {}", 2),
+        ("Function<String, Integer> fn = (String s) -> s.length();", 2),
+        ("x = foo(a), y;", 0),
+    ],
+)
+def test_num_locals_counts_every_declarator_of_a_statement(statement, locals_):
+    # a parenthesized group after '=' is passed over; the declarators after it still count
+    assert method_vec(f"class T {{ void f() {{ {statement} }} }}", "f")["num_locals"] == locals_
+
+
+def test_a_method_without_a_body_has_no_locals_or_calls():
+    vec = method_vec("abstract class T {\n    abstract int g();\n}\n", "g")
+    assert (vec["num_locals"], vec["num_invocations"], vec["fan_out"]) == (0, 0, 0)
+    assert vec["cyclomatic"] == 1
+    assert vec["num_unique_identifiers"] == 1
 
 
 def test_generics_do_not_count_as_comparisons():

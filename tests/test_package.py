@@ -1,5 +1,6 @@
 """The package imports nothing itself, `granite.cli` loads every layer the benchmark's tracer binds,
-and no module imports a name it does not use.
+the modules `mine` and `eval` need load no numpy, the forest loads no scoring, and no module imports
+a name it does not use.
 
 perfbench/tracer.py imports `granite.cli` and then looks each layer of its
 LAYERS table up in `sys.modules`, so the command line must keep loading them
@@ -19,20 +20,30 @@ from test_benchmark_bindings import _tracer_layers
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _granite_modules_after(statement):
-    code = f"import json, sys; {statement}; print(json.dumps(sorted(m for m in sys.modules if m.startswith('granite'))))"
+def _modules_after(statement, prefix="granite"):
+    code = f"import json, sys; {statement}; print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
 def test_importing_the_package_loads_no_submodule():
-    assert _granite_modules_after("import granite") == ["granite"]
+    assert _modules_after("import granite") == ["granite"]
 
 
 def test_importing_the_cli_loads_every_traced_layer():
-    loaded = set(_granite_modules_after("import granite.cli"))
+    loaded = set(_modules_after("import granite.cli"))
     assert {f"granite.{layer}" for layer in _tracer_layers()} <= loaded
+
+
+def test_the_modules_mine_and_eval_need_import_no_numpy():
+    statement = "import granite.gitrepo, granite.javaparse, granite.textdiff, granite.tracking, granite.stats, granite.evaluation"
+    assert _modules_after(statement, "numpy") == []
+
+
+def test_the_forest_leaves_scoring_to_evaluation():
+    loaded = set(_modules_after("import granite.forest"))
+    assert "granite.forest" in loaded and not loaded & {"granite.evaluation", "granite.stats"}
 
 
 def _unused_imports(source):
