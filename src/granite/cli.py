@@ -108,7 +108,7 @@ def _cmd_eval(args) -> int:
     locs = {}
     sizes = {}
     try:
-        fp = open(args.predictions, encoding="utf-8", newline="")
+        fp = open(args.predictions, encoding="utf-8-sig", newline="")  # spreadsheets write a byte-order mark
     except OSError as exc:
         return _usage_error(f"granite: {exc}")
     with fp:

@@ -134,7 +134,7 @@ def train_random_forest(train: LabeledDataset, params: ForestParams) -> ForestMo
     n, m = X.shape
     if n < 2:
         raise ValueError("need at least 2 training rows")
-    if len(np.unique(y)) < 2:
+    if y.min() == y.max():
         raise ValueError("training set has a single label")
     if params.n_trees < 1:
         raise ValueError("need at least one tree")
@@ -253,7 +253,7 @@ def cross_validate(
     n = len(ds)
     if n < folds:
         raise ValueError(f"need at least {folds} rows, have {n}")
-    if len(np.unique(ds.y)) < 2:
+    if ds.y.min() == ds.y.max():
         raise ValueError("both labels must be present")
     fold_rng = np.random.default_rng([params.seed & 0x7FFFFFFFFFFF, 0xF01D])
     assignment = _stratified_folds(ds.y, folds, fold_rng)
@@ -263,7 +263,7 @@ def cross_validate(
         test_idx = np.flatnonzero(assignment == fold)
         train_idx = np.flatnonzero(assignment != fold)
         y_train = ds.y[train_idx]
-        if len(test_idx) == 0 or len(np.unique(y_train)) < 2:
+        if len(test_idx) == 0 or y_train.min() == y_train.max():
             log.warning("%s/%s fold %d skipped: single-label training split", ds.release, ds.granularity, fold)
             results.append(FoldResult(fold, skipped=True))
             continue

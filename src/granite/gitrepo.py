@@ -287,6 +287,11 @@ class GitRepo:
         return files
 
     def blob_lines(self, sha: str) -> Tuple[str, ...]:
+        """A blob's source lines.
+
+        A blob that is not valid UTF-8 is read with U+FFFD for each bad byte sequence, which cuts any name
+        it falls in, so each such read logs a warning naming the repository and the blob.
+        """
         proc = self._batch_proc()
         proc.stdin.write((sha + "\n").encode())
         proc.stdin.flush()
@@ -296,7 +301,13 @@ class GitRepo:
         _, _, size = header.split()
         data = proc.stdout.read(int(size))
         proc.stdout.read(1)  # trailing newline after the object body
-        return _source_lines(data.decode("utf-8", "replace"))
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            log.warning("%s: blob %s is not valid UTF-8 (%s at byte %d); reading it with replacement characters",
+                        self.path, sha, exc.reason, exc.start)
+            text = data.decode("utf-8", "replace")
+        return _source_lines(text)
 
     def file_lines(self, commit: CommitId, path: str) -> Tuple[str, ...]:
         """Lines of a file at a commit; an absent file reads as empty."""

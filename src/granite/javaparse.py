@@ -96,7 +96,7 @@ def parse_module_id(text: str) -> ModuleId:
     return mid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModuleDef:
     """An extracted code segment: module identity plus its exact source lines.
 
@@ -148,7 +148,7 @@ def mask_source(text: str) -> Tuple[str, List[int]]:
 # declaration structure
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodDecl:
     name: str
     param_types: Tuple[str, ...]
@@ -156,13 +156,13 @@ class MethodDecl:
     span: Tuple[int, int]  # 1-based inclusive line numbers in the file
 
 
-@dataclass
+@dataclass(slots=True)
 class FieldDecl:
     names: Tuple[str, ...]
     modifiers: frozenset
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeDecl:
     qualified: str
     extends_name: Optional[str]
@@ -223,8 +223,16 @@ def _declarator_name(toks: Sequence[re.Match]) -> Optional[str]:
     return None
 
 
+# a record component is a private final field
+_RECORD_COMPONENT_MODIFIERS = frozenset({"private", "final"})
+# each distinct modifier set -> its one shared copy; at most one entry per subset of MODIFIER_WORDS
+_MODIFIER_SETS: Dict[frozenset, frozenset] = {_RECORD_COMPONENT_MODIFIERS: _RECORD_COMPONENT_MODIFIERS}
+
+
 def _modifier_set(toks: Sequence[re.Match]) -> frozenset:
-    return frozenset(tok[0] for tok in toks if tok[0] in MODIFIER_WORDS)
+    """The modifier words among toks, as the one shared frozenset of that set: parse records live as long as a scan."""
+    found = frozenset(tok[0] for tok in toks if tok[0] in MODIFIER_WORDS)
+    return _MODIFIER_SETS.setdefault(found, found)
 
 
 class _Parser:
@@ -423,7 +431,7 @@ class _Parser:
         self.pf.types.append(decl)  # ahead of the types nested in it: preorder
         for _, comp_name in record_components:
             if comp_name:
-                decl.fields.append(FieldDecl((comp_name,), frozenset({"private", "final"})))
+                decl.fields.append(FieldDecl((comp_name,), _RECORD_COMPONENT_MODIFIERS))
         if keyword == "enum":
             self.skip_to(";", "}")  # the constants; the member loop takes the ';' or closes the body
         close = self._parse_members(decl, chain + (name,))

@@ -149,18 +149,24 @@ class HistoryScanner:
     unchanged file keep their identity and history without matching, and
     rename matching and body diffs run over the modules of the changed files
     alone.  Parses are cached per (blob, path), so each is parsed once;
-    snapshots are built at the first and last commit.
+    snapshots are built at the first and last commit.  The cache lives as
+    long as the scanner, and most lines of a blob repeat a line of an
+    earlier blob, so the scanner keeps one string per distinct line read
+    and every cached module body is made of those strings.
     """
 
     def __init__(self, repo: GitRepo):
         self.repo = repo
         self._defs_cache: Dict[Tuple[str, str], Optional[List[ModuleDef]]] = {}
+        self._lines: Dict[str, str] = {}  # each distinct line read -> its one kept copy
 
     def _file_modules(self, commit: CommitId, path: str, sha: str) -> Optional[List[ModuleDef]]:
         """The blob's modules; None when it does not parse."""
         key = (sha, path)
         if key not in self._defs_cache:
-            self._defs_cache[key] = extract_modules(FileSnapshot(path, self.repo.blob_lines(sha), commit))
+            lines = self.repo.blob_lines(sha)
+            lines = tuple(map(self._lines.setdefault, lines, lines))
+            self._defs_cache[key] = extract_modules(FileSnapshot(path, lines, commit))
         return self._defs_cache[key]
 
     def snapshot_modules(self, commit: CommitId, files: Files) -> Snapshot:

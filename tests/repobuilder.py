@@ -27,9 +27,12 @@ class RepoBuilder:
         return proc.stdout.decode()
 
     def write(self, rel_path: str, text: str) -> None:
+        self.write_bytes(rel_path, text.encode("utf-8"))
+
+    def write_bytes(self, rel_path: str, data: bytes) -> None:
         path = self.root / rel_path
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(data)
 
     def remove(self, rel_path: str) -> None:
         self.git("rm", "-q", str(rel_path))

@@ -728,6 +728,23 @@ def test_cli_eval_computes_ratios(tmp_path):
     assert abs(float(commit["ratio"]) - 40 / 70) < 1e-12
 
 
+def test_cli_eval_reads_a_predictions_file_that_starts_with_a_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports begin with U+FEFF
+    text = (
+        "module_id,score,loc,delta_release,delta_commit\n"
+        "method:src/A.java:A#a(),0.9,40,20,25\n"
+        "method:src/B.java:B#b(),0.8,30,10,15\n"
+    )
+    outputs = []
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        pred, out = tmp_path / f"{name}.csv", tmp_path / f"{name}-ratios.csv"
+        pred.write_text(text, encoding=encoding)
+        assert main(["eval", "--predictions", str(pred), "--k", "50,100", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize(
     "bad_row, message",
     [

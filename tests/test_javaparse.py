@@ -459,6 +459,26 @@ def test_a_duplicate_type_goes_with_its_methods_and_nested_types(caplog):
     ]
 
 
+def test_parse_records_have_no_instance_dict():
+    # a blob's records stay cached for a whole scan, so none carries a per-instance __dict__
+    defs = extract_modules(snap("class A {\n    private int x;\n    void f(int y) {}\n}\n"))
+    decl = defs[0].decl
+    records = [*defs, decl, *decl.methods, *decl.fields]
+    assert [type(r).__name__ for r in records] == ["ModuleDef", "ModuleDef", "TypeDecl", "MethodDecl", "FieldDecl"]
+    assert not any(hasattr(r, "__dict__") for r in records)
+
+
+def test_equal_modifier_sets_are_one_shared_object():
+    a = extract_modules(snap("class A {\n    public static void f() {}\n}\n", "A.java"))[0].decl
+    b = extract_modules(snap("class B {\n    static public int g(int x) { return x; }\n}\n", "B.java"))[0].decl
+    (f,), (g,) = a.methods, b.methods
+    assert f.modifiers == {"public", "static"} and f.modifiers is g.modifiers
+    # a record component is a private final field, like a declared one
+    r = parse_source("record R(int x) {\n    private final int y = 0;\n}\n").types[0]
+    assert [fd.names for fd in r.fields] == [("x",), ("y",)]
+    assert r.fields[0].modifiers == {"private", "final"} and r.fields[0].modifiers is r.fields[1].modifiers
+
+
 def test_dotted_and_generic_supertypes_and_dotted_annotations_with_arguments():
     parsed = parse_source(
         "@java.lang.Deprecated\n"

@@ -1,6 +1,6 @@
 """The package imports nothing itself, `granite.cli` loads every layer the benchmark's tracer binds,
-the modules `mine` and `eval` need load no numpy, the forest loads no scoring, and no module imports
-a name it does not use.
+the modules `mine` and `eval` need load no numpy, the forest loads no scoring and cross-validation no
+`numpy.ma`, and no module imports a name it does not use.
 
 perfbench/tracer.py imports `granite.cli` and then looks each layer of its
 LAYERS table up in `sys.modules`, so the command line must keep loading them
@@ -39,6 +39,18 @@ def test_importing_the_cli_loads_every_traced_layer():
 def test_the_modules_mine_and_eval_need_import_no_numpy():
     statement = "import granite.gitrepo, granite.javaparse, granite.textdiff, granite.tracking, granite.stats, granite.evaluation"
     assert _modules_after(statement, "numpy") == []
+
+
+def test_cross_validation_loads_no_masked_arrays():
+    # np.unique loads numpy.ma on first use; numpy.matrixlib shares the prefix and comes with numpy
+    statement = (
+        "import numpy as np; from granite.dataset import LabeledDataset; from granite.forest import cross_validate; "
+        "X = np.arange(24, dtype=float).reshape(12, 2) % 5; y = (np.arange(12) % 2).astype(np.int8); "
+        "cross_validate(LabeledDataset('r', 'class', ('a', 'b'), tuple(map(str, range(12))), X, y, np.ones(12, int)), folds=3)"
+    )
+    loaded = _modules_after(statement, "numpy.ma")
+    assert "numpy.matrixlib" in loaded
+    assert [m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
 
 
 def test_the_forest_leaves_scoring_to_evaluation():

@@ -499,6 +499,58 @@ def test_paths_that_are_not_utf8_are_skipped_with_one_warning_each(tmp_path, cap
     ]
 
 
+def test_a_blob_that_is_not_utf8_is_read_with_replacement_and_one_warning(tmp_path, caplog):
+    # Latin-1 "\u00e9" and "\u00ef" are no UTF-8; each reads as U+FFFD, which no name holds, so the names are cut
+    rb = RepoBuilder(tmp_path / "latin1")
+    rb.write("Ok.java", "class Ok {\n    void f() {}\n}\n")
+    rb.commit("c1")
+    rb.write_bytes("Cafe.java", "class Caf\u00e9 {\n    void na\u00efve() {}\n}\n".encode("latin-1"))
+    rb.commit("c2 add a Latin-1 file")
+    rb.write("Ok.java", "class Ok {\n    void g() {}\n}\n")
+    head = rb.commit("c3 edit Ok.java only")
+    with caplog.at_level(logging.WARNING, logger="granite.gitrepo"), GitRepo(rb.root) as repo:
+        scan = HistoryScanner(repo).change_histories(repo.first_parent_chain(head)[::-1])
+        sha = repo.source_files(head)["Cafe.java"]
+    assert sorted(str(m) for m in scan.end_histories if m.file_path == "Cafe.java") == [
+        "class:Cafe.java:Caf", "method:Cafe.java:Caf#ve()"]
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == [
+        f"{rb.root}: blob {sha} is not valid UTF-8 (invalid continuation byte at byte 9); "
+        "reading it with replacement characters"
+    ]
+
+
+def test_a_scan_keeps_one_string_per_distinct_line(tmp_path):
+    rb = RepoBuilder(tmp_path / "lines")
+    source = java(
+        """\
+        public class A {
+            int f() {
+                return 1;
+            }
+
+            int g() {
+                return 0;
+            }
+        }
+        """
+    )
+    rb.write("src/A.java", source)
+    rb.commit("c1")
+    rb.tag("l1")
+    rb.write("src/A.java", source.replace("return 1;", "return 2;"))
+    rb.commit("c2 edit one line")
+    rb.tag("l2")
+    with GitRepo(rb.root) as repo:
+        scan = HistoryScanner(repo).change_histories(repo.release_pairs("l*")[0].commits)
+    assert len(scan.start_defs) == 3
+    for module, before in scan.start_defs.items():
+        after = scan.end_defs[module].body
+        assert len(after) == len(before.body)
+        unchanged = [(x, y) for x, y in zip(before.body, after) if x == y]
+        assert unchanged and all(x is y for x, y in unchanged), module
+
+
 class _CountingSubprocess:
     """Stands in for the `subprocess` module inside granite.gitrepo and counts spawns."""
 
