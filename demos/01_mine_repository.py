@@ -92,7 +92,7 @@ def main() -> None:
             print(f"\n== {pair.label}: {len(pair.commits)} commits on the first-parent chain")
             scan = scanner.change_histories(pair.commits)
             print(f"   {len(scan.start_defs)} modules alive at {pair.r_tag}")
-            for module in scan.alive_at_start():
+            for module in sorted(scan.start_defs):
                 n = len(scan.histories[module].events)
                 if n == 0:
                     continue

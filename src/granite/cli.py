@@ -86,7 +86,7 @@ def _cmd_mine(args) -> int:
             for pair in pairs:  # a pair that starts where the last one ended continues its walk
                 prior = scan if scan is not None and scan.commits[-1] == pair.r_commit else None
                 scan = scanner.change_histories(pair.commits, prior)
-                for module in scan.alive_at_start():
+                for module in sorted(scan.start_defs):
                     sizes = change_sizes(scan, module)
                     writer.writerow(
                         [pair.label, module.kind, str(module), module_loc(scan.start_defs[module]),

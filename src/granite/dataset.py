@@ -78,9 +78,9 @@ def assemble(
     for name, mapping in (("process", process), ("labels", labels), ("locs", locs)):
         missing = keys ^ set(mapping)
         if missing:
-            listed = ", ".join(str(m) for m in sorted(missing, key=lambda m: m.sort_key)[:5])
+            listed = ", ".join(str(m) for m in sorted(missing)[:5])
             raise ValueError(f"module set mismatch in {name}: {listed}")
-    modules = tuple(sorted(keys, key=lambda m: m.sort_key))
+    modules = tuple(sorted(keys))
     names = feature_names_for(granularity)
     X = np.zeros((len(modules), len(names)), dtype=np.float64)
     y = np.zeros(len(modules), dtype=np.int8)

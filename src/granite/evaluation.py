@@ -112,7 +112,7 @@ def project_class_predictions_to_methods(
 def rank_by_score(scores: Mapping[ModuleId, float], locs: Mapping[ModuleId, int]) -> Ranking:
     """Descending-score ranking of the scored modules; ties order by ascending LOC then module id."""
     items = [RankedModule(m, float(s), int(locs[m])) for m, s in scores.items()]
-    items.sort(key=lambda r: (-r.score, r.loc, r.module.sort_key))
+    items.sort(key=lambda r: (-r.score, r.loc, r.module))
     return tuple(items)
 
 

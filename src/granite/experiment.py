@@ -85,9 +85,16 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+def _warn_unknown_keys(raw: Mapping, known: Tuple[str, ...], where: str) -> None:
+    # an ignored key changes no report, so it warns rather than fails
+    if unknown := [key for key in raw if key not in known]:
+        log.warning("%s: ignoring unknown keys %s", where, ", ".join(map(repr, unknown)))
+
+
 def _repo_spec(entry) -> RepoSpec:
     if not isinstance(entry, Mapping) or not isinstance(entry.get("path"), str):
         raise ValueError(f"a repository entry needs a string path, got {entry!r}")
+    _warn_unknown_keys(entry, ("path", "tags"), f"repository {entry['path']!r}")
     if not entry["path"]:  # an empty path would open the working directory
         raise ValueError("a repository path must not be empty")
     spec = RepoSpec(entry["path"], entry.get("tags", "*"))
@@ -99,6 +106,7 @@ def _repo_spec(entry) -> RepoSpec:
 def config_from_dict(raw: Mapping) -> ExperimentConfig:
     if not isinstance(raw, Mapping):
         raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
+    _warn_unknown_keys(raw, ("repos", "output_dir", "k_values", "seed", "folds"), "config")
     if not isinstance(raw.get("repos", []), list):
         raise ValueError("repos must be a list of repository entries")
     repos = tuple(_repo_spec(r) for r in raw.get("repos", []))
@@ -179,7 +187,7 @@ def analyze_release_pair(
     results: Dict[str, GranularityResult] = {}
     skipped: Dict[str, str] = {}
     for granularity in GRANULARITIES:
-        mods = [m for m in pair_scan.alive_at_start() if m.kind == granularity]
+        mods = [m for m in start_defs if m.kind == granularity]
         if not mods:
             skipped[granularity] = f"no {granularity} modules at release"
             log.warning("%s %s: %s", repo.path, pair.label, skipped[granularity])
@@ -278,7 +286,7 @@ def emit_report(
     ]
     fold_rows = [["repo", "release_pair", "granularity", "module_id", "fold"]]
     for res in results:
-        for granularity, gr in sorted(res.by_granularity.items()):  # GRANULARITIES order
+        for granularity, gr in res.by_granularity.items():  # filled in GRANULARITIES order
             s = gr.scores
             releases.append(
                 [res.repo, res.pair.label, granularity, len(gr.cv.dataset), _fmt(len(gr.truth) / len(gr.cv.dataset)),

@@ -214,17 +214,14 @@ class GitRepo:
         return out.split()
 
     def linearize(self, r: Tag, rprime: Tag) -> List[CommitId]:
-        """First-parent path from r to r', oldest first, endpoints included."""
+        """First-parent path from r to r', oldest first, endpoints included; the walk from r' stops at r."""
         if r.commit == rprime.commit:
             return [r.commit]
-        chain = self.first_parent_chain(rprime.commit)
-        try:
-            idx = chain.index(r.commit)
-        except ValueError:
-            raise RepositoryError(
-                f"{r.name} is not a first-parent ancestor of {rprime.name}"
-            ) from None
-        return list(reversed(chain[:idx + 1]))
+        out = self._run("rev-list", "--first-parent", "--parents", rprime.commit, "^" + r.commit)
+        rows = [line.split() for line in _lines(out)]  # "<commit> <first parent> ...", newest first
+        if not rows or rows[-1][1:2] != [r.commit]:
+            raise RepositoryError(f"{r.name} is not a first-parent ancestor of {rprime.name}")
+        return [r.commit] + [row[0] for row in reversed(rows)]
 
     def commit_meta(self, commits: Sequence[CommitId]) -> Dict[CommitId, CommitMeta]:
         missing = [c for c in dict.fromkeys(commits) if c not in self._meta_cache]

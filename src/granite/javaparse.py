@@ -51,6 +51,7 @@ class ModuleId(NamedTuple):
     """Identity of a class or method module; file_path is the path at birth.
 
     A tuple, so hashing and equality run in C: ids key every snapshot and history.
+    Its tuple order is the module order; only class ids hold None, and kind sorts them apart from methods.
     """
 
     kind: str  # "class" | "method"
@@ -58,16 +59,6 @@ class ModuleId(NamedTuple):
     qualified_class: str
     method_name: Optional[str] = None
     param_types: Optional[Tuple[str, ...]] = None
-
-    @property
-    def sort_key(self):
-        return (
-            self.kind,
-            self.file_path,
-            self.qualified_class,
-            self.method_name or "",
-            ",".join(self.param_types or ()),
-        )
 
     def __str__(self) -> str:
         if self.kind == "class":

@@ -295,7 +295,7 @@ def class_hierarchy(defs: Iterable[ModuleDef]) -> Dict[ModuleId, Tuple[int, int]
     module sort order.  An external supertype ends the chain, and so does a
     cycle.
     """
-    classes = sorted((d for d in defs if d.id.kind == "class"), key=lambda d: d.id.sort_key)
+    classes = sorted((d for d in defs if d.id.kind == "class"), key=lambda d: d.id)
     by_simple: Dict[str, ModuleId] = {}
     for d in classes:
         by_simple.setdefault(_simple_name(d.id.qualified_class), d.id)

@@ -58,9 +58,9 @@ def match_renames(
         if d.id in cur_by_id:
             mapping[d.id] = d.id
 
-    loose_prev = sorted((d for d in prev if d.id not in mapping), key=lambda d: d.id.sort_key)
+    loose_prev = sorted((d for d in prev if d.id not in mapping), key=lambda d: d.id)
     matched_cur = set(mapping.values())
-    loose_cur = sorted((d for d in cur if d.id not in matched_cur), key=lambda d: d.id.sort_key)
+    loose_cur = sorted((d for d in cur if d.id not in matched_cur), key=lambda d: d.id)
     if not loose_prev or not loose_cur:
         return mapping
 
@@ -97,10 +97,10 @@ def match_renames(
                 continue  # similarity upper bound already below threshold
             sim = similarity(p.body, c.body)
             if sim >= RENAME_SIMILARITY:
-                candidates.append((-sim, p.id.sort_key, c.id.sort_key, p.id, c.id))
-    candidates.sort(key=lambda t: t[:3])
+                candidates.append((-sim, p.id, c.id))
+    candidates.sort()
     used_prev, used_cur = set(), set()
-    for _, _, _, pid, cid in candidates:
+    for _, pid, cid in candidates:
         if pid in used_prev or cid in used_cur:
             continue
         mapping[pid] = cid
@@ -131,9 +131,6 @@ class ScanResult:
     end_histories: Dict[ModuleId, ChangeHistory]  # module id at commits[-1] -> its lineage's whole walk, births too
     files: Files  # the walk's path -> blob map at commits[-1]
 
-    def alive_at_start(self) -> List[ModuleId]:
-        return sorted(self.start_defs, key=lambda m: m.sort_key)
-
 
 class HistoryScanner:
     """Builds module snapshots and change histories over a repository.
@@ -152,7 +149,8 @@ class HistoryScanner:
     snapshots are built at the first and last commit.  The cache lives as
     long as the scanner, and most lines of a blob repeat a line of an
     earlier blob, so the scanner keeps one string per distinct line read
-    and every cached module body is made of those strings.
+    and every cached module body is made of those strings.  A scan's dicts
+    are in walk order (the tree listing, then each diff), not sorted by id.
     """
 
     def __init__(self, repo: GitRepo):
@@ -171,12 +169,12 @@ class HistoryScanner:
 
     def snapshot_modules(self, commit: CommitId, files: Files) -> Snapshot:
         # module ids carry their file's path
-        return {d.id: d for p, sha in sorted(files.items()) if sha for d in self._file_modules(commit, p, sha) or ()}
+        return {d.id: d for p, sha in files.items() if sha for d in self._file_modules(commit, p, sha) or ()}
 
     def adjacent_delta(self, a: CommitId, b: CommitId, changed: Files, files: Files) -> _Delta:
         """From a to its child b over the files whose blob differs: changed gives their blobs at b, files all at a."""
-        prev = {d.id: d for p in sorted(changed) if (old := files.get(p)) for d in self._file_modules(a, p, old) or ()}
-        cur = {d.id: d for p, new in sorted(changed.items()) if new for d in self._file_modules(b, p, new) or ()}
+        prev = {d.id: d for p in changed if (old := files.get(p)) for d in self._file_modules(a, p, old) or ()}
+        cur = {d.id: d for p, new in changed.items() if new for d in self._file_modules(b, p, new) or ()}
         mapping = match_renames(list(prev.values()), list(cur.values()))
         changes: Dict[ModuleId, Tuple[int, int, int]] = {}
         for pid, cid in mapping.items():
@@ -184,7 +182,7 @@ class HistoryScanner:
             if pbody != cbody:
                 added, deleted = diff_sizes(pbody, cbody)
                 changes[cid] = (added + deleted, added, deleted)
-        births = tuple(sorted(cur.keys() - mapping.values(), key=lambda m: m.sort_key))
+        births = tuple(sorted(cur.keys() - mapping.values()))
         return _Delta(tuple(prev), mapping, changes, births)
 
     def change_histories(self, commits: Sequence[CommitId], prior: Optional[ScanResult] = None) -> ScanResult:

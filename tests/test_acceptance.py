@@ -62,7 +62,7 @@ def test_criterion_1_fixture_ledger_exact(fixture_repo):
             scan = scanner.change_histories(pair.commits)
             alive = {str(m) for m in scan.start_defs}
             assert alive == set(ledger.entries), pair.label
-            for module in scan.alive_at_start():
+            for module in sorted(scan.start_defs):
                 expected = ledger.entries[str(module)]
                 history = scan.histories[module]
                 assert len(history.events) == expected.count, module
@@ -323,7 +323,7 @@ def test_criterion_7_release_delta_bounded_by_commit_delta(fixture_repo):
         flip_checked = False
         for pair in repo.release_pairs("v*"):
             scan = scanner.change_histories(pair.commits)
-            for module in scan.alive_at_start():
+            for module in sorted(scan.start_defs):
                 sizes = change_sizes(scan, module)
                 assert sizes.delta_release <= sizes.delta_commit, module
                 if pair.label == "v1.0..v1.1" and str(module) == "method:src/Alpha.java:Alpha#hot()":

@@ -92,9 +92,20 @@ def small_dataset(n=6, seed=0, granularity="method"):
 def test_assemble_row_per_module_and_order():
     ds = small_dataset(3)
     assert len(ds) == 3
-    assert list(ds.modules) == sorted(ds.modules, key=lambda m: m.sort_key)
+    assert list(ds.modules) == sorted(ds.modules)
     assert ds.feature_names[: len(ds.feature_names) - len(PROCESS_METRIC_NAMES)][0].startswith("product_")
     assert ds.feature_names[-1].startswith("process_")
+
+
+def test_overloads_sort_by_their_parameter_types_one_by_one():
+    # "Foo" sorts before "Foo$Bar", so f(Foo, int) comes first although "$" sorts below ","
+    pair = ModuleId("method", "src/A.java", "A", "f", ("Foo", "int"))
+    nested = ModuleId("method", "src/A.java", "A", "f", ("Foo$Bar",))
+    n_prod = len(feature_names_for("method")) - len(PROCESS_METRIC_NAMES)
+    ids = (nested, pair)
+    ds = assemble({m: np.zeros(n_prod) for m in ids}, {m: np.zeros(len(PROCESS_METRIC_NAMES)) for m in ids},
+                  {m: 0 for m in ids}, {m: 1 for m in ids}, "r1..r2", "method")
+    assert ds.modules == (pair, nested)
 
 
 def test_assemble_missing_module_errors_with_name():

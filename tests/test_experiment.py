@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import logging
+import os
 import shutil
 import statistics
 import subprocess
@@ -76,6 +78,17 @@ def test_config_validation_errors(tmp_path):
     # two clones named alike would overwrite each other's datasets and manifest entry
     with pytest.raises(ValueError, match="'a/repo' and 'b/repo/' share the directory name 'repo'"):
         config_from_dict({"repos": [{"path": "a/repo"}, {"path": "x"}, {"path": "b/repo/"}], "output_dir": "x"})
+
+
+def test_unknown_config_keys_are_ignored_with_a_warning(caplog):
+    raw = {"repos": [{"path": "x", "tag": "v*"}, {"path": "y"}], "output_dir": "o", "fold": 5}
+    with caplog.at_level(logging.WARNING, logger="granite.experiment"):
+        config = config_from_dict(raw)
+    assert (config.folds, config.repos[0].tags) == (10, "*")
+    assert [r.getMessage() for r in caplog.records] == [
+        "config: ignoring unknown keys 'fold'",
+        "repository 'x': ignoring unknown keys 'tag'",
+    ]
 
 
 def test_manifest_hash_changes_iff_config_changes(tmp_path, fixture_repo):
@@ -356,6 +369,30 @@ def test_outputs_pinned(fixture_repo, tmp_path, first_run):
     assert main(["mine", str(fixture_repo.root), "--tags", "v*", "--out", str(tmp_path / "mine.csv")]) == 0
     digests["mine.csv"] = _sha256((tmp_path / "mine.csv").read_bytes())
     assert digests == PINNED_OUTPUTS
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(fixture_repo, tmp_path):
+    # scans key their dicts in walk order, not hash order: two interpreters hashing
+    # strings differently write the same bytes for `granite run` and `granite mine`
+    src = Path(__file__).resolve().parents[1] / "src"
+    written = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash_seed_{hash_seed}"
+        config = tmp_path / f"config_{hash_seed}.json"
+        config.write_text(json.dumps({"repos": [{"path": str(fixture_repo.root), "tags": "v*"}],
+                                      "output_dir": str(out), "k_values": [50, 100, 500, 1000, 5000], "seed": 7}))
+        mine = ["mine", str(fixture_repo.root), "--tags", "v*", "--out", str(tmp_path / f"mine_{hash_seed}.csv")]
+        code = f"from granite.cli import main; assert main({['run', '--config', str(config)]!r}) == 0; assert main({mine!r}) == 0"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        files = _file_bytes(out)
+        files["mine.csv"] = (tmp_path / f"mine_{hash_seed}.csv").read_bytes()
+        written.append(files)
+    assert len(written[0]) == 9
+    for name, data in written[0].items():
+        assert written[1][name] == data, f"{name} depends on the hash seed"
 
 
 def test_different_seed_changes_fold_assignment(fixture_repo, tmp_path, first_run):

@@ -102,6 +102,32 @@ def test_linearize_follows_first_parent_across_merge(tmp_path):
     assert d not in commits
 
 
+def test_release_pairs_read_only_the_commits_they_hold(tmp_path, monkeypatch):
+    rb = RepoBuilder(tmp_path / "long")
+    for i in range(8):  # history before the first release
+        rb.write("f.txt", f"{i}\n")
+        rb.commit(f"c{i}")
+    for tag in ("t1", "t2", "t3"):
+        for i in range(2):
+            rb.write("f.txt", f"{tag} {i}\n")
+            rb.commit(f"{tag} {i}")
+        rb.tag(tag)
+    listed = []
+    run = GitRepo._run
+
+    def listing_run(self, *args):
+        out = run(self, *args)
+        if args[0] != "for-each-ref":  # the tag listing names tags, not history
+            listed.extend(line.split()[0] for line in _lines(out))
+        return out
+
+    with GitRepo(rb.root) as repo:
+        monkeypatch.setattr(GitRepo, "_run", listing_run)
+        pairs = repo.release_pairs("t*")
+    assert [len(p.commits) for p in pairs] == [3, 3]
+    assert len(listed) <= sum(len(p.commits) for p in pairs)
+
+
 def test_disconnected_tags_skipped_with_warning(tmp_path, caplog):
     rb = RepoBuilder(tmp_path / "branchy")
     rb.write("f.txt", "base\n")

@@ -459,6 +459,14 @@ def test_a_duplicate_type_goes_with_its_methods_and_nested_types(caplog):
     ]
 
 
+def test_a_duplicate_method_keeps_the_first(caplog):
+    source = "class A {\n    void f() {}\n    void f() { int x; }\n}"
+    with caplog.at_level(logging.WARNING, logger="granite.javaparse"):
+        defs = extract_modules(snap(source, "A.java"))
+    assert [(str(d.id), d.span) for d in defs] == [("class:A.java:A", (1, 4)), ("method:A.java:A#f()", (2, 2))]
+    assert [r.getMessage() for r in caplog.records] == ["A.java: duplicate method method:A.java:A#f(); keeping first"]
+
+
 def test_parse_records_have_no_instance_dict():
     # a blob's records stay cached for a whole scan, so none carries a per-instance __dict__
     defs = extract_modules(snap("class A {\n    private int x;\n    void f(int y) {}\n}\n"))

@@ -84,6 +84,14 @@ def test_each_module_matched_at_most_once():
     assert set(mapping.values()) == {cur[0].id}
 
 
+def test_a_taken_module_is_skipped_by_the_greedy_step():
+    p1, p2 = mdef("method", "p1", list("abcdef")), mdef("method", "p2", list("abcdeg"))
+    c1 = mdef("method", "c1", list("abcdeh"))
+    assert similarity(p1.body, c1.body) == similarity(p2.body, c1.body) == 5 / 6
+    # equal similarity: the lower id wins, and p2 finds c1 taken and dies
+    assert match_renames([p2, p1], [c1]) == {p1.id: c1.id}
+
+
 def test_kind_mismatch_never_matches():
     body = ["class X {", "}"]
     prev = [mdef("class", None, body)]
