@@ -17,6 +17,7 @@ import numpy as np
 
 from granite.javaparse import ModuleId
 from granite.metrics import CLASS_METRIC_NAMES, METHOD_METRIC_NAMES, PROCESS_METRIC_NAMES
+from granite.streams import Streams
 
 
 @dataclass(frozen=True)
@@ -113,17 +114,16 @@ def min_max_normalize(ds: LabeledDataset) -> LabeledDataset:
 
 
 def random_under_sample(ds: LabeledDataset, seed: int) -> LabeledDataset:
-    """Drop majority rows uniformly at random until both labels are equal."""
+    """Drop majority rows uniformly at random until both labels are equal: numpy's `default_rng(seed)` choice."""
     pos = np.flatnonzero(ds.y == 1)
     neg = np.flatnonzero(ds.y == 0)
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("both labels must be present to resample")
-    rng = np.random.default_rng(seed)
     if len(pos) > len(neg):
-        keep_major = rng.choice(pos, size=len(neg), replace=False)
+        keep_major = pos[Streams([(seed,)]).choice(len(pos), len(neg))[0]]
         keep = np.concatenate([keep_major, neg])
     elif len(neg) > len(pos):
-        keep_major = rng.choice(neg, size=len(pos), replace=False)
+        keep_major = neg[Streams([(seed,)]).choice(len(neg), len(pos))[0]]
         keep = np.concatenate([pos, keep_major])
     else:
         return ds

@@ -9,7 +9,6 @@ and emits deterministic CSV reports plus cross-granularity statistics.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import logging
 import re
@@ -39,6 +38,15 @@ from granite.gitrepo import GitRepo, ReleasePair
 from granite.metrics import class_hierarchy, class_product_metrics, method_product_metrics, process_metrics
 from granite.stats import compare_paired
 from granite.tracking import HistoryScanner, ScanResult, module_loc
+
+# CPython's builtin SHA-256, so that a run does not load hashlib's OpenSSL backend (libcrypto, about 3.3 MB of RSS)
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built without the builtin hashes
+        from hashlib import sha256
 
 log = logging.getLogger(__name__)
 
@@ -76,7 +84,7 @@ class ExperimentConfig:
             "seed": self.seed,
             "folds": self.folds,
         }
-        return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
+        return sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
 
 
 def load_config(path) -> ExperimentConfig:

@@ -1,10 +1,12 @@
 """Seeded random forest of Gini decision trees, plus stratified cross-validation.
 
 Per-tree randomness derives from (seed, tree index) only, so training is
-bit-reproducible regardless of scheduling.  A forest's trees grow in lockstep,
-with batched split searches, and each comes out as a per-tree recursion grows
-it.  Scores are vote fractions: each tree votes the majority label of its leaf
-(ties vote change-prone) and the forest score is the fraction of trees voting 1.
+bit-reproducible regardless of scheduling: tree i draws the stream of numpy's
+`default_rng([seed, i])`, reproduced by granite.streams for all trees at once.
+A forest's trees grow in lockstep, with batched split searches, and each comes
+out as a per-tree recursion grows it.  Scores are vote fractions: each tree
+votes the majority label of its leaf (ties vote change-prone) and the forest
+score is the fraction of trees voting 1.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ import numpy as np
 
 from granite.dataset import LabeledDataset, apply_min_max, fit_min_max, random_under_sample
 from granite.javaparse import ModuleId
+from granite.streams import Streams, choice_indices, choice_ranges
 
 log = logging.getLogger(__name__)
 
 SEARCH_CAP = 8192  # elements (nodes x rows x drawn features) in one batched split search
+DRAW_AHEAD = 4  # feature choices each tree draws with its bootstrap; each later draw doubles, to at most 64
 
 
 @dataclass(frozen=True)
@@ -119,16 +123,22 @@ def _chunks(searches: List[tuple], k: int):
         yield chunk
 
 
+def _queue(draws: np.ndarray, count: int) -> List[List[list]]:
+    """Per row of draws, its count equal parts as lists, the first part last."""
+    return [parts[::-1] for parts in draws.reshape(len(draws), count, -1).tolist()]
+
+
 def train_random_forest(train: LabeledDataset, params: ForestParams) -> ForestModel:
     """Grow n_trees on bootstrap samples; per-tree draws depend only on (seed, i).
 
     A node is a leaf when it is pure (a node of one row always is) or when no
     drawn feature splits it; trees grow to full depth.  The trees grow in
     lockstep: each step pops one node from every tree's stack, appends it and
-    draws its features, then scores the impure ones in a few batched searches
-    (by row count, at most SEARCH_CAP elements each).  A split node pushes its
-    right child and then its left, so each tree draws and lists its nodes in
-    preorder, and a split node's left child is the node after it.
+    takes its features from the tree's stream, then scores the impure ones in
+    a few batched searches (by row count, at most SEARCH_CAP elements each).
+    A split node pushes its right child and then its left, so each tree draws
+    and lists its nodes in preorder, and a split node's left child is the node
+    after it.
     """
     X, y = train.X, train.y.astype(np.int64)
     n, m = X.shape
@@ -139,23 +149,37 @@ def train_random_forest(train: LabeledDataset, params: ForestParams) -> ForestMo
     if params.n_trees < 1:
         raise ValueError("need at least one tree")
     max_features = min(max(1, math.isqrt(m)), m)  # floor(sqrt(m)) candidate features per node
-    trees: List[List[list]] = []  # per tree, its nodes in preorder: feature, threshold, right, neg, pos
-    growing = []  # (generator, stack of (rows, positives, parent node of a right child), nodes) per unfinished tree
-    for i in range(params.n_trees):
-        rng = np.random.default_rng([params.seed & 0x7FFFFFFFFFFF, i])
-        sample = rng.integers(0, n, size=n)
-        trees.append([])
-        growing.append((rng, [(sample, int(y[sample].sum()), None)], trees[-1]))
+    streams = Streams([(params.seed & 0x7FFFFFFFFFFF, i) for i in range(params.n_trees)])
+    # a tree's stream gives its bootstrap sample, as integers(0, n, size=n), and then one
+    # choice(m, max_features, replace=False) per impure node in preorder; choices are drawn ahead
+    # for all trees at once, and a tree's unused ones change nothing
+    ranges = choice_ranges(m, max_features)
+    ahead = DRAW_AHEAD
+    draws = streams.bounded(np.concatenate([np.full(n, n - 1), np.tile(ranges, ahead)]))
+    samples = draws[:, :n].astype(np.int64)
+    queued = _queue(draws[:, n:], ahead)  # per tree, the draws of its next feature choices, the next one last
+    # per tree, its nodes in preorder: feature, threshold, right, neg, pos
+    trees: List[List[list]] = [[] for _ in range(params.n_trees)]
+    # (tree, stack of (rows, positives, parent node of a right child)) per unfinished tree
+    growing = [(i, [(sample, int(y[sample].sum()), None)]) for i, sample in enumerate(samples)]
     while growing:
-        searches = []
-        for rng, stack, nodes in growing:
+        impure = []
+        for i, stack in growing:
             rows, pos, parent = stack.pop()
             if parent is not None:
-                parent[2] = len(nodes)
-            nodes.append([-1, 0.0, -1, len(rows) - pos, pos])
+                parent[2] = len(trees[i])
+            trees[i].append([-1, 0.0, -1, len(rows) - pos, pos])
             if 0 < pos < len(rows):
-                features = rng.choice(m, size=max_features, replace=False)
-                searches.append((len(rows), rows, features, stack, nodes))
+                impure.append((len(rows), rows, i, stack))
+        if any(not queued[i] for _, _, i, _ in impure):
+            ahead = min(2 * ahead, 64)
+            lanes = [i for i, _ in growing]
+            for i, more in zip(lanes, _queue(streams.bounded(np.tile(ranges, ahead), lanes), ahead)):
+                queued[i] = more + queued[i]
+        searches = [
+            (size, rows, choice_indices(m, max_features, queued[i].pop()), stack, trees[i])
+            for size, rows, i, stack in impure
+        ]
         for chunk in _chunks(searches, max_features):
             splits, sorted_rows = _best_splits(
                 X, y, [search[1] for search in chunk], np.array([search[2] for search in chunk])
@@ -167,7 +191,7 @@ def train_random_forest(train: LabeledDataset, params: ForestParams) -> ForestMo
                 # the left child is popped next step; the right one may wait long, so it keeps only its rows
                 stack.append((sorted_rows[row, cut:size].copy(), node[4] - left_pos, node))
                 stack.append((sorted_rows[row, :cut], left_pos, None))
-        growing = [g for g in growing if g[1]]
+        growing = [(i, stack) for i, stack in growing if stack]
     sizes = [len(nodes) for nodes in trees]
     roots = np.cumsum([0] + sizes[:-1])
     all_nodes = (node for nodes in trees for node in nodes)
@@ -224,13 +248,13 @@ class CrossValResult:
         return {m: s for m, s in zip(self.dataset.modules, self.out_of_fold_scores.tolist()) if not math.isnan(s)}
 
 
-def _stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> np.ndarray:
+def _stratified_folds(y: np.ndarray, folds: int, stream: Streams) -> np.ndarray:
     """Deal each class round-robin after a shuffle; fold sizes stay within one."""
     assignment = np.zeros(len(y), dtype=np.int64)
     next_fold = 0
     for label in (1, 0):
         idx = np.flatnonzero(y == label)
-        rng.shuffle(idx)
+        idx = idx[stream.permutation(len(idx))[0]]
         assignment[idx] = (next_fold + np.arange(len(idx))) % folds
         next_fold = (next_fold + len(idx)) % folds
     return assignment
@@ -255,8 +279,7 @@ def cross_validate(
         raise ValueError(f"need at least {folds} rows, have {n}")
     if ds.y.min() == ds.y.max():
         raise ValueError("both labels must be present")
-    fold_rng = np.random.default_rng([params.seed & 0x7FFFFFFFFFFF, 0xF01D])
-    assignment = _stratified_folds(ds.y, folds, fold_rng)
+    assignment = _stratified_folds(ds.y, folds, Streams([(params.seed & 0x7FFFFFFFFFFF, 0xF01D)]))
     oof = np.full(n, np.nan, dtype=np.float64)
     results: List[FoldResult] = []
     for fold in range(folds):

@@ -425,10 +425,14 @@ class _Parser:
                 decl.fields.append(FieldDecl((comp_name,), _RECORD_COMPONENT_MODIFIERS))
         if keyword == "enum":
             self.skip_to(";", "}")  # the constants; the member loop takes the ';' or closes the body
-        close = self._parse_members(decl, chain + (name,))
+        components = tuple(pt for pt, _ in record_components) if keyword == "record" else None
+        close = self._parse_members(decl, chain + (name,), components)
         decl.span = (self.pf.line_of(decl_start), self.pf.line_of(close.start()))
 
-    def _parse_members(self, decl: TypeDecl, chain: Tuple[str, ...]) -> re.Match:
+    def _parse_members(
+        self, decl: TypeDecl, chain: Tuple[str, ...], components: Optional[Tuple[str, ...]] = None
+    ) -> re.Match:
+        """The members up to the type's closing brace, which it returns; components are a record's component types."""
         member_start: Optional[int] = None
         pending: List[re.Match] = []
 
@@ -478,7 +482,12 @@ class _Parser:
                     decl.methods.append(method)
                 reset()
             elif text == "{":
-                self.skip_balanced("{", "}")  # static/instance initializer block
+                close = self.skip_balanced("{", "}")
+                # `R {` in record R is its compact canonical constructor: the constructor
+                # R(components); any other block here is a static or instance initializer
+                if components is not None and pending and pending[-1][0] == chain[-1]:
+                    span = (self.pf.line_of(member_start), self.pf.line_of(close.start()))
+                    decl.methods.append(MethodDecl(chain[-1], components, _modifier_set(pending), span))
                 reset()
             else:
                 if member_start is None:

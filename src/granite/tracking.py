@@ -149,14 +149,19 @@ class HistoryScanner:
     snapshots are built at the first and last commit.  The cache lives as
     long as the scanner, and most lines of a blob repeat a line of an
     earlier blob, so the scanner keeps one string per distinct line read
-    and every cached module body is made of those strings.  A scan's dicts
-    are in walk order (the tree listing, then each diff), not sorted by id.
+    and every cached module body is made of those strings; likewise it keeps
+    one copy of each distinct module id and of each distinct body, which
+    most blobs of a file repeat.  A scan's dicts are in walk order (the tree
+    listing, then each diff), not sorted by id.
     """
 
     def __init__(self, repo: GitRepo):
         self.repo = repo
         self._defs_cache: Dict[Tuple[str, str], Optional[List[ModuleDef]]] = {}
         self._lines: Dict[str, str] = {}  # each distinct line read -> its one kept copy
+        # one kept copy of each distinct id and body; two tables, since a ModuleId equals the plain tuple of its fields
+        self._ids: Dict[ModuleId, ModuleId] = {}
+        self._bodies: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
     def _file_modules(self, commit: CommitId, path: str, sha: str) -> Optional[List[ModuleDef]]:
         """The blob's modules; None when it does not parse."""
@@ -164,7 +169,11 @@ class HistoryScanner:
         if key not in self._defs_cache:
             lines = self.repo.blob_lines(sha)
             lines = tuple(map(self._lines.setdefault, lines, lines))
-            self._defs_cache[key] = extract_modules(FileSnapshot(path, lines, commit))
+            defs = extract_modules(FileSnapshot(path, lines, commit))
+            if defs is not None:
+                ids, bodies = self._ids.setdefault, self._bodies.setdefault
+                defs = [ModuleDef(ids(d.id, d.id), d.span, bodies(d.body, d.body), d.decl) for d in defs]
+            self._defs_cache[key] = defs
         return self._defs_cache[key]
 
     def snapshot_modules(self, commit: CommitId, files: Files) -> Snapshot:

@@ -342,7 +342,7 @@ def test_same_seed_byte_identical_reports(fixture_repo, tmp_path, first_run):
 
 
 # sha256 of every file the fixture run (seed 7, k 50-5000) and `granite mine` write; like
-# test_out_of_fold_scores_pinned this assumes numpy's random streams stay as they are
+# test_out_of_fold_scores_pinned it pins the random streams granite.streams draws
 PINNED_OUTPUTS = {
     "datasets/repo__v1.0..v1.1__class.csv": "b87986af25bd4c43dfd79b10c51ed90891ccd3c464d865218e39623acdce8596",
     "datasets/repo__v1.0..v1.1__method.csv": "7b543fda59fb188be557299100a71779254719b8f04e9c8f1bc7295f0e8aadad",

@@ -115,6 +115,32 @@ def test_constructor_counts_as_method():
     assert "method:src/Sample.java:Box#Box(int)" in ids(defs)
 
 
+def test_a_records_compact_constructor_is_its_canonical_constructor():
+    compact = """\
+    record R(int a, String b) {
+      public R {
+        if (a < 0) throw new IllegalArgumentException();
+      }
+      int twice() { return 2 * a; }
+      static { LOG.info("loaded"); }
+    }
+    """
+    explicit = compact.replace("public R {", "public R(int a, String b) {")
+    for source in (compact, explicit):
+        defs = extract_modules(snap(source))
+        assert [(str(d.id), d.span) for d in defs] == [
+            ("class:src/Sample.java:R", (1, 7)),
+            ("method:src/Sample.java:R#R(int,String)", (2, 4)),
+            ("method:src/Sample.java:R#twice()", (5, 5)),
+        ]
+    generic = "record P<T>(@NonNull T x, List<T> y) {\n  P {\n  }\n  class Inner {\n    { init(); }\n  }\n}\n"
+    assert ids(extract_modules(snap(generic))) == {
+        "class:src/Sample.java:P",
+        "method:src/Sample.java:P#P(T,List)",
+        "class:src/Sample.java:P.Inner",
+    }
+
+
 def test_anonymous_class_folds_into_method():
     source = """\
     class A {
@@ -810,7 +836,8 @@ class _DepthLoopParser(_EagerParser):
                 decl.fields.append(FieldDecl((comp_name,), frozenset({"private", "final"})))
         if keyword == "enum":
             self._skip_enum_constants()
-        close = self._parse_members(decl, chain + (name,))
+        components = tuple(pt for pt, _ in record_components) if keyword == "record" else None
+        close = self._parse_members(decl, chain + (name,), components)
         decl.span = (self.pf.line_of(decl_start), self.pf.line_of(close.start()))
 
     def _skip_enum_constants(self):

@@ -1,6 +1,7 @@
 """The package imports nothing itself, `granite.cli` loads every layer the benchmark's tracer binds,
 the modules `mine` and `eval` need load no numpy, the forest loads no scoring and cross-validation no
-`numpy.ma`, and no module imports a name it does not use.
+`numpy.ma`, `granite run` loads neither `numpy.random` nor OpenSSL's `_hashlib` and `granite mine` no
+`_hashlib`, and no module imports a name it does not use.
 
 perfbench/tracer.py imports `granite.cli` and then looks each layer of its
 LAYERS table up in `sys.modules`, so the command line must keep loading them
@@ -9,12 +10,14 @@ imported anything yet.  The unused-import check reads the sources with `ast`.
 """
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from granite.experiment import ExperimentConfig, RepoSpec
 from test_benchmark_bindings import _tracer_layers
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -56,6 +59,25 @@ def test_cross_validation_loads_no_masked_arrays():
 def test_the_forest_leaves_scoring_to_evaluation():
     loaded = set(_modules_after("import granite.forest"))
     assert "granite.forest" in loaded and not loaded & {"granite.evaluation", "granite.stats"}
+
+
+def test_a_run_loads_neither_numpy_random_nor_openssl_and_mine_no_openssl(fixture_repo, tmp_path):
+    # numpy.random maps libcrypto through secrets and hmac, and hashlib maps it itself: about 3.3 MB of RSS
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"repos": [{"path": str(fixture_repo.root), "tags": "v*"}],
+                                  "output_dir": str(tmp_path / "out"), "k_values": [50, 100], "folds": 3}))
+    run = f"from granite.cli import main; assert main({['run', '--config', str(config)]!r}) == 0"
+    assert _modules_after(run, ("numpy.random", "_hashlib")) == []
+    assert (tmp_path / "out" / "summary.csv").is_file()
+    mine = ["mine", str(fixture_repo.root), "--tags", "v*", "--out", str(tmp_path / "mine.csv")]
+    assert _modules_after(f"from granite.cli import main; assert main({mine!r}) == 0", "_hashlib") == []
+    assert (tmp_path / "mine.csv").stat().st_size > 0
+
+
+def test_the_config_hash_is_the_sha256_of_its_json():
+    config = ExperimentConfig((RepoSpec("/data/repo", "v*"),), "out", (100, 500), seed=7, folds=4)
+    fields = {"repos": [{"path": "/data/repo", "tags": "v*"}], "k_values": [100, 500], "seed": 7, "folds": 4}
+    assert config.config_hash == hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
 
 
 def _unused_imports(source):

@@ -559,6 +559,38 @@ def test_a_scan_keeps_one_string_per_distinct_line(tmp_path):
         assert unchanged and all(x is y for x, y in unchanged), module
 
 
+def test_a_scan_keeps_one_copy_of_each_distinct_module_id_and_body(tmp_path):
+    rb = RepoBuilder(tmp_path / "shared")
+    source = java(
+        """\
+        public class A {
+            int f() {
+                return 1;
+            }
+
+            int g() {
+                return 0;
+            }
+        }
+        """
+    )
+    rb.write("src/A.java", source)
+    rb.write("src/B.java", source.replace("class A", "class B"))
+    rb.commit("c1")
+    rb.tag("s1")
+    rb.write("src/A.java", source.replace("return 1;", "return 2;"))
+    rb.commit("c2 edit f")
+    rb.tag("s2")
+    with GitRepo(rb.root) as repo:
+        scan = HistoryScanner(repo).change_histories(repo.release_pairs("s*")[0].commits)
+    a_g, b_g = (ModuleId("method", f"src/{c}.java", c, "g", ()) for c in "AB")
+    before, after = scan.start_defs[a_g], scan.end_defs[a_g]
+    assert after.id == before.id and after.id is before.id  # two blobs of A.java, one id
+    assert after.body == before.body and after.body is before.body
+    assert scan.start_defs[b_g].body is before.body  # two files, one body
+    assert scan.end_defs[ModuleId("method", "src/A.java", "A", "f", ())].body != before.body
+
+
 class _CountingSubprocess:
     """Stands in for the `subprocess` module inside granite.gitrepo and counts spawns."""
 
