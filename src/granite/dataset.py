@@ -11,13 +11,13 @@ from __future__ import annotations
 import csv
 import statistics
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple
 
 from granite.javaparse import ModuleId
 from granite.metrics import CLASS_METRIC_NAMES, METHOD_METRIC_NAMES, PROCESS_METRIC_NAMES
-from granite.streams import Streams
+
+if TYPE_CHECKING:  # the functions that use numpy import it, so `granite mine` and `granite eval` never load it
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,7 @@ class LabeledDataset:
         return len(self.modules)
 
     def subset(self, indices: Sequence[int]) -> "LabeledDataset":
+        import numpy as np
         idx = np.asarray(indices, dtype=np.int64)
         return replace(
             self,
@@ -75,6 +76,7 @@ def assemble(
     granularity: str,
 ) -> LabeledDataset:
     """One row per module, product block then process block, sorted by module id."""
+    import numpy as np
     keys = set(product)
     for name, mapping in (("process", process), ("labels", labels), ("locs", locs)):
         missing = keys ^ set(mapping)
@@ -98,6 +100,7 @@ def fit_min_max(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def apply_min_max(X: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
+    import numpy as np
     span = maxs - mins
     safe = np.where(span == 0, 1.0, span)
     out = (X - mins) / safe
@@ -115,6 +118,8 @@ def min_max_normalize(ds: LabeledDataset) -> LabeledDataset:
 
 def random_under_sample(ds: LabeledDataset, seed: int) -> LabeledDataset:
     """Drop majority rows uniformly at random until both labels are equal: numpy's `default_rng(seed)` choice."""
+    import numpy as np
+    from granite.streams import Streams
     pos = np.flatnonzero(ds.y == 1)
     neg = np.flatnonzero(ds.y == 0)
     if len(pos) == 0 or len(neg) == 0:

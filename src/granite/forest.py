@@ -14,13 +14,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from granite.dataset import LabeledDataset, apply_min_max, fit_min_max, random_under_sample
 from granite.javaparse import ModuleId
-from granite.streams import Streams, choice_indices, choice_ranges
+
+if TYPE_CHECKING:  # the functions that use them import them, so `granite mine` and `granite eval` load no numpy
+    import numpy as np
+    from granite.streams import Streams
 
 log = logging.getLogger(__name__)
 
@@ -69,6 +70,7 @@ def _best_splits(
     that some drawn feature splits, and, one per split in the same order, the
     node's rows sorted by that feature.
     """
+    import numpy as np
     sizes = np.array([len(r) for r in rows])
     n_max = int(sizes.max())
     real = np.arange(n_max) < sizes[:, None]
@@ -140,6 +142,8 @@ def train_random_forest(train: LabeledDataset, params: ForestParams) -> ForestMo
     and lists its nodes in preorder, and a split node's left child is the node
     after it.
     """
+    import numpy as np
+    from granite.streams import Streams, choice_indices, choice_ranges
     X, y = train.X, train.y.astype(np.int64)
     n, m = X.shape
     if n < 2:
@@ -203,6 +207,7 @@ def train_random_forest(train: LabeledDataset, params: ForestParams) -> ForestMo
 
 def score_matrix(model: ForestModel, X: np.ndarray) -> np.ndarray:
     """Vote fraction per row of X; every (tree, row) pair moves down one level per pass."""
+    import numpy as np
     if X.shape[1] != len(model.feature_names):
         raise ValueError(
             f"feature length mismatch: got {X.shape[1]}, model expects {len(model.feature_names)}"
@@ -221,6 +226,7 @@ def score_matrix(model: ForestModel, X: np.ndarray) -> np.ndarray:
 
 def predict_proba(model: ForestModel, features: np.ndarray) -> float:
     """Change-proneness score of one feature vector."""
+    import numpy as np
     row = np.asarray(features, dtype=np.float64).reshape(1, -1)
     return float(score_matrix(model, row)[0])
 
@@ -250,6 +256,7 @@ class CrossValResult:
 
 def _stratified_folds(y: np.ndarray, folds: int, stream: Streams) -> np.ndarray:
     """Deal each class round-robin after a shuffle; fold sizes stay within one."""
+    import numpy as np
     assignment = np.zeros(len(y), dtype=np.int64)
     next_fold = 0
     for label in (1, 0):
@@ -272,6 +279,8 @@ def cross_validate(
     Normalization and undersampling are fit inside each training fold; a fold
     whose training split is single-label is skipped with a warning.
     """
+    import numpy as np
+    from granite.streams import Streams
     if folds < 2:
         raise ValueError(f"folds must be at least 2, got {folds}")
     n = len(ds)

@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from granite.gitrepo import CommitId, CommitMeta
 from granite.javaparse import (
@@ -26,6 +24,9 @@ from granite.javaparse import (
     mask_source,
 )
 from granite.tracking import ChangeHistory, module_loc
+
+if TYPE_CHECKING:  # the functions that use numpy import it, so `granite mine` and `granite eval` never load it
+    import numpy as np
 
 CLASS_METRIC_NAMES: Tuple[str, ...] = (
     "loc",
@@ -248,6 +249,7 @@ def _declarators_in(stmt: List[str]) -> int:
 
 def method_product_metrics(mdef: ModuleDef) -> np.ndarray:
     """12 product metrics of one method segment, ordered as METHOD_METRIC_NAMES."""
+    import numpy as np
     text = "\n".join(mdef.body)
     masked, literals = mask_source(text)
     start = _body_start(masked)
@@ -329,6 +331,7 @@ def class_product_metrics(
     hierarchy is class_hierarchy() of the release snapshot, so inheritance
     depth and child counts resolve within the project.
     """
+    import numpy as np
     text = "\n".join(mdef.body)
     masked, literals = mask_source(text)
     words = _words(masked)
@@ -405,6 +408,7 @@ def process_metrics(
     Only events strictly before r_commit count; a module born at the release
     has age 0 and every count 0.
     """
+    import numpy as np
     events = [e for e in history.events if e.commit != r_commit]
     r_time = commit_metadata[r_commit].timestamp
     birth_time = commit_metadata[history.birth_commit].timestamp
