@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import statistics
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 
 from granite.javaparse import ModuleId
 from granite.metrics import CLASS_METRIC_NAMES, METHOD_METRIC_NAMES, PROCESS_METRIC_NAMES
@@ -118,21 +118,37 @@ def min_max_normalize(ds: LabeledDataset) -> LabeledDataset:
 
 def random_under_sample(ds: LabeledDataset, seed: int) -> LabeledDataset:
     """Drop majority rows uniformly at random until both labels are equal: numpy's `default_rng(seed)` choice."""
+    keep = under_sampled_rows([ds.y], [seed])[0]
+    return ds if len(keep) == len(ds) else ds.subset(keep)
+
+
+def under_sampled_rows(labels: Sequence[np.ndarray], seeds: Sequence[int]) -> List[np.ndarray]:
+    """The rows random_under_sample keeps of each label vector, in order, drawn with its seed.
+
+    All vectors draw in one bounded call on one batch of streams; the choices
+    are then made for all vectors of one (majority, minority) size at once.
+    """
     import numpy as np
-    from granite.streams import Streams
-    pos = np.flatnonzero(ds.y == 1)
-    neg = np.flatnonzero(ds.y == 0)
-    if len(pos) == 0 or len(neg) == 0:
-        raise ValueError("both labels must be present to resample")
-    if len(pos) > len(neg):
-        keep_major = pos[Streams([(seed,)]).choice(len(pos), len(neg))[0]]
-        keep = np.concatenate([keep_major, neg])
-    elif len(neg) > len(pos):
-        keep_major = neg[Streams([(seed,)]).choice(len(neg), len(pos))[0]]
-        keep = np.concatenate([pos, keep_major])
-    else:
-        return ds
-    return ds.subset(np.sort(keep))
+    from granite.streams import Streams, choice_ranges, choose
+    sides = []
+    for y in labels:
+        pos, neg = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
+        if len(pos) == 0 or len(neg) == 0:
+            raise ValueError("both labels must be present to resample")
+        sides.append((pos, neg) if len(pos) > len(neg) else (neg, pos))
+    ranges = [choice_ranges(len(major), len(minor)) if len(major) > len(minor) else [] for major, minor in sides]
+    width = max(len(r) for r in ranges)
+    draws = Streams([(seed,) for seed in seeds]).bounded([r + [0] * (width - len(r)) for r in ranges])
+    by_size: Dict[Tuple[int, int], List[int]] = {}
+    for i, (major, minor) in enumerate(sides):
+        by_size.setdefault((len(major), len(minor)), []).append(i)
+    kept: List[np.ndarray] = [np.arange(len(y)) for y in labels]
+    for (m, k), group in by_size.items():
+        if m > k:
+            chosen = choose(m, k, draws[group, :len(ranges[group[0]])])
+            for i, row in zip(group, chosen):
+                kept[i] = np.sort(np.concatenate([sides[i][0][row], sides[i][1]]))
+    return kept
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,12 @@
 Per-tree randomness derives from (seed, tree index) only, so training is
 bit-reproducible regardless of scheduling: tree i draws the stream of numpy's
 `default_rng([seed, i])`, reproduced by granite.streams for all trees at once.
-A forest's trees grow in lockstep, with batched split searches, and each comes
-out as a per-tree recursion grows it.  Scores are vote fractions: each tree
+All trees of one training set, or of every training fold of a
+cross-validation, grow in one lockstep.  Each step takes one node of every
+unfinished tree, draws the features of the impure ones in one batch, and
+scores every (node, feature) from its counts of rows and positives per
+distinct value of the training set, so each tree comes out as a per-tree
+recursion over sorted rows grows it.  Scores are vote fractions: each tree
 votes the majority label of its leaf (ties vote change-prone) and the forest
 score is the fraction of trees voting 1.
 """
@@ -13,10 +17,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Sequence, Tuple
 
-from granite.dataset import LabeledDataset, apply_min_max, fit_min_max, random_under_sample
+from granite.dataset import LabeledDataset, apply_min_max, fit_min_max, under_sampled_rows
 from granite.javaparse import ModuleId
 
 if TYPE_CHECKING:  # the functions that use them import them, so `granite mine` and `granite eval` load no numpy
@@ -25,8 +29,8 @@ if TYPE_CHECKING:  # the functions that use them import them, so `granite mine` 
 
 log = logging.getLogger(__name__)
 
-SEARCH_CAP = 8192  # elements (nodes x rows x drawn features) in one batched split search
-DRAW_AHEAD = 4  # feature choices each tree draws with its bootstrap; each later draw doubles, to at most 64
+CHUNK = 1 << 14  # elements (rows x drawn features) of one batched split search
+_SEED_MASK = 0x7FFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -50,159 +54,295 @@ class ForestModel:
     feature_names: Tuple[str, ...]
 
 
-def _best_splits(
-    X: np.ndarray, y: np.ndarray, rows: Sequence[np.ndarray], features: np.ndarray
-) -> Tuple[List[Tuple[int, int, float, int, int]], np.ndarray]:
-    """Best split by weighted Gini of each node b, which holds rows[b] of (X, y) and draws features[b].
+def _ranked(X: np.ndarray):
+    """Dense ranks of each column of X, NaN last as one value; per column its distinct values, their count, and NaN's presence."""
+    import numpy as np
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    nan = np.isnan(xs)
+    new = np.ones(xs.shape, dtype=bool)
+    new[1:] = (xs[1:] > xs[:-1]) | (nan[1:] & ~nan[:-1])
+    rank = np.empty(X.shape, dtype=np.min_scalar_type(len(X)))
+    np.put_along_axis(rank, order, np.cumsum(new, axis=0) - 1, axis=0)
+    return rank, xs.T[new.T], new.sum(axis=0), nan[-1]
 
-    All nodes and their drawn features are sorted and scored in one
-    (B, n_max - 1, k) array.  Rows past a node's own count are padding: NaN
-    with label 0, which a stable sort keeps after the node's real rows (its
-    NaN included), so no split falls in the padding.  A split lies between two
-    adjacent sorted values that differ.  Ties: within a feature the first
-    minimum in sorted order wins, and across features the first one in draw
-    order wins unless a later one scores lower by more than 1e-12.  The
-    threshold is the midpoint of the two values around the split, or the lower
-    one where the midpoint rounds up to the upper, so the rows <= threshold,
-    which go left, are exactly those before the split.
 
-    Returns (b, feature, threshold, left rows, left positives) for each node b
-    that some drawn feature splits, and, one per split in the same order, the
-    node's rows sorted by that feature.
+@dataclass
+class _Tables:
+    """The training sets of one lockstep, ranked, and the rows of every tree's nodes."""
+
+    rank: np.ndarray  # (rows of all sets, features) dense rank of each value
+    labels: np.ndarray  # label of each row of all sets
+    width: np.ndarray  # (sets, features) distinct values, NaN counted as one
+    nan_last: np.ndarray  # (sets, features) whether the last distinct value is NaN
+    values: np.ndarray  # the distinct values, by set, feature and rank
+    value_base: np.ndarray  # (sets, features) where each column's values start
+    sizes: np.ndarray  # rows of each set
+    pool: np.ndarray  # each node's rows lie in one slice, its left child's rows first
+
+
+def _tables(sets: Iterable[Tuple[np.ndarray, np.ndarray]], copies: int) -> _Tables:
+    """The training sets (X, y) ranked, and a pool of copies rows for each of their rows; a lazy X is dropped once ranked."""
+    import numpy as np
+    rank, values, width, nan_last, labels = zip(*[(*_ranked(X), y) for X, y in sets])
+    width, sizes = np.array(width), np.array([len(y) for y in labels])
+    return _Tables(
+        np.concatenate(rank),  # in the widest of the sets' rank types
+        np.concatenate(labels),
+        width,
+        np.array(nan_last),
+        np.concatenate(values),
+        np.cumsum(width).reshape(width.shape) - width,
+        sizes,
+        np.empty(int(sizes.sum()) * copies, dtype=np.min_scalar_type(int(sizes.sum()))),
+    )
+
+
+def _runs(cost: np.ndarray):
+    """Slices of consecutive nodes whose costs sum to at most CHUNK; a costlier node goes alone."""
+    import numpy as np
+    ends = np.cumsum(cost)
+    start = 0
+    while start < len(cost):
+        stop = max(int(np.searchsorted(ends, ends[start] - cost[start] + CHUNK, side="right")), start + 1)
+        yield slice(start, stop)
+        start = stop
+
+
+def _held(t: _Tables, rows, node, ranks, base, bins: int):
+    """Each (node, feature) bin that the rows hold, in order, with its rows and positives.
+
+    A bincount of the keys (bin, label) where the bins are no more than the
+    keys; else, as in deep nodes over features of many distinct values, a
+    sort of the keys, which costs no array of all bins.
     """
     import numpy as np
-    sizes = np.array([len(r) for r in rows])
-    n_max = int(sizes.max())
-    real = np.arange(n_max) < sizes[:, None]
-    index = np.zeros(real.shape, dtype=np.int64)
-    index[real] = np.concatenate(rows)
-    cols = X[index[:, :, None], features[:, None, :]]
-    cols[~real] = np.nan
-    labels = np.where(real, y[index], 0)
-    order = np.argsort(cols, axis=1, kind="stable")
-    xs = np.take_along_axis(cols, order, axis=1)
-    cum_pos = np.cumsum(labels[np.arange(len(rows))[:, None, None], order], axis=1)
-    pos_l = cum_pos[:, :-1].astype(np.float64)
-    n_l = np.arange(1, n_max, dtype=np.float64)[:, None]
-    n_r = np.maximum(sizes[:, None, None] - n_l, 1.0)  # below 1 only in the padding, where 0/0 would warn
-    pos_r = cum_pos[:, -1:] - pos_l
-    # weighted Gini impurity, up to the constant 1/n factor
-    gini_l = n_l - (pos_l**2 + (n_l - pos_l) ** 2) / n_l
-    gini_r = n_r - (pos_r**2 + (n_r - pos_r) ** 2) / n_r
-    scores = gini_l + gini_r
-    scores[~(xs[:, 1:] > xs[:, :-1])] = math.inf  # not `<=`: a NaN next to a value is no split either
-    at = scores.argmin(axis=1)
-    at_score = np.take_along_axis(scores, at[:, None], axis=1)[:, 0]
-    best = np.full(len(rows), -1)
-    best_score = np.full(len(rows), math.inf)
-    for c in range(features.shape[1]):
-        better = at_score[:, c] < best_score - 1e-12
-        best[better] = c
-        best_score[better] = at_score[better, c]
-    node = np.flatnonzero(best >= 0)
-    column = best[node]
-    split = at[node, column]
-    lower, upper = xs[node, split, column], xs[node, split + 1, column]
-    threshold = (lower + upper) / 2.0
-    threshold = np.where(threshold < upper, threshold, lower)  # the midpoint of two adjacent floats may round up
-    splits = (node, features[node, column], threshold, split + 1, cum_pos[node, split, column])
-    return list(zip(*(a.tolist() for a in splits))), index[node[:, None], order[node, :, column]]
+    keys = base[node]
+    keys += ranks
+    keys *= 2
+    keys += t.labels[rows][:, None]
+    keys = keys.ravel()
+    if bins <= len(keys):
+        counts = np.bincount(keys, minlength=2 * bins)
+        del keys  # the largest array of a run
+        total = counts[0::2] + counts[1::2]
+        held = np.flatnonzero(total)
+        return held, total[held], counts[1::2][held]
+    keys.sort()
+    first = np.flatnonzero(np.diff(keys >> 1, prepend=-1))
+    return keys[first] >> 1, np.diff(first, append=len(keys)), np.add.reduceat(keys & 1, first)
 
 
-def _chunks(searches: List[tuple], k: int):
-    """The searches by row count, in runs of at most SEARCH_CAP elements each; a larger node goes alone.
+def _split(t: _Tables, start, size, pos, node_set, drawn):
+    """Best split of each node b by weighted Gini, and its rows partitioned: left rows first.
 
-    Sorting by row count keeps the padding small; the features are drawn
-    before, so the order cannot move them.
+    Node b of set node_set[b] holds the rows t.pool[start[b]:start[b] + size[b]]
+    and draws the features drawn[b].  The threshold is the midpoint of the two
+    values around the split (_best), or the lower one where the midpoint rounds
+    up to the upper, so the rows <= threshold, which go left, are exactly those
+    below the split.
+
+    Returns per node its feature (-1 where no drawn feature splits it),
+    threshold, left rows and left positives.
     """
-    chunk: List[tuple] = []
-    for search in sorted(searches, key=lambda search: search[0]):
-        if chunk and (len(chunk) + 1) * search[0] * k > SEARCH_CAP:
-            yield chunk
-            chunk = []
-        chunk.append(search)
-    if chunk:
-        yield chunk
+    import numpy as np
+    first_row = np.cumsum(size) - size
+    node = np.repeat(np.arange(len(size)), size)
+    rows = t.pool[np.arange(len(node)) + np.repeat(start - first_row, size)]
+    ranks = t.rank[rows[:, None], drawn[node]]
+    column, lower, upper, n_left, pos_left = _best(t, rows, node, ranks, size, pos, node_set, drawn)
+    feature, threshold = np.full(len(size), -1), np.zeros(len(size))
+    sb = np.flatnonzero(column >= 0)
+    feature[sb] = drawn[sb, column[sb]]
+    value_at = t.value_base[node_set[sb], feature[sb]]
+    low, high = t.values[value_at + lower[sb]], t.values[value_at + upper[sb]]
+    midpoint = (low + high) / 2.0
+    threshold[sb] = np.where(midpoint < high, midpoint, low)  # the midpoint of two adjacent floats may round up
+    # move each split node's rows in place, those at or below the lower value first, each side in its order
+    e = np.flatnonzero(column[node] >= 0)
+    en = node[e]
+    left = ranks[e, column[en]] <= lower[en]
+    within = e - first_row[en]
+    lefts_before = np.cumsum(left) - left
+    lefts_before -= lefts_before[np.flatnonzero(within == 0)[np.cumsum(within == 0) - 1]]
+    t.pool[start[en] + np.where(left, lefts_before, n_left[en] + within - lefts_before)] = rows[e]
+    return feature, threshold, n_left, pos_left
 
 
-def _queue(draws: np.ndarray, count: int) -> List[List[list]]:
-    """Per row of draws, its count equal parts as lists, the first part last."""
-    return [parts[::-1] for parts in draws.reshape(len(draws), count, -1).tolist()]
+def _best(t: _Tables, rows, node, ranks, size, pos, node_set, drawn):
+    """Per node, the column of drawn that splits it best, the ranks of the values below and above the split, and its left rows and positives.
+
+    The rows and positives are counted per distinct value of each drawn
+    feature (_held); a split lies between two adjacent values that the node
+    holds, not before NaN.  Ties: within a feature the first minimum in value
+    order wins, and across features the first one in draw order wins unless a
+    later one scores lower by more than 1e-12.  The column is -1 where no
+    drawn feature splits the node.
+    """
+    import numpy as np
+    nodes, k = drawn.shape
+    column, lower, upper = np.full(nodes, -1), np.zeros(nodes, dtype=np.int64), np.zeros(nodes, dtype=np.int64)
+    n_left, pos_left = np.zeros(nodes, dtype=np.int64), np.zeros(nodes, dtype=np.int64)
+    width = t.width[node_set[:, None], drawn].ravel()
+    base = np.cumsum(width) - width  # each (node, column)'s first bin
+    held, total, positives = _held(t, rows, node, ranks, base.reshape(nodes, k), int(width.sum()))
+    group = np.searchsorted(base, held, side="right") - 1
+    rank = held - base[group]
+    head = np.ones(len(held), dtype=bool)
+    head[1:] = group[1:] != group[:-1]
+    nan = t.nan_last[node_set[:, None], drawn].ravel()[group] & (rank == width[group] - 1)
+    at = np.flatnonzero(~head[1:] & ~nan[1:])  # below each held value but the first of its group, and not below NaN
+    if not len(at):
+        return column, lower, upper, n_left, pos_left
+    first = np.flatnonzero(head)[np.cumsum(head) - 1][at]  # the first held value of each split's group
+    n_cum, pos_cum = np.cumsum(total), np.cumsum(positives)
+    n_l = n_cum[at] - n_cum[first] + total[first]
+    pos_l = pos_cum[at] - pos_cum[first] + positives[first]
+    group = group[at]
+    b = group // k
+    nl, pl = n_l.astype(np.float64), pos_l.astype(np.float64)
+    nr, pr = size[b] - nl, pos[b] - pl
+    # weighted Gini impurity, up to the constant 1/n factor
+    scores = (nl - (pl**2 + (nl - pl) ** 2) / nl) + (nr - (pr**2 + (nr - pr) ** 2) / nr)
+    head = np.ones(len(at), dtype=bool)
+    head[1:] = group[1:] != group[:-1]
+    starts = np.flatnonzero(head)
+    lowest = np.flatnonzero(scores == np.repeat(np.minimum.reduceat(scores, starts), np.diff(starts, append=len(at))))
+    lowest = lowest[np.concatenate([[True], group[lowest[1:]] != group[lowest[:-1]]])]  # the first minimum
+    at_score = np.full(nodes * k, math.inf)
+    at_score[group[lowest]] = scores[lowest]
+    at_split = np.zeros(nodes * k, dtype=np.int64)
+    at_split[group[lowest]] = lowest
+    at_score, at_split = at_score.reshape(nodes, k), at_split.reshape(nodes, k)
+    best_score = np.full(nodes, math.inf)
+    for c in range(k):
+        better = at_score[:, c] < best_score - 1e-12
+        column[better] = c
+        best_score[better] = at_score[better, c]
+    sb = np.flatnonzero(column >= 0)
+    chosen = at_split[sb, column[sb]]
+    lower[sb], upper[sb] = rank[at[chosen]], rank[at[chosen] + 1]
+    n_left[sb], pos_left[sb] = n_l[chosen], pos_l[chosen]
+    return column, lower, upper, n_left, pos_left
+
+
+def _grow(sets: Iterable[Tuple[np.ndarray, np.ndarray]], seeds: Sequence[int], n_trees: int,
+          feature_names: Tuple[str, ...]) -> Callable[[int], ForestModel]:
+    """Grow a forest of n_trees for each training set (X, y), tree i of set s on the stream of (seeds[s], i).
+
+    Returns a function of s that builds set s's forest from the grown
+    nodes, so a caller that scores each forest and drops it holds the arrays
+    of one forest at a time.
+
+    A node is a leaf when it is pure (a node of one row always is) or when no
+    drawn feature splits it; trees grow to full depth.  All trees grow in
+    lockstep.  Each step takes one node of every unfinished tree: the left
+    child of the node it split last step, or else the top of its stack of right
+    children.  So node j of a tree is the one of step j, each tree draws and
+    lists its nodes in preorder, and a split node's left child is the node
+    after it.  The impure nodes of a step draw their features in one batch and
+    are scored in runs of at most CHUNK elements.
+    """
+    import numpy as np
+    from granite.streams import Streams, choice_ranges, choose
+    if n_trees < 1:
+        raise ValueError("need at least one tree")
+    m = len(feature_names)
+    k = min(max(1, math.isqrt(m)), m)  # floor(sqrt(m)) candidate features per node
+    t = _tables(sets, n_trees)
+    sizes = t.sizes
+    row_base = np.cumsum(sizes) - sizes
+    lanes = len(sizes) * n_trees
+    lane_set = np.repeat(np.arange(len(sizes)), n_trees)
+    streams = Streams([(seed & _SEED_MASK, i) for seed in seeds for i in range(n_trees)])
+    # a tree's stream gives its bootstrap sample, as integers(0, n, size=n), and then one
+    # choice(m, k, replace=False) per impure node in preorder; the samples are drawn by row count
+    index = np.int32 if t.pool.size < 2**31 else np.int64
+    node = np.zeros((lanes, 4), dtype=index)  # per unfinished tree, its node of this step: start, size, pos, parent
+    filled = 0
+    for n in sorted(set(sizes.tolist())):
+        group = np.flatnonzero(sizes[lane_set] == n)
+        sample = t.pool[filled:filled + len(group) * n].reshape(len(group), n)
+        sample[:] = streams.bounded(np.full(n, n - 1), group)
+        sample += row_base[lane_set[group], None].astype(t.pool.dtype)
+        node[group] = np.column_stack([filled + n * np.arange(len(group)), np.full(len(group), n),
+                                       t.labels[sample].sum(axis=1), np.full(len(group), -1)])
+        filled += sample.size
+    active = np.arange(lanes, dtype=index)
+    ranges = choice_ranges(m, k)
+    stack = np.zeros((lanes, 4, 4), dtype=index)  # per tree, the nodes of its right children, the last on top
+    depth = np.zeros(lanes, dtype=np.int64)
+    records = []  # per step: its trees, their nodes, features and thresholds
+    step = 0
+    while len(active):
+        start, size, pos = node[:, 0], node[:, 1], node[:, 2]
+        feature, threshold = np.full(len(active), -1, dtype=index), np.zeros(len(active))
+        n_left, pos_left = np.zeros(len(active), dtype=index), np.zeros(len(active), dtype=index)
+        impure = np.flatnonzero((pos > 0) & (pos < size))
+        if len(impure):
+            drawn = choose(m, k, streams.bounded(ranges, active[impure]))
+            node_set = lane_set[active[impure]]
+            for run in _runs(size[impure] * k):
+                b = impure[run]
+                feature[b], threshold[b], n_left[b], pos_left[b] = _split(
+                    t, start[b], size[b], pos[b], node_set[run], drawn[run]
+                )
+        records.append([active, node, feature, threshold])
+        split = feature >= 0
+        # a split node's right child waits on its tree's stack, and its left child comes next
+        waits = active[split]
+        if len(waits) and depth[waits].max() == stack.shape[1]:
+            stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
+        stack[waits, depth[waits]] = np.column_stack(
+            [start[split] + n_left[split], size[split] - n_left[split], pos[split] - pos_left[split],
+             np.full(len(waits), step)]
+        )
+        depth[waits] += 1
+        # after a leaf, its tree goes on with the top of its stack, or is done
+        resumes = ~split & (depth[active] > 0)
+        popped = active[resumes]
+        depth[popped] -= 1
+        after = np.empty(node.shape, dtype=index)
+        after[split] = np.column_stack([start[split], n_left[split], pos_left[split], np.full(len(waits), -1)])
+        after[resumes] = stack[popped, depth[popped]]
+        goes_on = split | resumes
+        active, node = active[goes_on], after[goes_on]
+        step += 1
+    # node j of a tree is its node of step j; each column is freed once joined
+    lane, node, feature, threshold = (_joined(records, c) for c in range(4))
+    order = np.argsort(lane, kind="stable")  # by tree, and within a tree by step: the nodes in preorder
+    tree_size = np.bincount(lane, minlength=lanes)
+    roots = np.cumsum(tree_size) - tree_size
+
+    def forest(s: int) -> ForestModel:
+        trees = roots[s * n_trees:(s + 1) * n_trees]
+        lo = int(trees[0])
+        at = order[lo:lo + int(tree_size[s * n_trees:(s + 1) * n_trees].sum())]
+        right = np.full(len(at), -1)
+        child = node[at, 3] >= 0
+        right[trees[lane[at[child]] - s * n_trees] - lo + node[at[child], 3]] = np.flatnonzero(child)
+        counts = np.column_stack([node[at, 1] - node[at, 2], node[at, 2]]).astype(np.int64)
+        return ForestModel(trees - lo, feature[at].astype(np.int64), threshold[at], right, counts, feature_names)
+
+    return forest
+
+
+def _joined(records: List[list], column: int) -> np.ndarray:
+    """One column of the records, concatenated, and dropped from them."""
+    import numpy as np
+    joined = np.concatenate([record[column] for record in records])
+    for record in records:
+        record[column] = None
+    return joined
 
 
 def train_random_forest(train: LabeledDataset, params: ForestParams) -> ForestModel:
-    """Grow n_trees on bootstrap samples; per-tree draws depend only on (seed, i).
-
-    A node is a leaf when it is pure (a node of one row always is) or when no
-    drawn feature splits it; trees grow to full depth.  The trees grow in
-    lockstep: each step pops one node from every tree's stack, appends it and
-    takes its features from the tree's stream, then scores the impure ones in
-    a few batched searches (by row count, at most SEARCH_CAP elements each).
-    A split node pushes its right child and then its left, so each tree draws
-    and lists its nodes in preorder, and a split node's left child is the node
-    after it.
-    """
-    import numpy as np
-    from granite.streams import Streams, choice_indices, choice_ranges
-    X, y = train.X, train.y.astype(np.int64)
-    n, m = X.shape
-    if n < 2:
+    """Grow n_trees on bootstrap samples; per-tree draws depend only on (seed, i)."""
+    if len(train) < 2:
         raise ValueError("need at least 2 training rows")
-    if y.min() == y.max():
+    if train.y.min() == train.y.max():
         raise ValueError("training set has a single label")
-    if params.n_trees < 1:
-        raise ValueError("need at least one tree")
-    max_features = min(max(1, math.isqrt(m)), m)  # floor(sqrt(m)) candidate features per node
-    streams = Streams([(params.seed & 0x7FFFFFFFFFFF, i) for i in range(params.n_trees)])
-    # a tree's stream gives its bootstrap sample, as integers(0, n, size=n), and then one
-    # choice(m, max_features, replace=False) per impure node in preorder; choices are drawn ahead
-    # for all trees at once, and a tree's unused ones change nothing
-    ranges = choice_ranges(m, max_features)
-    ahead = DRAW_AHEAD
-    draws = streams.bounded(np.concatenate([np.full(n, n - 1), np.tile(ranges, ahead)]))
-    samples = draws[:, :n].astype(np.int64)
-    queued = _queue(draws[:, n:], ahead)  # per tree, the draws of its next feature choices, the next one last
-    # per tree, its nodes in preorder: feature, threshold, right, neg, pos
-    trees: List[List[list]] = [[] for _ in range(params.n_trees)]
-    # (tree, stack of (rows, positives, parent node of a right child)) per unfinished tree
-    growing = [(i, [(sample, int(y[sample].sum()), None)]) for i, sample in enumerate(samples)]
-    while growing:
-        impure = []
-        for i, stack in growing:
-            rows, pos, parent = stack.pop()
-            if parent is not None:
-                parent[2] = len(trees[i])
-            trees[i].append([-1, 0.0, -1, len(rows) - pos, pos])
-            if 0 < pos < len(rows):
-                impure.append((len(rows), rows, i, stack))
-        if any(not queued[i] for _, _, i, _ in impure):
-            ahead = min(2 * ahead, 64)
-            lanes = [i for i, _ in growing]
-            for i, more in zip(lanes, _queue(streams.bounded(np.tile(ranges, ahead), lanes), ahead)):
-                queued[i] = more + queued[i]
-        searches = [
-            (size, rows, choice_indices(m, max_features, queued[i].pop()), stack, trees[i])
-            for size, rows, i, stack in impure
-        ]
-        for chunk in _chunks(searches, max_features):
-            splits, sorted_rows = _best_splits(
-                X, y, [search[1] for search in chunk], np.array([search[2] for search in chunk])
-            )
-            for row, (b, f, threshold, cut, left_pos) in enumerate(splits):
-                size, _, _, stack, nodes = chunk[b]
-                node = nodes[-1]
-                node[:2] = f, threshold
-                # the left child is popped next step; the right one may wait long, so it keeps only its rows
-                stack.append((sorted_rows[row, cut:size].copy(), node[4] - left_pos, node))
-                stack.append((sorted_rows[row, :cut], left_pos, None))
-        growing = [(i, stack) for i, stack in growing if stack]
-    sizes = [len(nodes) for nodes in trees]
-    roots = np.cumsum([0] + sizes[:-1])
-    all_nodes = (node for nodes in trees for node in nodes)
-    feature, threshold, right, neg, pos = (np.array(column) for column in zip(*all_nodes))
-    right = np.where(right >= 0, right + np.repeat(roots, sizes), -1)
-    counts = np.column_stack([neg, pos])
-    return ForestModel(roots, feature, threshold, right, counts, train.feature_names)
+    return _grow([(train.X, train.y)], [params.seed], params.n_trees, train.feature_names)(0)
 
 
 def score_matrix(model: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -277,7 +417,9 @@ def cross_validate(
     """Stratified k-fold out-of-fold scoring.
 
     Normalization and undersampling are fit inside each training fold; a fold
-    whose training split is single-label is skipped with a warning.
+    whose training split is single-label is skipped with a warning.  The
+    folds' forests grow in one lockstep, and their under-samplings draw from
+    one batch of streams.
     """
     import numpy as np
     from granite.streams import Streams
@@ -288,9 +430,10 @@ def cross_validate(
         raise ValueError(f"need at least {folds} rows, have {n}")
     if ds.y.min() == ds.y.max():
         raise ValueError("both labels must be present")
-    assignment = _stratified_folds(ds.y, folds, Streams([(params.seed & 0x7FFFFFFFFFFF, 0xF01D)]))
+    assignment = _stratified_folds(ds.y, folds, Streams([(params.seed & _SEED_MASK, 0xF01D)]))
     oof = np.full(n, np.nan, dtype=np.float64)
     results: List[FoldResult] = []
+    trained = []  # (fold, test rows, training rows)
     for fold in range(folds):
         test_idx = np.flatnonzero(assignment == fold)
         train_idx = np.flatnonzero(assignment != fold)
@@ -299,14 +442,22 @@ def cross_validate(
             log.warning("%s/%s fold %d skipped: single-label training split", ds.release, ds.granularity, fold)
             results.append(FoldResult(fold, skipped=True))
             continue
-        mins, maxs = fit_min_max(ds.X[train_idx])
-        train_ds = ds.subset(train_idx)
-        train_ds = replace(train_ds, X=apply_min_max(train_ds.X, mins, maxs))
-        train_ds = random_under_sample(train_ds, seed=_combine_seed(params.seed, 1000 + fold))
-        model = train_random_forest(
-            train_ds, replace(params, seed=_combine_seed(params.seed, fold + 1))
-        )
-        X_test = apply_min_max(ds.X[test_idx], mins, maxs)
-        oof[test_idx] = score_matrix(model, X_test)
+        trained.append((fold, test_idx, train_idx))
         results.append(FoldResult(fold))
+    if not trained:
+        return CrossValResult(ds, assignment, oof, results)
+    scales = [fit_min_max(ds.X[train_idx]) for _, _, train_idx in trained]
+    kept = under_sampled_rows(
+        [ds.y[train_idx] for _, _, train_idx in trained],
+        [_combine_seed(params.seed, 1000 + fold) for fold, _, _ in trained],
+    )
+    rows = [train_idx[keep] for (_, _, train_idx), keep in zip(trained, kept)]
+    forest = _grow(
+        ((apply_min_max(ds.X[r], *scale), ds.y[r]) for r, scale in zip(rows, scales)),
+        [_combine_seed(params.seed, fold + 1) for fold, _, _ in trained],
+        params.n_trees,
+        ds.feature_names,
+    )
+    for s, ((_, test_idx, _), scale) in enumerate(zip(trained, scales)):
+        oof[test_idx] = score_matrix(forest(s), apply_min_max(ds.X[test_idx], *scale))
     return CrossValResult(ds, assignment, oof, results)

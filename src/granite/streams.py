@@ -38,6 +38,7 @@ import numpy as np
 
 M32 = 0xFFFFFFFF
 BLOCK = 64  # outputs per block: the precomputed factors cover k = 1..BLOCK
+CHUNK = 1 << 13  # positions that one run of lanes of a bounded draw holds
 
 # SeedSequence's hash constants
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -135,9 +136,16 @@ class Streams:
 
     def __init__(self, entropies: Sequence[Sequence[int]]):
         words = [_entropy_words(e) for e in entropies]
-        if not words or len({len(w) for w in words}) != 1:
-            raise ValueError("need at least one stream, and entropies of one word count")
-        w0, w1, w2, w3 = _seed_state(np.array(words, dtype=np.uint32))
+        if not words:
+            raise ValueError("need at least one stream")
+        # SeedSequence hashes a missing pool word as 0, so entropies of up to four words seed as one batch
+        counts = np.array([max(len(w), _POOL_SIZE) for w in words])  # np.unique would load numpy.ma
+        state = np.empty((4, len(words)), dtype=np.uint64)
+        for count in set(counts.tolist()):
+            lanes = np.flatnonzero(counts == count)
+            padded = [words[i] + [0] * (count - len(words[i])) for i in lanes.tolist()]
+            state[:, lanes] = _seed_state(np.array(padded, dtype=np.uint32))
+        w0, w1, w2, w3 = state
         # inc = 2 * (w2:w3) + 1; the state steps once from 0, adds w0:w1, and steps again
         self._inc = (w2 << 1 | w3 >> 63, w3 << 1 | 1)
         hi, lo = _add128(*self._inc, w0, w1)
@@ -171,52 +179,65 @@ class Streams:
             draws[has] = np.concatenate([self._half[lanes[has], None], draws[has, :-1]], axis=1)
         return draws, hi, lo
 
-    def bounded(self, ranges: Sequence[int], lanes: Optional[Sequence[int]] = None, masked: bool = False) -> np.ndarray:
-        """Each lane's next draws in [0, r], one per r in ranges, as a (lanes, ranges) uint64 array.
+    def bounded(self, ranges, lanes: Optional[Sequence[int]] = None, masked: bool = False) -> np.ndarray:
+        """Each lane's next draws in [0, r], one per r in its row of ranges, as a (lanes, positions) array.
 
-        Lemire's method, as numpy's `integers` and `choice` bound a draw, or
-        with masked the rejection of `shuffle`.  A range of 0 draws nothing.
-        The lanes are distinct; `bounded(np.full(n, n - 1))` is `integers(0, n, size=n)`.
+        ranges is one row for every lane or one row per lane.  Lemire's
+        method, as numpy's `integers` and `choice` bound a draw, or with masked
+        the rejection of `shuffle`.  A range of 0 draws nothing.  The lanes are
+        distinct; `bounded(np.full(n, n - 1))` is `integers(0, n, size=n)`.
+        The result has the smallest unsigned type that holds every range, and
+        the lanes draw in runs of at most CHUNK positions.
         """
         lanes = np.arange(len(self)) if lanes is None else np.asarray(lanes, dtype=np.int64)
-        ranges = np.asarray(ranges, dtype=np.uint64)
-        out = np.zeros((len(lanes), len(ranges)), dtype=np.uint64)
-        drawn = np.flatnonzero(ranges)
-        if not len(lanes) or not len(drawn):
+        ranges = np.asarray(ranges)
+        if ranges.size and (ranges.min() < 0 or ranges.max() > M32):
+            raise ValueError("bounded draws take ranges from 0 to below 2**32")
+        out = np.zeros((len(lanes), ranges.shape[-1]), dtype=np.min_scalar_type(int(ranges.max(initial=0))))
+        if not out.size:
             return out
-        r = ranges[drawn]
-        if r.max() > M32:
-            raise ValueError("bounded draws take ranges below 2**32")
+        run = max(1, CHUNK // (ranges.shape[-1] + 1))
+        for start in range(0, len(lanes), run):
+            part = slice(start, start + run)
+            rows = ranges if ranges.ndim == 1 else ranges[part]
+            out[part] = self._bounded(rows.astype(np.uint64), lanes[part], masked)
+        return out
+
+    def _bounded(self, ranges: np.ndarray, lanes: np.ndarray, masked: bool) -> np.ndarray:
+        """bounded for one run of lanes; ranges is one row for all of them, or one row each."""
+        drawn = ranges > 0
+        # each position's draw; a position that draws nothing keeps the last
+        at = np.broadcast_to(np.cumsum(drawn, axis=-1) - 1, (len(lanes), ranges.shape[-1]))
+        if at[:, -1].max() < 0:
+            return np.zeros(at.shape, dtype=np.uint64)
         if masked:
-            mask = r.copy()
+            mask = ranges.copy()
             for shift in (1, 2, 4, 8, 16):
                 mask |= mask >> shift
         else:
-            span = r + 1
+            span = ranges + 1
             threshold = (2**32 - span) % span  # 2**32 mod span: Lemire rejects a low word below it
-        n = len(r)
-        positions = np.arange(n)
-        draws, hi, lo = self._draws(lanes, n)
-        at = None  # each position's draw per lane, once a draw was rejected; until then position p takes draw p
+        positions = np.arange(ranges.shape[-1])
+        draws, hi, lo = self._draws(lanes, int(at[:, -1].max()) + 1)
         while True:
-            u = draws[:, :n] if at is None else np.take_along_axis(draws, at, axis=1)
+            u = np.take_along_axis(draws, np.maximum(at, 0), axis=1)
             if masked:
                 value = u & mask
-                ok = value <= r
+                ok = value <= ranges
             else:
                 product = u * span
                 value, ok = product >> 32, (product & M32) >= threshold
-            rejected = ~ok
+            rejected = drawn & ~ok
             if not rejected.any():
                 break
             # a lane redraws its first rejected position from its next draw, which moves every later one on
-            first = np.where(rejected.any(axis=1), rejected.argmax(axis=1), n)
-            at = (positions if at is None else at) + (positions >= first[:, None])
+            first = np.where(rejected.any(axis=1), rejected.argmax(axis=1), len(positions))
+            at = at + (positions >= first[:, None])
             if at[:, -1].max() >= draws.shape[1] - 1:  # the draw after a lane's last must exist too
                 draws, hi, lo = self._draws(lanes, 2 * int(at[:, -1].max()) + 2)
-        out[:, drawn] = value
+        value *= drawn
         rows = np.arange(len(lanes))
-        used = n if at is None else at[:, -1] + 1
+        used = at[:, -1] + 1
         new = used - self._has_half[lanes]  # draws taken from new outputs
         step = (new + 1) // 2 - 1  # the last output taken; -1 for none
         moved = step >= 0
@@ -224,18 +245,17 @@ class Streams:
         self._lo[lanes[moved]] = lo[rows[moved], step[moved]]
         self._has_half[lanes] = new % 2 == 1
         self._half[lanes] = draws[rows, used]
-        return out
+        return value
 
     def choice(self, m: int, k: int) -> np.ndarray:
         """(lanes, k) draws of `choice(m, size=k, replace=False)`; index an array with a row to choose from it."""
-        draws = self.bounded(choice_ranges(m, k)).tolist()
-        return np.array([choice_indices(m, k, row) for row in draws], dtype=np.int64).reshape(len(draws), k)
+        return choose(m, k, self.bounded(choice_ranges(m, k)))
 
     def permutation(self, n: int) -> np.ndarray:
         """(lanes, n) orders that `shuffle` gives an array of n items: x[order] is x shuffled."""
         places = range(n - 1, 0, -1)
         draws = self.bounded(places, masked=True).tolist()
-        return np.array([_swapped(list(range(n)), places, row) for row in draws], dtype=np.int64)
+        return np.array([_swapped(list(range(n)), places, row) for row in draws], dtype=np.int64).reshape(len(draws), n)
 
 
 def _tail_shuffles(m: int, k: int) -> bool:
@@ -251,21 +271,28 @@ def choice_ranges(m: int, k: int) -> List[int]:
     return list(range(m - k, m)) + list(range(k - 1, 0, -1))
 
 
-def choice_indices(m: int, k: int, draws: Sequence[int]) -> List[int]:
-    """What `choice(m, size=k, replace=False)` returns, given the draws of choice_ranges(m, k)."""
-    if _tail_shuffles(m, k):
-        return _swapped(list(range(m)), choice_ranges(m, k), draws)[m - k:]  # each draw's range is its place
-    chosen: List[int] = []
-    seen = set()
-    for j, value in zip(range(m - k, m), draws):  # Floyd: a value drawn before gives way to j
-        value = j if value in seen else value
-        seen.add(value)
-        chosen.append(value)
-    return _swapped(chosen, range(k - 1, 0, -1), draws[k:])
+def choose(m: int, k: int, draws: np.ndarray) -> np.ndarray:
+    """What `choice(m, size=k, replace=False)` returns for each row of draws of choice_ranges(m, k), as a (rows, k) array."""
+    draws = draws.astype(np.int64)
+    if _tail_shuffles(m, k):  # each draw's range is its place
+        return _swap(np.tile(np.arange(m), (len(draws), 1)), choice_ranges(m, k), draws)[:, m - k:]
+    chosen = np.empty((len(draws), k), dtype=np.int64)
+    for t, j in enumerate(range(m - k, m)):  # Floyd: a value drawn before gives way to j
+        value = draws[:, t]
+        chosen[:, t] = np.where((chosen[:, :t] == value[:, None]).any(axis=1), j, value)
+    return _swap(chosen, range(k - 1, 0, -1), draws[:, k:])
+
+
+def _swap(items: np.ndarray, places: Sequence[int], draws: np.ndarray) -> np.ndarray:
+    """items after swapping, in each row, items[i] with items[j] for each place i and the row's draw j, in order."""
+    rows = np.arange(len(items))
+    for i, j in zip(places, draws.T):
+        items[:, i], items[rows, j] = items[rows, j], items[:, i].copy()
+    return items
 
 
 def _swapped(items: List[int], places: Sequence[int], draws: Sequence[int]) -> List[int]:
-    """items after swapping items[i] with items[j] for each place i and its draw j, in order."""
+    """_swap on one list: a shuffle of one stream costs a numpy call per place there."""
     for i, j in zip(places, draws):
         items[i], items[j] = items[j], items[i]
     return items

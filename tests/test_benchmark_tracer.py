@@ -10,9 +10,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from granite import experiment
+from granite import experiment, forest
+from test_forest import make_dataset
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -46,8 +48,25 @@ def test_traced_command_counts_every_layer_and_restores_granite(fixture_repo, tm
     assert t.run(argv) == 0
     assert t.restored
     assert tracer.leftover_wrappers() == []
-    expected = ("commits_walked", "git_spawns") + (("trees", "dataset_rows") if command == "run" else ())
+    expected = ("commits_walked", "git_spawns") + (("dataset_rows",) if command == "run" else ())
     assert all(t.counts.get(key, 0) > 0 for key in expected), t.counts
+    if command == "run":
+        # cross_validate grows all its folds' forests in one lockstep, not through train_random_forest,
+        # so a run's trees are counted by no traced call (the next test counts them where they are)
+        assert "forest.cross_validate" in {t.names[i] for i in t.name_of}
+
+
+def test_traced_training_counts_its_trees_and_rows():
+    rng = np.random.default_rng(2)
+    ds = make_dataset(rng.random((30, 4)), rng.integers(0, 2, 30))
+    t = _tracer().Tracer()
+    t.install()
+    try:
+        model = forest.train_random_forest(ds, forest.ForestParams(n_trees=3, seed=1))
+    finally:
+        assert t.restore()
+    assert len(model.trees) == 3
+    assert t.counts["trees"] == 3 and t.counts["train_rows"] == 30
 
 
 def test_traced_run_names_the_release_pairs_that_raised(fixture_repo, tmp_path, monkeypatch):

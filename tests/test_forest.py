@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -303,16 +304,22 @@ def tied_nodes(draw):
 @given(tied_nodes())
 def test_split_search_equals_the_per_feature_search(nodes):
     X, y, rows, features = nodes
-    splits, sorted_rows = forest._best_splits(X, y, rows, features)
-    found = {split[0]: (i, split[1:]) for i, split in enumerate(splits)}
+    tables = forest._tables([(X, y)], 0)
+    tables.pool = np.concatenate(rows)
+    size = np.array([len(r) for r in rows])
+    start = np.cumsum(size) - size
+    pos = np.array([int(y[r].sum()) for r in rows])
+    found = forest._split(tables, start, size, pos, np.zeros(len(rows), dtype=np.int64), features)
     for b, (node_rows, node_features) in enumerate(zip(rows, features)):
+        feature, threshold, cut, left_pos = (column[b] for column in found)
         want = per_feature_best_split(X[node_rows], y[node_rows], node_features)
+        moved = tables.pool[start[b] : start[b] + size[b]]
         if want is None:
-            assert b not in found
+            assert feature == -1
+            assert moved.tolist() == node_rows.tolist()  # a node that does not split keeps its rows as they were
             continue
-        i, (feature, threshold, cut, left_pos) = found[b]
         assert (feature, threshold) == want[:2]
-        left, right = sorted_rows[i, :cut], sorted_rows[i, cut : len(node_rows)]
+        left, right = moved[:cut], moved[cut:]
         assert sorted(left.tolist()) == sorted(node_rows[want[2]].tolist())
         assert sorted(right.tolist()) == sorted(node_rows[~want[2]].tolist())
         assert left_pos == y[left].sum()
@@ -360,25 +367,55 @@ def test_forest_nodes_equal_the_recursive_forests(training):
     assert_same_nodes(train_random_forest(ds, params), recursive_forest(ds, params))
 
 
+@st.composite
+def lockstep_sets(draw):
+    """1-4 training sets of distinct row counts and one feature count, each with its own seed, some above 2**32."""
+    m = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(2, 120), min_size=1, max_size=4, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets = []
+    for n in sizes:
+        X = rng.choice([0.0, 1.0, 2.0, 3.0, math.nan], (n, m)) if draw(st.booleans()) else rng.random((n, m))
+        y = (rng.random(n) < draw(st.sampled_from([0.1, 0.5, 0.9]))).astype(np.int64)
+        y[:2] = [0, 1]
+        sets.append(make_dataset(X, y))
+    seed = st.sampled_from([0, 5, 2**32 - 1, 2**32, 2**32 + 7, 2**47 - 1]) | st.integers(0, 2**34)
+    seeds = draw(st.lists(seed, min_size=len(sets), max_size=len(sets)))
+    return sets, seeds, draw(st.integers(1, 6))
+
+
+@settings(deadline=None)
+@given(lockstep_sets())
+def test_sets_grown_together_equal_each_grown_alone_and_the_recursive_forests(lockstep):
+    sets, seeds, n_trees = lockstep
+    grown = forest._grow([(ds.X, ds.y) for ds in sets], seeds, n_trees, sets[0].feature_names)
+    for s, (ds, seed) in enumerate(zip(sets, seeds)):
+        model = grown(s)
+        params = ForestParams(n_trees=n_trees, seed=seed)
+        assert_same_nodes(model, recursive_forest(ds, params))
+        assert_same_nodes(train_random_forest(ds, params), recursive_forest(ds, params))
+
+
 def test_a_step_over_the_cap_is_searched_in_chunks_by_row_count(monkeypatch):
     steps = []
-    chunks = forest._chunks
+    runs = forest._runs
 
-    def recorded(searches, k):
-        step = list(chunks(searches, k))
-        steps.append((k, [[search[0] for search in chunk] for chunk in step]))
+    def recorded(cost):
+        step = list(runs(cost))
+        steps.append((cost.tolist(), step))
         return step
 
-    monkeypatch.setattr(forest, "_chunks", recorded)
+    monkeypatch.setattr(forest, "_runs", recorded)
     rng = np.random.default_rng(3)
-    ds = make_dataset(rng.random((300, 5)), rng.integers(0, 2, 300))
-    params = ForestParams(n_trees=40, seed=8)
+    X = rng.random((300, 5))
+    ds = make_dataset(X, (X[:, 0] + X[:, 1] > 1.0).astype(int))
+    params = ForestParams(n_trees=3 * forest.CHUNK // (300 * 2) + 1, seed=8)
     assert_same_nodes(train_random_forest(ds, params), recursive_forest(ds, params))
-    assert len(steps[0][1]) >= 3  # 40 roots of 300 rows and 2 drawn features: 24,000 elements
-    for k, step in steps:
-        sizes = [size for chunk in step for size in chunk]
-        assert sizes == sorted(sizes)
-        assert all(len(chunk) == 1 or len(chunk) * chunk[-1] * k <= forest.SEARCH_CAP for chunk in step)
+    assert len(steps[0][1]) >= 3  # every root of 300 rows and 2 drawn features: over three times the cap
+    for cost, step in steps:
+        # consecutive runs cover the step's nodes in order, each run within the cap unless it is one node
+        assert [i for run in step for i in range(len(cost))[run]] == list(range(len(cost)))
+        assert all(run.stop - run.start == 1 or sum(cost[run]) <= forest.CHUNK for run in step)
 
 
 def test_a_split_between_adjacent_floats_separates_them():
@@ -442,8 +479,41 @@ def test_out_of_fold_scores_pinned():
     )
 
 
+def _cross_validation_peak(flipped: float) -> int:
+    """tracemalloc's peak during the second cross-validation of a 256 x 32 set, run-wide's largest, with a share of labels flipped."""
+    # a third change-prone, and the process metrics that count changes are 0 exactly on the rest, so
+    # unflipped the trees stay as small as on the bench (4 nodes each); flipped labels grow them deeper
+    rng = np.random.default_rng(0)
+    y = (rng.random(256) < 1 / 3).astype(int)
+    X = rng.integers(0, rng.integers(2, 40, 32), (256, 32)).astype(np.float64)
+    X[:, 24:] = (X[:, 24:] + 1) * y[:, None]
+    y ^= np.random.default_rng(1).random(256) < flipped
+    ds = make_dataset(X, y)
+    params = ForestParams(n_trees=100, seed=1)
+    cross_validate(ds, folds=10, params=params)  # loads what a first call loads
+    tracemalloc.start()
+    try:
+        cross_validate(ds, folds=10, params=params)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cross_validation_of_a_run_wide_sized_set_keeps_its_peak_memory():
+    # training one fold at a time peaked at 1.31 MB here (numpy 2.4.6). The bound leaves room for ten
+    # folds' nodes at once, but not for an array that spans every tree's rows (1.8 MB as int64)
+    assert _cross_validation_peak(0.0) < 1.6 * 2**20
+
+
+def test_cross_validation_of_deep_trees_keeps_its_peak_memory():
+    # 5 % of labels flipped: 33 nodes a tree. Every fold's node records live until the forests are built,
+    # 2.27 MB at the peak here (numpy 2.4.6), where training one fold at a time peaked at 1.73 MB; the
+    # bound holds the records to what they take now
+    assert _cross_validation_peak(0.05) < 2.5 * 2**20
+
+
 def test_training_and_cross_validation_warn_nothing():
-    # padded rows of a batched split search must not divide 0 by 0 where a warning could escape
+    # a batched split search must not divide 0 by 0 where a warning could escape
     rng = np.random.default_rng(12)
     X = rng.integers(0, 3, (160, 7)).astype(np.float64)
     X[:, 4] = 1.0

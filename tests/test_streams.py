@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from granite import forest
 from granite.dataset import random_under_sample
-from granite.streams import M32, Streams, choice_indices, choice_ranges
+from granite.streams import M32, Streams, choice_ranges, choose
 from test_forest import make_dataset
 
 # word-count edges of SeedSequence: 0 is one word, 2**32 - 1 one and 2**32 two; the forest's seeds are 47-bit
@@ -43,13 +43,23 @@ def test_an_int_seed_is_the_one_int_sequence():
         assert _pcg_state(Streams([(seed,)])) == _numpy_state(np.random.default_rng(seed))
 
 
-def test_streams_need_entropy_of_one_word_count():
-    with pytest.raises(ValueError, match="one word count"):
-        Streams([(1, 2), (2**32, 2)])
+def test_streams_need_some_non_negative_entropy():
     with pytest.raises(ValueError, match="at least one stream"):
         Streams([])
     with pytest.raises(ValueError, match="non-negative"):
         Streams([(-1,)])
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(_ENTROPY_INT, min_size=1, max_size=6), min_size=1, max_size=6), st.integers(1, 40))
+def test_entropies_of_mixed_word_counts_draw_numpys_streams(entropies, n):
+    # one batch for streams of one to twelve words: up to four they seed together, longer ones by word count
+    streams = Streams(entropies)
+    samples = streams.bounded(np.full(n, n - 1))
+    for lane, entropy in enumerate(entropies):
+        rng = np.random.default_rng(entropy)
+        assert np.array_equal(samples[lane], rng.integers(0, n, size=n))
+        assert _pcg_state(streams, lane) == _numpy_state(rng)
 
 
 @given(_ENTROPY, st.integers(1, 200))
@@ -140,6 +150,25 @@ def test_lemire_rejects_and_redraws_from_the_lanes_next_draw():
     assert rejected > 100
 
 
+_RANGE = st.sampled_from([0, 1, 6, 255, 3_000_000_000, M32]) | st.integers(0, 1000)
+
+
+@settings(deadline=None)
+@given(_ENTROPY_INT, st.integers(1, 8), st.integers(1, 30), st.data())
+def test_per_lane_ranges_draw_what_each_lanes_integers_draw(seed, trees, width, data):
+    # a row per lane, zeros anywhere (a range of 0 draws nothing, as integers(0, 1) does not)
+    rows = data.draw(st.lists(st.lists(_RANGE, min_size=width, max_size=width), min_size=trees, max_size=trees))
+    streams = Streams([(seed, i) for i in range(trees)])
+    streams.bounded([1])  # every lane keeps a buffered half
+    draws = streams.bounded(np.array(rows, dtype=np.uint64))
+    for i, row in enumerate(rows):
+        rng = np.random.default_rng([seed, i])
+        rng.integers(0, 2)
+        assert draws[i].tolist() == [int(rng.integers(0, r + 1)) for r in row]
+        assert _pcg_state(streams, i) == _numpy_state(rng)
+    assert draws.dtype == np.min_scalar_type(max(max(row) for row in rows))
+
+
 @settings(deadline=None)
 @given(_ENTROPY_INT, st.integers(1, 40), st.integers(1, 30), st.data())
 def test_choices_for_some_lanes_leave_the_others_as_they_were(seed, m, trees, data):
@@ -151,7 +180,7 @@ def test_choices_for_some_lanes_leave_the_others_as_they_were(seed, m, trees, da
     for i, rng in enumerate(rngs):
         assert np.array_equal(first[i], rng.integers(0, 10, size=3))
     # as the forest draws a step's features: one batch for the trees of its impure nodes
-    chosen = [choice_indices(m, k, row) for row in streams.bounded(choice_ranges(m, k), lanes).tolist()]
+    chosen = choose(m, k, streams.bounded(choice_ranges(m, k), lanes)).tolist()
     for row, i in zip(chosen, lanes):
         assert row == rngs[i].choice(m, size=k, replace=False).tolist()
     for i, rng in enumerate(rngs):
@@ -174,7 +203,7 @@ def test_choice_of_more_than_the_population_raises():
 
 def test_choice_indices_replace_a_repeat_by_j_and_then_swap():
     # Floyd over j = 2, 3, 4 draws 1, 1, 4: the second 1 gives way to 3, then swaps at 2 and 1
-    assert choice_indices(5, 3, [1, 1, 4, 0, 0]) == [3, 4, 1]
+    assert choose(5, 3, np.array([[1, 1, 4, 0, 0]]))[0].tolist() == [3, 4, 1]
 
 
 @pytest.mark.parametrize("majority, minority", [(10_500, 300), (10_500, 200), (40, 15)])
