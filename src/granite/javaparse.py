@@ -7,6 +7,11 @@ scan recovers the declaration structure, passing over each body it does not
 read by brace matching, without tokenizing it.  Anonymous and local classes
 are folded into their enclosing declaration; full semantic analysis (imports,
 classpath, overload resolution) is deliberately absent.
+
+Because bodies are passed over, an edit that stays inside one method body, and
+that can change neither the masking nor the brace matching around it, changes
+no declaration: derive_modules then gives a blob's modules from those of an
+earlier blob of its file, moving the lines after the edit, without parsing.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from granite.gitrepo import FileSnapshot
+from granite.textdiff import common_affixes
 
 log = logging.getLogger(__name__)
 
@@ -145,6 +151,7 @@ class MethodDecl:
     param_types: Tuple[str, ...]
     modifiers: frozenset
     span: Tuple[int, int]  # 1-based inclusive line numbers in the file
+    body_open: int  # line of the body's '{'; 0 for a method without a body
 
 
 @dataclass(slots=True)
@@ -487,7 +494,8 @@ class _Parser:
                 # R(components); any other block here is a static or instance initializer
                 if components is not None and pending and pending[-1][0] == chain[-1]:
                     span = (self.pf.line_of(member_start), self.pf.line_of(close.start()))
-                    decl.methods.append(MethodDecl(chain[-1], components, _modifier_set(pending), span))
+                    body_open = self.pf.line_of(tok.start())
+                    decl.methods.append(MethodDecl(chain[-1], components, _modifier_set(pending), span, body_open))
                 reset()
             else:
                 if member_start is None:
@@ -510,19 +518,23 @@ class _Parser:
         if name is None or name in KEYWORDS:
             self.skip_to(";", "}")  # expression-looking construct at member level; resynchronize
             return None
-        end = self._finish_method_header().start()
+        body, end = self._finish_method_header()
         return MethodDecl(
             name,
             tuple(pt for pt, _ in params),
             _modifier_set(pending),
-            (self.pf.line_of(start), self.pf.line_of(end)),
+            (self.pf.line_of(start), self.pf.line_of(end.start())),
+            self.pf.line_of(body.start()) if body else 0,
         )
 
-    def _finish_method_header(self) -> re.Match:
-        """Pass over the throws/default tail, consume the body or ';' and return its last token."""
+    def _finish_method_header(self) -> Tuple[Optional[re.Match], re.Match]:
+        """Pass over the throws/default tail and consume the body or ';': (the body's '{' or None, the last token)."""
         if self.skip_to("{", ";", "default") == "default":
             self.skip_to(";")  # an annotation element's default may be an array {...}
-        return self.skip_balanced("{", "}") if self.at("{") else self.advance()
+        if not self.at("{"):
+            return None, self.advance()
+        body = self.peek()
+        return body, self.skip_balanced("{", "}")
 
     def _parse_param_list(self) -> List[Tuple[str, Optional[str]]]:
         """Cursor on '('. Returns [(type_name, param_name)] with annotations dropped and generics erased."""
@@ -596,12 +608,14 @@ def parse_source(text: str) -> ParsedFile:
     return parsed
 
 
-def extract_modules(snapshot: FileSnapshot) -> Optional[List[ModuleDef]]:
+def extract_modules(snapshot: FileSnapshot, dropped_ids: Optional[List[ModuleId]] = None) -> Optional[List[ModuleDef]]:
     """One ModuleDef per type declaration and per method/constructor declaration.
 
     Of two types with one qualified name the first is kept; the second goes with its
-    methods and the types nested in it, each with a warning.  A file that does not
-    parse is warned about and gives None; [] is a file without types.
+    methods and the types nested in it, each with a warning.  Of two methods with one
+    id the first is kept, with a warning.  The id of each declaration left out is also
+    appended to dropped_ids, when given.  A file that does not parse is warned about
+    and gives None; [] is a file without types.
     """
     text = "\n".join(snapshot.lines)
     parsed = parse_source(text)
@@ -610,6 +624,7 @@ def extract_modules(snapshot: FileSnapshot) -> Optional[List[ModuleDef]]:
         return None
     defs: List[ModuleDef] = []
     seen: Dict[ModuleId, bool] = {}
+    dropped_ids = [] if dropped_ids is None else dropped_ids
 
     def segment(span: Tuple[int, int]) -> Tuple[str, ...]:
         # the blob's own line strings, so a cached module holds no second copy
@@ -623,6 +638,7 @@ def extract_modules(snapshot: FileSnapshot) -> Optional[List[ModuleDef]]:
                 "%s: dropping type %s and its methods: it or a type around it repeats an earlier type",
                 snapshot.path, t.qualified,
             )
+            dropped_ids.append(cid)
             dropped += (t.qualified + ".",)
             continue
         seen[cid] = True
@@ -631,7 +647,73 @@ def extract_modules(snapshot: FileSnapshot) -> Optional[List[ModuleDef]]:
             mid = ModuleId("method", snapshot.path, t.qualified, m.name, m.param_types)
             if mid in seen:
                 log.warning("%s: duplicate method %s; keeping first", snapshot.path, mid)
+                dropped_ids.append(mid)
                 continue
             seen[mid] = True
             defs.append(ModuleDef(mid, m.span, segment(m.span)))
     return defs
+
+
+# a line holding one of these may open or close a comment or a literal, or carry a literal on to the next line
+_MASK_MARK_RE = re.compile(r"[\"'\\]|/[/*]|\*/")
+
+
+def _braces_nest(text: str) -> bool:
+    """The braces of text never close below the depth it starts at, and balance at its end."""
+    depth = 0
+    for brace in re.findall(r"[{}]", text):
+        depth += 1 if brace == "{" else -1
+        if depth < 0:
+            return False
+    return depth == 0
+
+
+def derive_modules(
+    parent_defs: Sequence[ModuleDef], parent_lines: Sequence[str], snapshot: FileSnapshot
+) -> Optional[List[ModuleDef]]:
+    """The blob's modules from those of an earlier blob of its file, or None where only a full parse gives them.
+
+    The edit between the two blobs is what their common prefix and suffix leave.
+    When it lies strictly inside one method's body on both sides (below the line of
+    the body's '{' and above that of its '}'), its braces nest on both sides, and
+    neither side of it, nor the line before it, holds a quote, a backslash or a
+    comment mark, then masking and the brace map outside the edit are as they were
+    and the parser, which passes over bodies, reads the same declarations.  So the
+    modules are the parent's, in their order: every line after the edit moves by
+    the difference in line count, and the bodies that hold the edit are sliced from
+    the new lines.  Records the edit does not touch are shared, none is mutated.
+
+    parent_defs must be a full parse's result, or derived from one, that dropped
+    nothing: the warnings of a dropped declaration come from extract_modules alone.
+    """
+    old, new = parent_lines, snapshot.lines
+    lo, hi = common_affixes(old, new)
+    end = len(old) - hi  # the edit replaces old lines lo + 1 .. end (1-based) with new lines lo + 1 .. len(new) - hi
+    if not any(0 < m.body_open <= lo and end < m.span[1] for d in parent_defs if d.decl for m in d.decl.methods):
+        return None
+    edits = ("\n".join(old[lo:end]), "\n".join(new[lo:len(new) - hi]))
+    if _MASK_MARK_RE.search(old[lo - 1]) or any(_MASK_MARK_RE.search(e) or not _braces_nest(e) for e in edits):
+        return None
+    delta = len(new) - len(old)
+
+    def moved(line: int) -> int:
+        return line + delta if line > lo else line  # no declaration has a line inside the edit
+
+    def method(m: MethodDecl) -> MethodDecl:
+        if m.span[1] <= lo:
+            return m
+        return MethodDecl(m.name, m.param_types, m.modifiers, (moved(m.span[0]), m.span[1] + delta), moved(m.body_open))
+
+    out: List[ModuleDef] = []
+    for d in parent_defs:
+        first, last = d.span
+        if last <= lo or (first > lo and not delta):  # before the edit, or after one that keeps the line count
+            out.append(d)
+            continue
+        span = (moved(first), last + delta)
+        body = tuple(new[first - 1:span[1]]) if first <= lo else d.body
+        decl = d.decl
+        if decl and delta:
+            decl = TypeDecl(decl.qualified, decl.extends_name, span, list(map(method, decl.methods)), decl.fields)
+        out.append(ModuleDef(d.id, span, body, decl))
+    return out

@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 
-def _strip_common_affixes(a: Sequence[str], b: Sequence[str]) -> Tuple[Sequence[str], Sequence[str], int]:
-    """Trim the shared prefix and suffix; returns (mid_a, mid_b, trimmed_count)."""
+def common_affixes(a: Sequence[str], b: Sequence[str]) -> Tuple[int, int]:
+    """(lo, hi): the lengths of the longest common prefix and of the longest common suffix of what it leaves."""
     n, m = len(a), len(b)
     lo = 0
     while lo < n and lo < m and a[lo] == b[lo]:
@@ -20,7 +20,7 @@ def _strip_common_affixes(a: Sequence[str], b: Sequence[str]) -> Tuple[Sequence[
     hi = 0
     while hi < n - lo and hi < m - lo and a[n - 1 - hi] == b[m - 1 - hi]:
         hi += 1
-    return a[lo:n - hi], b[lo:m - hi], lo + hi
+    return lo, hi
 
 
 def _edit_distance(a: Sequence[int], b: Sequence[int]) -> int:
@@ -49,7 +49,8 @@ def _edit_distance(a: Sequence[int], b: Sequence[int]) -> int:
 
 def _churn_reduced(a: Sequence[str], b: Sequence[str]) -> int:
     """Minimal edit-script size after cheap, LCS-preserving reductions."""
-    mid_a, mid_b, _ = _strip_common_affixes(a, b)
+    lo, hi = common_affixes(a, b)
+    mid_a, mid_b = a[lo:len(a) - hi], b[lo:len(b) - hi]
     if not mid_a:
         return len(mid_b)
     if not mid_b:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from granite.gitrepo import CommitId, FileSnapshot, GitRepo, ReleasePair
-from granite.javaparse import ModuleDef, ModuleId, extract_modules
+from granite.javaparse import ModuleDef, ModuleId, derive_modules, extract_modules
 from granite.textdiff import diff_sizes, similarity
 
 # Matches Git's default rename threshold; pairs below this stay delete + add.
@@ -145,13 +145,17 @@ class HistoryScanner:
     last parsed blob and the file's modules carry on.  The modules of an
     unchanged file keep their identity and history without matching, and
     rename matching and body diffs run over the modules of the changed files
-    alone.  Parses are cached per (blob, path), so each is parsed once;
-    snapshots are built at the first and last commit.  The cache lives as
-    long as the scanner, and most lines of a blob repeat a line of an
-    earlier blob, so the scanner keeps one string per distinct line read
-    and every cached module body is made of those strings; likewise it keeps
-    one copy of each distinct module id and of each distinct body, which
-    most blobs of a file repeat.  A scan's dicts are in walk order (the tree
+    alone.  Modules are cached per (blob, path), so each blob is parsed or
+    derived once.  A changed blob is derived from the path's blob in the map
+    (javaparse.derive_modules) when the edit between them lies inside one
+    method body, and parsed in full otherwise; for this the scanner keeps
+    the lines of each path's last blob that parsed and dropped no
+    declaration, and no other blob's.  Snapshots are built at the first and
+    last commit.  The cache lives as long as the scanner, and most lines of
+    a blob repeat a line of an earlier blob, so the scanner keeps one string
+    per distinct line read and every cached module body is made of those
+    strings; likewise it keeps one copy of each distinct module id and of
+    each distinct body, which most blobs of a file repeat.  A scan's dicts are in walk order (the tree
     listing, then each diff), not sorted by id.
     """
 
@@ -162,19 +166,35 @@ class HistoryScanner:
         # one kept copy of each distinct id and body; two tables, since a ModuleId equals the plain tuple of its fields
         self._ids: Dict[ModuleId, ModuleId] = {}
         self._bodies: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        # path -> (sha, lines) of the last blob of it read that parsed, if its parse dropped nothing
+        self._tips: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
 
-    def _file_modules(self, commit: CommitId, path: str, sha: str) -> Optional[List[ModuleDef]]:
-        """The blob's modules; None when it does not parse."""
+    def _file_modules(
+        self, commit: CommitId, path: str, sha: str, base: Optional[str] = None
+    ) -> Optional[List[ModuleDef]]:
+        """The blob's modules; None when it does not parse.  base, a parsed blob of path, may be derived from."""
         key = (sha, path)
         if key not in self._defs_cache:
             lines = self.repo.blob_lines(sha)
-            lines = tuple(map(self._lines.setdefault, lines, lines))
-            defs = extract_modules(FileSnapshot(path, lines, commit))
+            snapshot = FileSnapshot(path, tuple(map(self._lines.setdefault, lines, lines)), commit)
+            tip = self._tips.get(path)
+            defs = derive_modules(self._defs_cache[base, path], tip[1], snapshot) if tip and tip[0] == base else None
+            dropped: List[ModuleId] = []
+            if defs is None:
+                defs = extract_modules(snapshot, dropped)
             if defs is not None:
-                ids, bodies = self._ids.setdefault, self._bodies.setdefault
-                defs = [ModuleDef(ids(d.id, d.id), d.span, bodies(d.body, d.body), d.decl) for d in defs]
+                defs = [self._shared(d) for d in defs]
+                if dropped:
+                    self._tips.pop(path, None)  # a blob derived from this one would miss the warnings of its full parse
+                else:
+                    self._tips[path] = (sha, snapshot.lines)
             self._defs_cache[key] = defs
         return self._defs_cache[key]
+
+    def _shared(self, d: ModuleDef) -> ModuleDef:
+        """d with the kept copy of its id and body; d itself when it holds them already."""
+        mid, body = self._ids.setdefault(d.id, d.id), self._bodies.setdefault(d.body, d.body)
+        return d if mid is d.id and body is d.body else ModuleDef(mid, d.span, body, d.decl)
 
     def snapshot_modules(self, commit: CommitId, files: Files) -> Snapshot:
         # module ids carry their file's path
@@ -206,7 +226,10 @@ class HistoryScanner:
         alive: Dict[ModuleId, ChangeHistory] = dict(histories)  # id at the current commit -> lineage
         for a, b, changed in zip(commits, commits[1:], self.repo.first_parent_changes(commits)):
             # a blob that does not parse is left out, so files keeps the path's last parsed blob
-            changed = {p: sha for p, sha in changed.items() if sha is None or self._file_modules(b, p, sha) is not None}
+            changed = {
+                p: sha for p, sha in changed.items()
+                if sha is None or self._file_modules(b, p, sha, files.get(p)) is not None
+            }
             delta = self.adjacent_delta(a, b, changed, files)
             files.update(changed)
             stepped = {pid: alive.pop(pid) for pid in delta.prev}

@@ -426,33 +426,42 @@ def test_all_repos_failing_nonzero_exit(tmp_path):
     assert run_experiment(config) == 1
 
 
-def test_each_blob_is_parsed_once(fixture_repo, tmp_path, monkeypatch):
-    parse, extract = javaparse.parse_source, javaparse.extract_modules
+def test_each_blob_is_parsed_or_derived_once(fixture_repo, tmp_path, monkeypatch):
+    parse, extract, derive = javaparse.parse_source, javaparse.extract_modules, javaparse.derive_modules
     parses = 0
-    snapshots = set()
+    extracted, derived = [], []
 
     def counting_parse(*args, **kwargs):
         nonlocal parses
         parses += 1
         return parse(*args, **kwargs)
 
-    def recording_extract(snapshot):
-        snapshots.add((snapshot.commit, snapshot.path))
-        return extract(snapshot)
+    def recording_extract(snapshot, *args):
+        extracted.append((snapshot.commit, snapshot.path))
+        return extract(snapshot, *args)
+
+    def recording_derive(parent_defs, parent_lines, snapshot):
+        defs = derive(parent_defs, parent_lines, snapshot)
+        if defs is not None:
+            derived.append((snapshot.commit, snapshot.path))
+        return defs
 
     # `from x import f` copies the binding, so replace it in every granite module
+    replace = ((parse, counting_parse), (extract, recording_extract), (derive, recording_derive))
     for name, module in list(sys.modules.items()):
         if name == "granite" or name.startswith("granite."):
             for attr, value in list(vars(module).items()):
-                if value is parse:
-                    monkeypatch.setattr(module, attr, counting_parse)
-                elif value is extract:
-                    monkeypatch.setattr(module, attr, recording_extract)
+                for old, new in replace:
+                    if value is old:
+                        monkeypatch.setattr(module, attr, new)
     assert run_experiment(make_config(fixture_repo, tmp_path / "out")) == 0
     with GitRepo(fixture_repo.root) as repo:
-        blobs = {(repo.source_files(commit)[path], path) for commit, path in snapshots}
-    assert blobs
-    assert parses == len(blobs)
+        parsed = {(repo.source_files(commit)[path], path) for commit, path in extracted}
+        made = {(repo.source_files(commit)[path], path) for commit, path in derived}
+    assert parsed and made  # the fixture's one-line body edits are derived
+    assert parses == len(extracted) == len(parsed)
+    assert len(derived) == len(made)
+    assert not parsed & made
 
 
 def test_each_adjacent_delta_is_computed_once(fixture_repo, tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from granite.javaparse import (
     _modifier_set,
     _ParseError,
     _split_commas,
+    derive_modules,
     extract_modules,
     mask_source,
     parse_module_id,
@@ -883,12 +884,13 @@ class _DepthLoopParser(_EagerParser):
         if name is None or name in KEYWORDS:
             self._resync_member()
             return None
-        end = self._finish_method_header().start()
+        body, end = self._finish_method_header()
         return MethodDecl(
             name,
             tuple(pt for pt, _ in params),
             _modifier_set(pending),
-            (self.pf.line_of(start), self.pf.line_of(end)),
+            (self.pf.line_of(start), self.pf.line_of(end.start())),
+            self.pf.line_of(body.start()) if body else 0,
         )
 
     def _resync_member(self):
@@ -914,9 +916,9 @@ class _DepthLoopParser(_EagerParser):
                     self.skip_balanced("{", "}")  # annotation element array default
                     saw_default = False
                     continue
-                return self.skip_balanced("{", "}")
+                return tok, self.skip_balanced("{", "}")
             if text == ";":
-                return self.advance()
+                return None, self.advance()
             if text == "@":
                 self.skip_annotation()
                 continue
@@ -998,3 +1000,36 @@ def test_non_ascii_identifiers_are_whole_words():
         "method:A.java:Café#naïve()",
         "method:A.java:Café#résumé()",
     ]
+
+
+def _module_fields(defs):
+    return [(d.id, d.span, d.body, d.decl and asdict(d.decl)) for d in defs]
+
+
+def test_derived_modules_shift_what_follows_the_edit_and_mutate_nothing():
+    old = snap(
+        """\
+        class A {
+            int f() {
+                return 1;
+            }
+
+            static class N {
+                void g()
+                {
+                    return;
+                }
+            }
+        }
+        """
+    )
+    new = snap("\n".join(old.lines).replace("return 1;", "x();\n        return 1;"))
+    parent = extract_modules(old)
+    before = _module_fields(parent)
+    derived = derive_modules(parent, old.lines, new)
+    assert _module_fields(derived) == _module_fields(extract_modules(new))
+    assert _module_fields(parent) == before
+    assert [m.body_open for d in derived if d.decl for m in d.decl.methods] == [2, 9]
+    # the records the edit leaves are the parent's own
+    unchanged = derive_modules(parent, old.lines, snap("\n".join(old.lines).replace("return;", "x();")))
+    assert [d is p for d, p in zip(unchanged, parent)] == [False, True, False, False]

@@ -1,16 +1,21 @@
+import importlib.util
 import logging
 import os
 import sys
+import tempfile
 import textwrap
+from dataclasses import asdict
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from granite import gitrepo
+from granite import gitrepo, tracking
 from granite.evaluation import change_sizes
-from granite.gitrepo import GitRepo
-from granite.javaparse import ModuleDef, ModuleId
+from granite.gitrepo import FileSnapshot, GitRepo
+from granite.javaparse import ModuleDef, ModuleId, derive_modules, extract_modules
 from granite.textdiff import similarity
 from granite.tracking import (
     HistoryScanner,
@@ -629,3 +634,187 @@ def test_git_spawns_do_not_grow_with_the_commit_count(tmp_path, monkeypatch):
         assert len(scan.histories[f].events) == n - 1
     # one file listing, one log over the range and one `cat-file --batch`
     assert spawns[3] == spawns[12] <= 3
+
+
+# -- blobs derived from their parent's parse --------------------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _module_fields(defs):
+    return [(d.id, d.span, d.body, d.decl and asdict(d.decl)) for d in defs]
+
+
+def _bench_run_module():
+    """perfbench/run.py, for its workload shapes and its synthrepo; the sys.path entry it adds is taken back."""
+    if "perfbench_run" not in sys.modules:
+        saved = list(sys.path)
+        try:
+            spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+            module = sys.modules["perfbench_run"] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+            spec.loader.exec_module(module)
+        finally:
+            sys.path[:] = saved
+    return sys.modules["perfbench_run"]
+
+
+@pytest.mark.parametrize("workload", ["run-wide", "run-long", "mine-history"])
+def test_derived_modules_equal_a_full_parse_on_every_changed_blob_of_the_bench_repositories(workload, tmp_path):
+    bench = _bench_run_module()
+    bench.synthrepo.build(tmp_path / "repo", bench.WORKLOADS[workload].full, 1)
+    derived = 0
+    with GitRepo(tmp_path / "repo") as repo:
+        commits = repo.first_parent_chain("HEAD")[::-1]
+        parents = {}  # path -> (lines, modules) of its current blob
+        for path, sha in repo.source_files(commits[0]).items():
+            lines = repo.blob_lines(sha)
+            parents[path] = (lines, extract_modules(FileSnapshot(path, lines, commits[0])))
+        for commit, changed in zip(commits[1:], repo.first_parent_changes(commits)):
+            for path, sha in changed.items():
+                base = parents.pop(path, None)
+                if sha is None:
+                    continue
+                snapshot = FileSnapshot(path, repo.blob_lines(sha), commit)
+                full = extract_modules(snapshot)
+                made = derive_modules(base[1], base[0], snapshot) if base else None
+                if made is not None:
+                    derived += 1
+                    assert _module_fields(made) == _module_fields(full), (path, commit)
+                parents[path] = (snapshot.lines, full)
+    assert derived
+
+
+# Each member of a file is [kind, method name, body statements]; the kinds put the body's '{' on the
+# header's line, on a line of its own (Allman), after a header of two lines, and in a nested type.
+_KINDS = ("same", "allman", "multi", "nested")
+_STATEMENTS = (
+    "x = 1;", "y();", "int z = a + 2;", "if (a > 0) {", "}", "} else {", "{ b(); }",
+    's = "}";', "c = '{';", "// }", "/* { */", "/*", "*/", 's = "q\\',  # the last ends in a backslash
+)
+_EDITS = st.one_of(
+    st.tuples(st.sampled_from(["edit", "insert"]), st.integers(0, 3), st.integers(0, 5), st.sampled_from(_STATEMENTS)),
+    st.tuples(st.just("delete"), st.integers(0, 3), st.integers(0, 5)),
+    st.tuples(st.just("rename"), st.integers(0, 3), st.sampled_from(["f", "g", "renamed"])),
+    st.just(("break",)),  # this commit's blob of the file does not parse
+    st.just(("move",)),
+)
+
+
+def _render(cls, members):
+    lines = [f"public class {cls} {{", "    private int x;", ""]
+    for kind, name, body in members:
+        heads = {
+            "same": [f"    int {name}() {{"],
+            "allman": [f"    void {name}(int a)", "    {"],
+            "multi": [f"    public int {name}(int a,", "            int b) {"],
+            "nested": ["    static class N {", f"        void {name}() {{"],
+        }
+        pad = " " * (12 if kind == "nested" else 8)
+        lines += heads[kind] + [pad + s for s in body] + (["        }", "    }"] if kind == "nested" else ["    }"])
+        lines.append("")
+    return "\n".join(lines + ["}", ""])
+
+
+def _commit_history(rb, steps):
+    """Two files, then one commit per (file, edit) step; oldest first."""
+    files = [
+        [f"src/{cls}.java", cls, [[kind, f"m{k}", ["x = 1;", "y();"]] for k, kind in enumerate(_KINDS)]]
+        for cls in ("A", "B")
+    ]
+    for path, cls, members in files:
+        rb.write(path, _render(cls, members))
+    commits = [rb.commit("c0")]
+    for which, (op, *args) in steps:
+        path, cls, members = files[which]
+        text = None
+        if op == "move":
+            (rb.root / path).unlink()
+            path = files[which][0] = f"src/{cls}.java" if "moved" in path else f"src/moved/{cls}.java"
+        elif op == "break":
+            text = _render(cls, members).rstrip().rstrip("}")
+        elif op == "rename":
+            members[args[0]][1] = args[1]
+        else:
+            body = members[args[0]][2]
+            if op == "insert":
+                body.insert(args[1] % (len(body) + 1), args[2])
+            elif body and op == "edit":
+                body[args[1] % len(body)] = args[2]
+            elif body:
+                del body[args[1] % len(body)]
+        rb.write(path, text or _render(cls, members))
+        commits.append(rb.commit(f"c{len(commits)}"))
+    return commits
+
+
+def _scan_fields(scan):
+    return (
+        scan.commits, scan.histories, scan.end_histories, scan.files,
+        {k: _module_fields([d]) for k, d in scan.start_defs.items()},
+        {k: _module_fields([d]) for k, d in scan.end_defs.items()},
+    )
+
+
+@settings(max_examples=max(10, settings().max_examples // 4), deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), _EDITS), min_size=1, max_size=6))
+@example([(0, ("edit", 0, 0, 's = "q\\')), (0, ("edit", 0, 1, "}")), (0, ("insert", 0, 1, "y();"))])
+@example([(0, ("insert", 1, 0, "/*")), (0, ("insert", 0, 0, "y();"))])
+@example([(0, ("edit", 0, 0, "} else {")), (1, ("insert", 2, 1, "if (a > 0) {"))])
+@example([(0, ("rename", 1, "renamed")), (0, ("rename", 3, "f")), (1, ("delete", 3, 0))])
+@example([(0, ("break",)), (0, ("insert", 2, 1, "y();")), (0, ("move",)), (0, ("edit", 0, 0, "y();"))])
+def test_a_scan_that_derives_blobs_equals_one_that_parses_every_blob(steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        rb = RepoBuilder(Path(tmp) / "repo")
+        commits = _commit_history(rb, steps)
+        with GitRepo(rb.root) as repo:
+            derived = HistoryScanner(repo).change_histories(commits)
+            with mock.patch.object(tracking, "derive_modules", lambda *args: None):
+                parsed = HistoryScanner(repo).change_histories(commits)
+    assert _scan_fields(derived) == _scan_fields(parsed)
+
+
+_DUPLICATED = {
+    "duplicate method": "    int f() {{\n        return {};\n    }}\n\n    int f() {{\n        return 0;\n    }}\n",
+    "dropping type": "    int f() {{\n        return {};\n    }}\n\n    class N {{\n    }}\n\n    class N {{\n    }}\n",
+}
+
+
+@pytest.mark.parametrize("warning", sorted(_DUPLICATED))
+def test_a_body_edit_in_a_file_that_drops_a_declaration_warns_again(tmp_path, caplog, warning):
+    rb = RepoBuilder(tmp_path / "dup")
+    source = "public class A {{\n" + _DUPLICATED[warning] + "}}\n"
+    rb.write("src/A.java", source.format(1))
+    c1 = rb.commit("c1")
+    rb.write("src/A.java", source.format(2))
+    c2 = rb.commit("c2 edit the first f()")
+    with caplog.at_level(logging.WARNING, logger="granite.javaparse"), GitRepo(rb.root) as repo:
+        scan = HistoryScanner(repo).change_histories([c1, c2])
+    # the second blob is parsed in full, not derived from the first, so its warning is logged too
+    assert sum(warning in r.getMessage() for r in caplog.records) == 2
+    f = ModuleId("method", "src/A.java", "A", "f", ())
+    assert [e.commit for e in scan.histories[f].events] == [c2]
+
+
+def test_a_body_edit_after_a_blob_that_does_not_parse_is_derived_from_the_last_that_did(tmp_path, caplog):
+    rb = RepoBuilder(tmp_path / "after")
+    source = "public class A {{\n    int f() {{\n        return {};\n    }}\n}}\n"
+    rb.write("src/A.java", source.format(1))
+    c1 = rb.commit("c1")
+    rb.write("src/A.java", "public class A {\n    int f() {\n")
+    c2 = rb.commit("c2 does not parse")
+    rb.write("src/A.java", source.format("1 + 1"))
+    c3 = rb.commit("c3 edit f()")
+    made = []
+
+    def recording_derive(*args):
+        defs = derive_modules(*args)
+        made.append(defs is not None)
+        return defs
+
+    with caplog.at_level(logging.WARNING, logger="granite.javaparse"), GitRepo(rb.root) as repo, \
+            mock.patch.object(tracking, "derive_modules", recording_derive):
+        scan = HistoryScanner(repo).change_histories([c1, c2, c3])
+        full = extract_modules(repo.snapshot(c3, "src/A.java"))
+    assert made == [False, True]  # c2 is parsed, and fails; c3 is derived from c1
+    assert _module_fields(scan.end_defs.values()) == _module_fields(full)
+    assert ["parse failed" in r.getMessage() for r in caplog.records] == [True]
