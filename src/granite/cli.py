@@ -74,25 +74,28 @@ def _cmd_mine(args) -> int:
             out = _open_out(args.out)
         except OSError as exc:
             return _usage_error(f"granite: {exc}")
-        with out as fp:
-            scanner = HistoryScanner(repo)
-            pairs = repo.release_pairs(args.tags)
-            writer = csv.writer(fp, lineterminator="\n")
-            writer.writerow(
-                ["release_pair", "granularity", "module_id", "loc",
-                 "changes", "total_churn", "delta_release", "delta_commit"]
-            )
-            scan = None
-            for pair in pairs:  # a pair that starts where the last one ended continues its walk
-                prior = scan if scan is not None and scan.commits[-1] == pair.r_commit else None
-                scan = scanner.change_histories(pair.commits, prior)
-                for module in sorted(scan.start_defs):
-                    sizes = change_sizes(scan, module)
-                    writer.writerow(
-                        [pair.label, module.kind, str(module), module_loc(scan.start_defs[module]),
-                         len(scan.histories[module].events), sizes.delta_commit,
-                         sizes.delta_release, sizes.delta_commit]
-                    )
+        try:
+            with out as fp:
+                scanner = HistoryScanner(repo)
+                pairs = repo.release_pairs(args.tags)
+                writer = csv.writer(fp, lineterminator="\n")
+                writer.writerow(
+                    ["release_pair", "granularity", "module_id", "loc",
+                     "changes", "total_churn", "delta_release", "delta_commit"]
+                )
+                scan = None
+                for pair in pairs:  # a pair that starts where the last one ended continues its walk
+                    prior = scan if scan is not None and scan.commits[-1] == pair.r_commit else None
+                    scan = scanner.change_histories(pair.commits, prior)
+                    for module in sorted(scan.start_defs):
+                        sizes = change_sizes(scan, module)
+                        writer.writerow(
+                            [pair.label, module.kind, str(module), module_loc(scan.start_defs[module]),
+                             len(scan.histories[module].events), sizes.delta_commit,
+                             sizes.delta_release, sizes.delta_commit]
+                        )
+        except RepositoryError as exc:  # an object the repository lacks, as in a damaged or partial clone
+            return _usage_error(f"granite: {exc}")
     return 0
 
 

@@ -272,7 +272,7 @@ def _grow(sets: Iterable[Tuple[np.ndarray, np.ndarray]], seeds: Sequence[int], n
     ranges = choice_ranges(m, k)
     stack = np.zeros((lanes, 4, 4), dtype=index)  # per tree, the nodes of its right children, the last on top
     depth = np.zeros(lanes, dtype=np.int64)
-    records = []  # per step: its trees, their nodes, features and thresholds
+    records = []  # per step: its trees, their nodes' size, pos and parent, features and thresholds
     step = 0
     while len(active):
         start, size, pos = node[:, 0], node[:, 1], node[:, 2]
@@ -287,7 +287,7 @@ def _grow(sets: Iterable[Tuple[np.ndarray, np.ndarray]], seeds: Sequence[int], n
                 feature[b], threshold[b], n_left[b], pos_left[b] = _split(
                     t, start[b], size[b], pos[b], node_set[run], drawn[run]
                 )
-        records.append([active, node, feature, threshold])
+        records.append([active, node[:, 1:].copy(), feature, threshold])
         split = feature >= 0
         # a split node's right child waits on its tree's stack, and its left child comes next
         waits = active[split]
@@ -319,9 +319,9 @@ def _grow(sets: Iterable[Tuple[np.ndarray, np.ndarray]], seeds: Sequence[int], n
         lo = int(trees[0])
         at = order[lo:lo + int(tree_size[s * n_trees:(s + 1) * n_trees].sum())]
         right = np.full(len(at), -1)
-        child = node[at, 3] >= 0
-        right[trees[lane[at[child]] - s * n_trees] - lo + node[at[child], 3]] = np.flatnonzero(child)
-        counts = np.column_stack([node[at, 1] - node[at, 2], node[at, 2]]).astype(np.int64)
+        child = node[at, 2] >= 0
+        right[trees[lane[at[child]] - s * n_trees] - lo + node[at[child], 2]] = np.flatnonzero(child)
+        counts = np.column_stack([node[at, 0] - node[at, 1], node[at, 1]]).astype(np.int64)
         return ForestModel(trees - lo, feature[at].astype(np.int64), threshold[at], right, counts, feature_names)
 
     return forest

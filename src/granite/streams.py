@@ -247,15 +247,10 @@ class Streams:
         self._half[lanes] = draws[rows, used]
         return value
 
-    def choice(self, m: int, k: int) -> np.ndarray:
-        """(lanes, k) draws of `choice(m, size=k, replace=False)`; index an array with a row to choose from it."""
-        return choose(m, k, self.bounded(choice_ranges(m, k)))
-
     def permutation(self, n: int) -> np.ndarray:
         """(lanes, n) orders that `shuffle` gives an array of n items: x[order] is x shuffled."""
         places = range(n - 1, 0, -1)
-        draws = self.bounded(places, masked=True).tolist()
-        return np.array([_swapped(list(range(n)), places, row) for row in draws], dtype=np.int64).reshape(len(draws), n)
+        return _swap(np.tile(np.arange(n), (len(self), 1)), places, self.bounded(places, masked=True))
 
 
 def _tail_shuffles(m: int, k: int) -> bool:
@@ -288,11 +283,4 @@ def _swap(items: np.ndarray, places: Sequence[int], draws: np.ndarray) -> np.nda
     rows = np.arange(len(items))
     for i, j in zip(places, draws.T):
         items[:, i], items[rows, j] = items[rows, j], items[:, i].copy()
-    return items
-
-
-def _swapped(items: List[int], places: Sequence[int], draws: Sequence[int]) -> List[int]:
-    """_swap on one list: a shuffle of one stream costs a numpy call per place there."""
-    for i, j in zip(places, draws):
-        items[i], items[j] = items[j], items[i]
     return items

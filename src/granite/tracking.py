@@ -155,17 +155,16 @@ class HistoryScanner:
     a blob repeat a line of an earlier blob, so the scanner keeps one string
     per distinct line read and every cached module body is made of those
     strings; likewise it keeps one copy of each distinct module id and of
-    each distinct body, which most blobs of a file repeat.  A scan's dicts are in walk order (the tree
-    listing, then each diff), not sorted by id.
+    each distinct body, which most blobs of a file repeat, in the same table.
+    A scan's dicts are in walk order (the tree listing, then each diff), not sorted by id.
     """
 
     def __init__(self, repo: GitRepo):
         self.repo = repo
         self._defs_cache: Dict[Tuple[str, str], Optional[List[ModuleDef]]] = {}
-        self._lines: Dict[str, str] = {}  # each distinct line read -> its one kept copy
-        # one kept copy of each distinct id and body; two tables, since a ModuleId equals the plain tuple of its fields
-        self._ids: Dict[ModuleId, ModuleId] = {}
-        self._bodies: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        # each distinct line, module id and body read -> its one kept copy; one table, since a line (a str) never
+        # equals a tuple and a body (a tuple of str) never equals a ModuleId, whose last field is None or a tuple
+        self._kept: Dict[object, object] = {}
         # path -> (sha, lines) of the last blob of it read that parsed, if its parse dropped nothing
         self._tips: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
 
@@ -176,7 +175,7 @@ class HistoryScanner:
         key = (sha, path)
         if key not in self._defs_cache:
             lines = self.repo.blob_lines(sha)
-            snapshot = FileSnapshot(path, tuple(map(self._lines.setdefault, lines, lines)), commit)
+            snapshot = FileSnapshot(path, tuple(map(self._kept.setdefault, lines, lines)), commit)
             tip = self._tips.get(path)
             defs = derive_modules(self._defs_cache[base, path], tip[1], snapshot) if tip and tip[0] == base else None
             dropped: List[ModuleId] = []
@@ -193,7 +192,7 @@ class HistoryScanner:
 
     def _shared(self, d: ModuleDef) -> ModuleDef:
         """d with the kept copy of its id and body; d itself when it holds them already."""
-        mid, body = self._ids.setdefault(d.id, d.id), self._bodies.setdefault(d.body, d.body)
+        mid, body = self._kept.setdefault(d.id, d.id), self._kept.setdefault(d.body, d.body)
         return d if mid is d.id and body is d.body else ModuleDef(mid, d.span, body, d.decl)
 
     def snapshot_modules(self, commit: CommitId, files: Files) -> Snapshot:

@@ -700,6 +700,24 @@ def test_cli_mine_to_a_missing_directory_fails(fixture_repo, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"granite: [Errno 2] No such file or directory: '{out_file}'\n")
 
 
+def test_a_repository_that_lacks_an_object_ends_mine_with_one_line_and_fails_the_pair_in_run(tmp_path, capsys):
+    rb = RepoBuilder(tmp_path / "partial")
+    for tag, value in (("v1", 1), ("v2", 2)):
+        rb.write("src/A.java", f"public class A {{\n    int f() {{\n        return {value};\n    }}\n}}\n")
+        rb.commit(tag)
+        rb.tag(tag)
+    sha = rb.git("rev-parse", "v2:src/A.java").strip()
+    (rb.root / ".git" / "objects" / sha[:2] / sha[2:]).unlink()  # as a damaged or partial clone lacks it
+    assert main(["mine", str(rb.root), "--tags", "v*", "--out", str(tmp_path / "mined.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"granite: object not found: {sha}") and err.count("\n") == 1
+    out = tmp_path / "out"
+    config = ExperimentConfig(repos=(RepoSpec(str(rb.root), "v*"),), output_dir=str(out))
+    assert run_experiment(config) == 0
+    failed = json.loads((out / "manifest.json").read_text())["failed_release_pairs"]
+    assert [(f["release_pair"], f["reason"]) for f in failed] == [("v1..v2", f"RepositoryError: object not found: {sha}")]
+
+
 def test_cli_run_to_an_output_dir_under_a_file_fails_before_analysis(fixture_repo, tmp_path, capsys, monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -507,7 +507,7 @@ def test_cross_validation_of_a_run_wide_sized_set_keeps_its_peak_memory():
 
 def test_cross_validation_of_deep_trees_keeps_its_peak_memory():
     # 5 % of labels flipped: 33 nodes a tree. Every fold's node records live until the forests are built,
-    # 2.27 MB at the peak here (numpy 2.4.6), where training one fold at a time peaked at 1.73 MB; the
+    # 2.20 MB at the peak here (numpy 2.4.6), where training one fold at a time peaked at 1.73 MB; the
     # bound holds the records to what they take now
     assert _cross_validation_peak(0.05) < 2.5 * 2**20
 

@@ -95,12 +95,12 @@ _CALLS = {
     "choice": (
         st.integers(1, 60).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
         lambda rng, m, k: rng.choice(m, size=k, replace=False),
-        lambda s, m, k: s.choice(m, k)[0],
+        lambda s, m, k: choose(m, k, s.bounded(choice_ranges(m, k)))[0],
     ),
     "choice of an array": (
         st.integers(1, 60).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
         lambda rng, m, k: rng.choice(np.arange(m) * 3 + 1, size=k, replace=False),
-        lambda s, m, k: (np.arange(m) * 3 + 1)[s.choice(m, k)[0]],
+        lambda s, m, k: (np.arange(m) * 3 + 1)[choose(m, k, s.bounded(choice_ranges(m, k)))[0]],
     ),
     "shuffle": (
         st.tuples(st.integers(1, 120)),
@@ -187,12 +187,28 @@ def test_choices_for_some_lanes_leave_the_others_as_they_were(seed, m, trees, da
         assert _pcg_state(streams, i) == _numpy_state(rng)
 
 
+@settings(deadline=None)
+@given(_ENTROPY_INT, st.integers(0, 300), st.integers(1, 12))
+def test_permutations_of_many_lanes_are_each_lanes_shuffle(seed, n, trees):
+    # every lane swaps in one pass; each row must be the order that lane's own Generator shuffles into
+    streams = Streams([(seed, i) for i in range(trees)])
+    streams.bounded([1])  # every lane keeps a buffered half
+    orders = streams.permutation(n)
+    assert orders.shape == (trees, n)
+    for i in range(trees):
+        rng = np.random.default_rng([seed, i])
+        rng.integers(0, 2)
+        assert np.array_equal(orders[i], _shuffled(rng, np.arange(n)))
+        assert _pcg_state(streams, i) == _numpy_state(rng)
+
+
 @pytest.mark.parametrize(
     "m, k", [(20_000, 401), (10_001, 201), (20_000, 400), (10_001, 199), (10_000, 5_000), (12, 12)]
 )
 def test_choice_takes_numpys_branch_by_population_and_size(m, k):
     # above 10,000 and k > m // 50 numpy tail-shuffles range(m); otherwise Floyd, then Fisher-Yates
-    assert np.array_equal(Streams([(3,)]).choice(m, k)[0], np.random.default_rng(3).choice(m, size=k, replace=False))
+    chosen = choose(m, k, Streams([(3,)]).bounded(choice_ranges(m, k)))[0]
+    assert np.array_equal(chosen, np.random.default_rng(3).choice(m, size=k, replace=False))
     assert len(choice_ranges(m, k)) == (m - max(m - k, 1) if m > 10_000 and k > m // 50 else 2 * k - 1)
 
 

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from granite import gitrepo, tracking
+from granite.cli import main
 from granite.evaluation import change_sizes
 from granite.gitrepo import FileSnapshot, GitRepo
 from granite.javaparse import ModuleDef, ModuleId, derive_modules, extract_modules
@@ -682,6 +683,31 @@ def test_derived_modules_equal_a_full_parse_on_every_changed_blob_of_the_bench_r
                     assert _module_fields(made) == _module_fields(full), (path, commit)
                 parents[path] = (snapshot.lines, full)
     assert derived
+
+
+@st.composite
+def _shapes(draw):
+    """Small synthrepo shapes, with rename and move rates from 0."""
+    ints = {"classes": (2, 8), "methods": (1, 5), "fanout": (1, 3), "commits": (4, 40), "tags": (2, 4),
+            "ops_per_commit": (1, 3), "authors": (1, 3)}
+    fields = {name: draw(st.integers(*bounds)) for name, bounds in ints.items()}
+    rates = {"rename_rate": draw(st.floats(0, 0.6)), "move_rate": draw(st.floats(0, 0.3))}
+    return _bench_run_module().synthrepo.Shape(**fields, **rates)
+
+
+@settings(max_examples=max(10, settings().max_examples // 2), deadline=None)
+@given(_shapes(), st.integers(0, 2**16))
+def test_mine_reports_what_the_synthetic_repositorys_ledger_records(shape, seed):
+    # the pipeline-level oracle of tracking: every edit, rename and move the generator made, per release pair
+    bench = _bench_run_module()
+    with tempfile.TemporaryDirectory() as tmp:
+        root, out = Path(tmp) / "repo", Path(tmp) / "mined.csv"
+        ledger = bench.synthrepo.build(root, shape, seed)
+        with GitRepo(root) as repo:
+            pairs = [p.label for p in repo.release_pairs(bench.synthrepo.TAG_GLOB)]
+        assert main(["mine", str(root), "--tags", bench.synthrepo.TAG_GLOB, "--out", str(out)]) == 0
+        units, failed, _ = bench.check.check_mine(out, ledger, pairs)
+    assert units and not failed
 
 
 # Each member of a file is [kind, method name, body statements]; the kinds put the body's '{' on the
