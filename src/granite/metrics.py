@@ -4,6 +4,8 @@ Product metrics are purely syntactic and come from the release snapshot;
 process metrics come from the change history strictly before the release.
 The catalog (names, order, and the token-level counting rules) is documented
 in docs/metrics.md; every value is finite, non-negative, and deterministic.
+Each row masks each of its segments once, from the segment's own lines, and
+scans it once for its words, its erased generics and its brackets (_segment).
 """
 
 from __future__ import annotations
@@ -11,13 +13,12 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from granite.gitrepo import CommitId, CommitMeta
 from granite.javaparse import (
     IDENT,
     KEYWORDS,
-    MethodDecl,
     ModuleDef,
     ModuleId,
     WORD_RE,
@@ -89,6 +90,7 @@ _NAME_RE = re.compile(rf"(?<![\w$]){IDENT}")
 # '&'/'|' stay out of the class so `a < b && c > d` keeps its comparisons
 _GENERIC_RE = re.compile(r"<[\w$,.\s?\[\]]*>")
 _COMPARISON_RE = re.compile(r"==|!=|<=|>=|(?<![<-])<(?![<=])|(?<![->])>(?![>=])")
+_BRACKET_RE = re.compile(r"[(){}]")
 
 _NON_CALL_WORDS = frozenset(
     "if for while switch catch synchronized return throw assert do else try finally new case instanceof".split()
@@ -107,54 +109,53 @@ _WINDOW_90D = 90 * 86_400
 
 
 def _erase_generics(masked: str) -> str:
-    prev = None
-    out = masked
-    for _ in range(12):  # nested generics collapse inside-out
-        prev = out
-        out = _GENERIC_RE.sub(" ", out)
-        if out == prev:
-            break
-    return out
+    erased = 1
+    while erased:  # nested generics collapse inside-out; a pass that erases shortens the text, so this ends
+        masked, erased = _GENERIC_RE.subn(" ", masked)
+    return masked
 
 
-def _words(masked: str) -> List[str]:
-    return _NAME_RE.findall(masked)
+class _Segment(NamedTuple):
+    """One segment's lines, masked once, with everything a row reads of them."""
+
+    masked: str
+    literals: int
+    words: List[str]
+    erased: str  # masked, with generic argument lists erased
+    body_start: Optional[int]  # offset of the first '{' outside parentheses (the real body brace)
+    nesting: int  # brace depth beyond the segment's own outermost brace
 
 
-def _body_start(masked: str) -> Optional[int]:
-    """Offset of the first '{' outside parentheses (the real body brace)."""
-    depth = 0
-    for i, ch in enumerate(masked):
+def _segment(lines: Sequence[str]) -> _Segment:
+    masked, literals = mask_source("\n".join(lines))
+    parens = depth = peak = 0
+    body_start = None
+    for m in _BRACKET_RE.finditer(masked):
+        ch = m.group()
         if ch == "(":
-            depth += 1
+            parens += 1
         elif ch == ")":
-            depth -= 1
-        elif ch == "{" and depth == 0:
-            return i
-    return None
-
-
-def _max_nesting(masked: str) -> int:
-    """Brace depth beyond the segment's own outermost brace."""
-    depth = peak = 0
-    for ch in masked:
-        if ch == "{":
-            depth += 1
-            peak = max(peak, depth)
+            parens -= 1
         elif ch == "}":
             depth = max(0, depth - 1)
-    return max(0, peak - 1)
+        else:
+            if body_start is None and parens == 0:
+                body_start = m.start()
+            depth += 1
+            peak = max(peak, depth)
+    return _Segment(
+        masked, len(literals), _NAME_RE.findall(masked), _erase_generics(masked), body_start, max(0, peak - 1)
+    )
 
 
-def _comparisons(masked: str) -> int:
-    return len(_COMPARISON_RE.findall(_erase_generics(masked)))
+def _comparisons(seg: _Segment) -> int:
+    return len(_COMPARISON_RE.findall(seg.erased))
 
 
-def _cyclomatic(masked: str) -> int:
-    words = _words(masked)
-    branches = sum(1 for w in words if w in _BRANCH_WORDS)
-    branches += masked.count("&&") + masked.count("||")
-    branches += _erase_generics(masked).count("?")
+def _cyclomatic(seg: _Segment) -> int:
+    branches = sum(1 for w in seg.words if w in _BRANCH_WORDS)
+    branches += seg.masked.count("&&") + seg.masked.count("||")
+    branches += seg.erased.count("?")
     return 1 + branches
 
 
@@ -250,24 +251,21 @@ def _declarators_in(stmt: List[str]) -> int:
 def method_product_metrics(mdef: ModuleDef) -> np.ndarray:
     """12 product metrics of one method segment, ordered as METHOD_METRIC_NAMES."""
     import numpy as np
-    text = "\n".join(mdef.body)
-    masked, literals = mask_source(text)
-    start = _body_start(masked)
-    body = masked[start:] if start is not None else ""
-    words = _words(masked)
+    seg = _segment(mdef.body)
+    body = seg.masked[seg.body_start:] if seg.body_start is not None else ""
     invocations = _invocation_names(body)
     values = (
         float(module_loc(mdef)),
-        float(_cyclomatic(masked)),
+        float(_cyclomatic(seg)),
         float(len(mdef.id.param_types or ())),
-        float(_max_nesting(masked)),
+        float(seg.nesting),
         float(_count_locals(body)),
         float(len(invocations)),
-        float(sum(1 for w in words if w in _LOOP_WORDS)),
-        float(_comparisons(masked)),
-        float(sum(1 for w in words if w == "return")),
-        float(len(literals)),
-        float(len({w for w in words if w not in KEYWORDS})),
+        float(sum(1 for w in seg.words if w in _LOOP_WORDS)),
+        float(_comparisons(seg)),
+        float(sum(1 for w in seg.words if w == "return")),
+        float(seg.literals),
+        float(len({w for w in seg.words if w not in KEYWORDS})),
         float(len(set(invocations))),
     )
     return np.array(values, dtype=np.float64)
@@ -281,11 +279,11 @@ def _simple_name(qualified: str) -> str:
     return qualified.rsplit(".", 1)[-1]
 
 
-def _coupled_types(masked: str, own_name: str) -> set:
+def _coupled_types(words: Iterable[str], own_name: str) -> set:
     """Distinct names of any script that start uppercase and hold a lowercase letter, own_name excluded."""
     return {
         w
-        for w in _words(masked)
+        for w in words
         if w[0].isupper() and w != own_name and any(c.islower() for c in w)
     }
 
@@ -318,11 +316,6 @@ def class_hierarchy(defs: Iterable[ModuleDef]) -> Dict[ModuleId, Tuple[int, int]
     return out
 
 
-def _method_segment(mdef: ModuleDef, method: MethodDecl) -> str:
-    first = mdef.span[0]  # method spans count lines of the whole file
-    return "\n".join(mdef.body[method.span[0] - first:method.span[1] - first + 1])
-
-
 def class_product_metrics(
     mdef: ModuleDef, hierarchy: Mapping[ModuleId, Tuple[int, int]]
 ) -> np.ndarray:
@@ -332,20 +325,18 @@ def class_product_metrics(
     depth and child counts resolve within the project.
     """
     import numpy as np
-    text = "\n".join(mdef.body)
-    masked, literals = mask_source(text)
-    words = _words(masked)
+    seg = _segment(mdef.body)
     methods = mdef.decl.methods
     fields = mdef.decl.fields
     field_names = {n for f in fields for n in f.names}
 
+    first = mdef.span[0]  # method spans count lines of the whole file
     wmc = 0
     method_words: List[set] = []
     for m in methods:
-        seg = _method_segment(mdef, m)
-        seg_masked, _ = mask_source(seg)
-        wmc += _cyclomatic(seg_masked)
-        method_words.append(set(_words(seg_masked)))
+        method_seg = _segment(mdef.body[m.span[0] - first:m.span[1] - first + 1])
+        wmc += _cyclomatic(method_seg)
+        method_words.append(set(method_seg.words))
 
     # cohesion: method pairs sharing no field reference minus pairs sharing one
     p = q = 0
@@ -359,10 +350,9 @@ def class_product_metrics(
                     p += 1
     lcom = max(0, p - q)
 
-    coupled = _coupled_types(masked, _simple_name(mdef.id.qualified_class))
+    coupled = _coupled_types(seg.words, _simple_name(mdef.id.qualified_class))
 
-    body_off = _body_start(masked)
-    body = masked[body_off:] if body_off is not None else masked
+    body = seg.masked[seg.body_start:] if seg.body_start is not None else seg.masked
     rfc = len(methods) + len(set(_invocation_names(body)))
 
     dit, noc = hierarchy[mdef.id]
@@ -384,12 +374,12 @@ def class_product_metrics(
         float(len(coupled)),
         float(rfc),
         float(lcom),
-        float(_max_nesting(masked)),
+        float(seg.nesting),
         float(num_static),
         float(num_public),
-        float(len(literals)),
-        float(sum(1 for w in words if w in _LOOP_WORDS)),
-        float(_comparisons(masked)),
+        float(seg.literals),
+        float(sum(1 for w in seg.words if w in _LOOP_WORDS)),
+        float(_comparisons(seg)),
     )
     return np.array(values, dtype=np.float64)
 

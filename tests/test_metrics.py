@@ -1,13 +1,14 @@
 import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from granite.gitrepo import CommitMeta, FileSnapshot
-from granite.javaparse import ModuleId, extract_modules
+from granite.javaparse import KEYWORDS, ModuleId, extract_modules, mask_source
 from granite.metrics import (
     CLASS_METRIC_NAMES,
     METHOD_METRIC_NAMES,
@@ -16,9 +17,19 @@ from granite.metrics import (
     class_product_metrics,
     method_product_metrics,
     process_metrics,
+    _BRANCH_WORDS,
+    _COMPARISON_RE,
+    _GENERIC_RE,
+    _LOOP_WORDS,
+    _NAME_RE,
+    _count_locals,
     _coupled_types,
+    _invocation_names,
+    _simple_name,
 )
-from granite.tracking import ChangeEvent, ChangeHistory
+from granite.tracking import ChangeEvent, ChangeHistory, module_loc
+
+CATALOG = Path(__file__).resolve().parent.parent / "docs" / "metrics.md"
 
 
 def modules_of(source, path="src/T.java"):
@@ -147,7 +158,7 @@ def ascii_coupled_types(masked, own_name):
 @example("Map<List<Foo>, Bar> m; Foo9 a_Bb _Cc")
 @given(st.text(alphabet="AaBbEeXxZz09_ .,;<>()[]{}=+-\n", max_size=60))
 def test_coupled_types_of_ascii_text_without_dollar_are_unchanged(text):
-    assert _coupled_types(text, "Aa") == ascii_coupled_types(text, "Aa")
+    assert _coupled_types(_NAME_RE.findall(text), "Aa") == ascii_coupled_types(text, "Aa")
 
 
 def test_letters_inside_number_literals_are_not_identifiers():
@@ -368,6 +379,14 @@ def test_generics_do_not_count_as_comparisons():
     assert method_vec(src, "f")["num_comparisons"] == 0
 
 
+@pytest.mark.parametrize("depth", [12, 13, 40])
+def test_generics_nested_to_any_depth_are_no_comparisons(depth):
+    generic = "L<" * depth + "?" + ">" * depth
+    src = f"class M {{\n    void f() {{\n        {generic} x = null;\n    }}\n}}\n"
+    assert method_vec(src, "f")["num_comparisons"] == 0
+    assert class_vec(src, "M")["num_comparisons"] == 0
+
+
 def test_unique_identifiers_excludes_keywords():
     src = """\
     class M {
@@ -396,6 +415,239 @@ def test_every_method_vector_is_finite_nonnegative():
         vec = method_product_metrics(d) if d.id.kind == "method" else class_product_metrics(d, class_hierarchy(defs))
         assert np.all(np.isfinite(vec))
         assert np.all(vec >= 0)
+
+
+# -- the catalog ----------------------------------------------------------------
+
+
+def test_the_catalog_lists_every_column_in_order():
+    tables = [
+        re.findall(r"^\| `(\w+)` \|", section, re.M)
+        for section in CATALOG.read_text(encoding="utf-8").split("\n## ")[1:]
+    ]
+    assert [tuple(t) for t in tables if t] == [CLASS_METRIC_NAMES, METHOD_METRIC_NAMES, PROCESS_METRIC_NAMES]
+
+
+# -- the product-metric rows against the row functions that scanned each segment
+# several times, kept as the oracle
+
+
+def oracle_erase_generics(masked):
+    prev = None
+    out = masked
+    for _ in range(12):  # nested generics collapse inside-out; the generated ones nest at most 12 deep
+        prev = out
+        out = _GENERIC_RE.sub(" ", out)
+        if out == prev:
+            break
+    return out
+
+
+def oracle_words(masked):
+    return _NAME_RE.findall(masked)
+
+
+def oracle_body_start(masked):
+    depth = 0
+    for i, ch in enumerate(masked):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "{" and depth == 0:
+            return i
+    return None
+
+
+def oracle_max_nesting(masked):
+    depth = peak = 0
+    for ch in masked:
+        if ch == "{":
+            depth += 1
+            peak = max(peak, depth)
+        elif ch == "}":
+            depth = max(0, depth - 1)
+    return max(0, peak - 1)
+
+
+def oracle_comparisons(masked):
+    return len(_COMPARISON_RE.findall(oracle_erase_generics(masked)))
+
+
+def oracle_cyclomatic(masked):
+    words = oracle_words(masked)
+    branches = sum(1 for w in words if w in _BRANCH_WORDS)
+    branches += masked.count("&&") + masked.count("||")
+    branches += oracle_erase_generics(masked).count("?")
+    return 1 + branches
+
+
+def oracle_coupled_types(masked, own_name):
+    return {w for w in oracle_words(masked) if w[0].isupper() and w != own_name and any(c.islower() for c in w)}
+
+
+def oracle_method_row(mdef):
+    masked, literals = mask_source("\n".join(mdef.body))
+    start = oracle_body_start(masked)
+    body = masked[start:] if start is not None else ""
+    words = oracle_words(masked)
+    invocations = _invocation_names(body)
+    values = (
+        module_loc(mdef),
+        oracle_cyclomatic(masked),
+        len(mdef.id.param_types or ()),
+        oracle_max_nesting(masked),
+        _count_locals(body),
+        len(invocations),
+        sum(1 for w in words if w in _LOOP_WORDS),
+        oracle_comparisons(masked),
+        sum(1 for w in words if w == "return"),
+        len(literals),
+        len({w for w in words if w not in KEYWORDS}),
+        len(set(invocations)),
+    )
+    return np.array(values, dtype=np.float64)
+
+
+def oracle_class_row(mdef, hierarchy):
+    masked, literals = mask_source("\n".join(mdef.body))
+    words = oracle_words(masked)
+    methods = mdef.decl.methods
+    fields = mdef.decl.fields
+    field_names = {n for f in fields for n in f.names}
+    first = mdef.span[0]
+    wmc = 0
+    method_words = []
+    for m in methods:
+        seg_masked, _ = mask_source("\n".join(mdef.body[m.span[0] - first:m.span[1] - first + 1]))
+        wmc += oracle_cyclomatic(seg_masked)
+        method_words.append(set(oracle_words(seg_masked)))
+    p = q = 0
+    if field_names and len(method_words) >= 2:
+        uses = [ws & field_names for ws in method_words]
+        for i in range(len(uses)):
+            for j in range(i + 1, len(uses)):
+                if uses[i] & uses[j]:
+                    q += 1
+                else:
+                    p += 1
+    body_off = oracle_body_start(masked)
+    body = masked[body_off:] if body_off is not None else masked
+    dit, noc = hierarchy[mdef.id]
+    num_static = sum(1 for m in methods if "static" in m.modifiers) + sum(
+        len(f.names) for f in fields if "static" in f.modifiers
+    )
+    num_public = sum(1 for m in methods if "public" in m.modifiers) + sum(
+        len(f.names) for f in fields if "public" in f.modifiers
+    )
+    values = (
+        module_loc(mdef),
+        len(methods),
+        sum(len(f.names) for f in fields),
+        wmc,
+        dit,
+        noc,
+        len(oracle_coupled_types(masked, _simple_name(mdef.id.qualified_class))),
+        len(methods) + len(set(_invocation_names(body))),
+        max(0, p - q),
+        oracle_max_nesting(masked),
+        num_static,
+        num_public,
+        len(literals),
+        sum(1 for w in words if w in _LOOP_WORDS),
+        oracle_comparisons(masked),
+    )
+    return np.array(values, dtype=np.float64)
+
+
+# a block comment that closes on a member's first line: that member's own segment reads the
+# comment's tail, a stray ')' or '}', as code
+_HEADS = ("", "/* (\n} ) */ ", "/* {\n) } */ ")
+_ANNOTATIONS = ("", "@Override ", '@SuppressWarnings({"unchecked", "raw"}) ', "@Ann(v = {1, 2}, w = @In({3})) ")
+_STATEMENTS = (
+    "int a = f(x), b = 2;",
+    "if (x > 0 && y < 3 || z) { x++; }",
+    "for (int i = 0; i < n; i++) { while (a != b) { a--; } }",
+    "do { x = x >> 1; } while (x >= 1);",
+    "String s = \"a { ( b\" + '}' + '(' + \"\\\"\";",
+    'String t = """\n    { ) " if\n    """;',
+    "// } ( if (a) comment\n",
+    "/* { ) while\n } */",
+    "Map<String, List<? extends Number>> m = new HashMap<>();",
+    "List<?> w = x == null ? null : y.get(0);",
+    "Runnable r = () -> { if (ok) { run(); } };",
+    "Object o = new Object() { public int hashCode() { return 1; } };",
+    "return count + field;",
+    "switch (k) { case 1: break; default: g(); }",
+    "try (Res r = open()) { use(r); } catch (Exception e) { throw e; }",
+    "x = a <= b ? c : d;",
+    "field = other;",
+)
+_SEPARATORS = ("\n", " ", "\n        ")
+
+
+@st.composite
+def java_members(draw, i):
+    """A method with or without a body, a field or a nested class."""
+    kind = draw(st.sampled_from(("method", "method", "bodyless", "field", "nested")))
+    head = draw(st.sampled_from(_HEADS))
+    if kind == "field":
+        return head + draw(st.sampled_from((
+            "private int field;",
+            'static String other = "x";',
+            "public List<Map<String, Integer>> cache, more = null;",
+        )))
+    if kind == "nested":
+        return f"{head}static class Inner{i} extends Base {{ int field; void x() {{ if (field > 0) {{ field--; }} }} }}"
+    ann = draw(st.sampled_from(_ANNOTATIONS))
+    mods = draw(st.sampled_from(("", "public ", "static ", "public static ", "private ")))
+    ret = draw(st.sampled_from(("void", "int", "Map<String, List<?>>", "<T extends Comparable<T>> T")))
+    params = draw(st.sampled_from(("", "int x", "int x, String y", "List<? super T> xs, int... n")))
+    if kind == "bodyless":
+        return f"{head}{ann}abstract {ret} m{i}({params});"
+    deep = draw(st.integers(1, 12))
+    statements = draw(st.lists(
+        st.sampled_from(_STATEMENTS) | st.just("L<" * deep + "?" + ">" * deep + " deep = null;"), max_size=4
+    ))
+    sep = draw(st.sampled_from(_SEPARATORS))
+    return f"{head}{ann}{mods}{ret} m{i}({params}) {{{sep}{sep.join(statements)}{sep}}}"
+
+
+@st.composite
+def java_sources(draw):
+    """One or two types: a class, a record with a compact constructor, an interface or an enum."""
+    types = []
+    for t in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(("class", "class", "record", "interface", "enum")))
+        head = draw(st.sampled_from(_HEADS)) + draw(st.sampled_from(_ANNOTATIONS[::2]))
+        members = [draw(java_members(i)) for i in range(draw(st.integers(0, 4)))]
+        if kind == "class":
+            opening = f"{head}class T{t} extends {'Base<String>' if t else 'Base'} {{"
+        elif kind == "record":
+            opening = f"{head}record T{t}(int a, int b) {{"
+            compact = f"T{t} {{ if (a > b) {{ throw new IllegalArgumentException(); }} }}"
+            members.insert(draw(st.integers(0, len(members))), compact)
+        elif kind == "interface":
+            opening = f"{head}interface T{t} {{"
+            members = [m.replace("abstract ", "") for m in members]
+        else:
+            opening = f"{head}enum T{t} {{ ONE, TWO;"
+        sep = draw(st.sampled_from(_SEPARATORS))
+        types.append(opening + sep + sep.join(members) + sep + "}")
+    return "class Base {}\n" + "\n".join(types) + "\n"
+
+
+@settings(max_examples=max(10, settings().max_examples // 4))
+@given(java_sources())
+def test_product_rows_equal_the_oracle(source):
+    defs = modules_of(source)
+    assert defs is not None, source
+    hierarchy = class_hierarchy(defs)
+    for d in defs:
+        if d.id.kind == "class":
+            assert np.array_equal(class_product_metrics(d, hierarchy), oracle_class_row(d, hierarchy)), d.id
+        else:
+            assert np.array_equal(method_product_metrics(d), oracle_method_row(d)), d.id
 
 
 # -- process metrics ----------------------------------------------------------
