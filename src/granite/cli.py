@@ -5,9 +5,13 @@ Subcommands:
   granite mine REPO --tags GLOB [--out FILE]         change histories only
   granite eval --predictions FILE --k LIST           effort ratios for external scores
 
-GRANITE_LOG sets the log level (DEBUG, INFO, WARNING, ERROR).  A bad config,
-repository, predictions file or output path ends the command with one line on
-stderr and exit code 2.
+GRANITE_LOG sets the log level (DEBUG, INFO, WARNING, ERROR).  Bad input ends
+the command with one line on stderr and exit code 2.  An invalid config, --k or
+predictions row is reported by its command; `main` alone reports, as
+`granite: <reason>`, a file, repository or `git` that cannot be read or started
+(a predictions file that is not UTF-8 or not readable as CSV included) and an
+output that cannot be written.  Rows `mine` wrote before such an error stay in
+its --out file.
 """
 
 from __future__ import annotations
@@ -56,46 +60,31 @@ def _open_out(path: Optional[str]):
 def _cmd_run(args) -> int:
     try:
         config = load_config(args.config)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or not a valid config
         return _usage_error(f"granite: {exc}")
-    try:
-        return run_experiment(config)
-    except OSError as exc:  # the output directory cannot be made or written
-        return _usage_error(f"granite: {exc}")
+    return run_experiment(config)
 
 
 def _cmd_mine(args) -> int:
-    try:
-        repo = GitRepo(args.repo)
-    except RepositoryError as exc:
-        return _usage_error(f"granite: {exc}")
-    with repo:
-        try:
-            out = _open_out(args.out)
-        except OSError as exc:
-            return _usage_error(f"granite: {exc}")
-        try:
-            with out as fp:
-                scanner = HistoryScanner(repo)
-                pairs = repo.release_pairs(args.tags)
-                writer = csv.writer(fp, lineterminator="\n")
+    with GitRepo(args.repo) as repo, _open_out(args.out) as fp:  # a bad repository opens no --out file
+        scanner = HistoryScanner(repo)
+        pairs = repo.release_pairs(args.tags)
+        writer = csv.writer(fp, lineterminator="\n")
+        writer.writerow(
+            ["release_pair", "granularity", "module_id", "loc",
+             "changes", "total_churn", "delta_release", "delta_commit"]
+        )
+        scan = None
+        for pair in pairs:  # a pair that starts where the last one ended continues its walk
+            prior = scan if scan is not None and scan.commits[-1] == pair.r_commit else None
+            scan = scanner.change_histories(pair.commits, prior)
+            for module in sorted(scan.start_defs):
+                sizes = change_sizes(scan, module)
                 writer.writerow(
-                    ["release_pair", "granularity", "module_id", "loc",
-                     "changes", "total_churn", "delta_release", "delta_commit"]
+                    [pair.label, module.kind, str(module), module_loc(scan.start_defs[module]),
+                     len(scan.histories[module].events), sizes.delta_commit,
+                     sizes.delta_release, sizes.delta_commit]
                 )
-                scan = None
-                for pair in pairs:  # a pair that starts where the last one ended continues its walk
-                    prior = scan if scan is not None and scan.commits[-1] == pair.r_commit else None
-                    scan = scanner.change_histories(pair.commits, prior)
-                    for module in sorted(scan.start_defs):
-                        sizes = change_sizes(scan, module)
-                        writer.writerow(
-                            [pair.label, module.kind, str(module), module_loc(scan.start_defs[module]),
-                             len(scan.histories[module].events), sizes.delta_commit,
-                             sizes.delta_release, sizes.delta_commit]
-                        )
-        except RepositoryError as exc:  # an object the repository lacks, as in a damaged or partial clone
-            return _usage_error(f"granite: {exc}")
     return 0
 
 
@@ -110,11 +99,7 @@ def _cmd_eval(args) -> int:
     scores = {}
     locs = {}
     sizes = {}
-    try:
-        fp = open(args.predictions, encoding="utf-8-sig", newline="")  # spreadsheets write a byte-order mark
-    except OSError as exc:
-        return _usage_error(f"granite: {exc}")
-    with fp:
+    with open(args.predictions, encoding="utf-8-sig", newline="") as fp:  # spreadsheets write a byte-order mark
         reader = csv.DictReader(fp, restval="")  # a short row's missing fields read as empty
         for row in reader:
             try:
@@ -140,11 +125,7 @@ def _cmd_eval(args) -> int:
             locs[module] = loc
             sizes[module] = ChangeSizes(module, delta_release, delta_commit)
     ranking = rank_by_score(scores, locs)
-    try:
-        out = _open_out(args.out)
-    except OSError as exc:
-        return _usage_error(f"granite: {exc}")
-    with out as fp:
+    with _open_out(args.out) as fp:
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(["kind", "k", "cutoff", "ratio"])
         for kind in CHANGE_SIZE_KINDS:
@@ -183,7 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, UnicodeDecodeError, csv.Error, RepositoryError) as exc:  # input unreadable, output unwritable
+        return _usage_error(f"granite: {exc}")
 
 
 if __name__ == "__main__":

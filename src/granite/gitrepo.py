@@ -147,6 +147,7 @@ class GitRepo:
                 ["git", "-C", str(self.path), "cat-file", "--batch"],
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,  # a damaged object reads as missing, without git's own lines about it
             )
         return self._batch
 

@@ -700,14 +700,20 @@ def test_cli_mine_to_a_missing_directory_fails(fixture_repo, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"granite: [Errno 2] No such file or directory: '{out_file}'\n")
 
 
-def test_a_repository_that_lacks_an_object_ends_mine_with_one_line_and_fails_the_pair_in_run(tmp_path, capsys):
-    rb = RepoBuilder(tmp_path / "partial")
+def _two_tag_repository(root):
+    """A repository tagged v1 and v2, and the path of the loose object of v2:src/A.java."""
+    rb = RepoBuilder(root)
     for tag, value in (("v1", 1), ("v2", 2)):
         rb.write("src/A.java", f"public class A {{\n    int f() {{\n        return {value};\n    }}\n}}\n")
         rb.commit(tag)
         rb.tag(tag)
     sha = rb.git("rev-parse", "v2:src/A.java").strip()
-    (rb.root / ".git" / "objects" / sha[:2] / sha[2:]).unlink()  # as a damaged or partial clone lacks it
+    return rb, sha, rb.root / ".git" / "objects" / sha[:2] / sha[2:]
+
+
+def test_a_repository_that_lacks_an_object_ends_mine_with_one_line_and_fails_the_pair_in_run(tmp_path, capsys):
+    rb, sha, loose = _two_tag_repository(tmp_path / "partial")
+    loose.unlink()  # as a damaged or partial clone lacks it
     assert main(["mine", str(rb.root), "--tags", "v*", "--out", str(tmp_path / "mined.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"granite: object not found: {sha}") and err.count("\n") == 1
@@ -716,6 +722,27 @@ def test_a_repository_that_lacks_an_object_ends_mine_with_one_line_and_fails_the
     assert run_experiment(config) == 0
     failed = json.loads((out / "manifest.json").read_text())["failed_release_pairs"]
     assert [(f["release_pair"], f["reason"]) for f in failed] == [("v1..v2", f"RepositoryError: object not found: {sha}")]
+
+
+def test_a_corrupt_object_ends_mine_with_granites_line_alone(tmp_path, capfd):
+    # capfd, not capsys: git's own error lines would come from the cat-file child's stderr
+    rb, sha, loose = _two_tag_repository(tmp_path / "corrupt")
+    loose.chmod(0o644)
+    loose.write_bytes(b"garbage\n")  # git reads it as a damaged object
+    out = tmp_path / "mined.csv"
+    assert main(["mine", str(rb.root), "--tags", "v*", "--out", str(out)]) == 2
+    assert capfd.readouterr() == ("", f"granite: object not found: {sha}\n")
+    assert out.read_text().startswith("release_pair,")  # the rows written before the error stay
+
+
+def test_cli_mine_without_git_on_the_path_fails_before_writing(fixture_repo, tmp_path, capsys, monkeypatch):
+    (tmp_path / "bin").mkdir()
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    out_file = tmp_path / "h.csv"
+    assert main(["mine", str(fixture_repo.root), "--tags", "v*", "--out", str(out_file)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("granite: ") and err.count("\n") == 1 and "'git'" in err
+    assert not out_file.exists()
 
 
 def test_cli_run_to_an_output_dir_under_a_file_fails_before_analysis(fixture_repo, tmp_path, capsys, monkeypatch):
@@ -864,6 +891,22 @@ def test_cli_eval_rejects_bad_arguments(tmp_path, capsys, args, message):
     paths = {"missing": tmp_path / "missing.csv", "pred": pred}
     assert main(["eval", "--out", str(out), *(a.format(**paths) for a in args)]) == 2
     assert capsys.readouterr() == ("", message.format(**paths) + "\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"method:src/A.java:A#\xff(),0.9,40,20,25\n",
+     b"method:src/A.java:A#a(),0.9,40,20,25,\"" + b"x" * 131_073 + b"\"\n"],
+    ids=["not-utf-8", "field-over-the-csv-limit"],
+)
+def test_cli_eval_of_an_unreadable_predictions_file_fails_before_writing(tmp_path, capsys, body):
+    pred = tmp_path / "preds.csv"
+    pred.write_bytes(b"module_id,score,loc,delta_release,delta_commit\n" + body)
+    out = tmp_path / "ratios.csv"
+    assert main(["eval", "--predictions", str(pred), "--k", "100", "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("granite: ") and err.count("\n") == 1
     assert not out.exists()
 
 

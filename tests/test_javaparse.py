@@ -654,6 +654,17 @@ def test_generated_skips_pinned():
     assert [(m.name, m.param_types, m.span) for m in enum.methods] == [("q", ("int",), (9, 9))]
 
 
+def test_recovery_pinned():
+    # an initializer that runs to the end of the file ends the parse
+    assert parse_source("class A { int x = 1").error == "unexpected end of file"
+    # type parameters after `extends` are passed over
+    (cls,) = parse_source("class A extends <T> B { void f() {} }").types
+    assert (cls.qualified, cls.extends_name, [m.name for m in cls.methods]) == ("A", "B", ["f"])
+    # a declarator whose brackets never close names nothing; the next member still reads
+    (cls,) = parse_source("class A { int a, b[; void f() {} }").types
+    assert ([f.names for f in cls.fields], [m.name for m in cls.methods]) == ([("a",)], ["f"])
+
+
 def test_braces_pinned():
     # a stray '}' before a type opens its statement; braces in comments and literals are masked; a lambda
     # body, an enum constant's body and an array default are passed over; a '{' that never closes fails

@@ -353,6 +353,9 @@ def test_method_counts_on_busy_fixture():
         ("for (int i = 0, j = f(x); i < j; i++) {}", 2),
         ("Function<String, Integer> fn = (String s) -> s.length();", 2),
         ("x = foo(a), y;", 0),
+        ("int[] a, b;", 2),  # array dimensions after the type
+        ("a b.c();", 0),  # a name followed by something other than '=', ',', '[' or ':'
+        ("Foo x::y;", 0),  # `name::` starts a method reference
     ],
 )
 def test_num_locals_counts_every_declarator_of_a_statement(statement, locals_):
