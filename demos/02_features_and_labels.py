@@ -46,7 +46,7 @@ public class Cart {
 }
 """
 
-snapshot = FileSnapshot(path="src/Cart.java", lines=tuple(SOURCE.split("\n")), commit="0" * 40)
+snapshot = FileSnapshot(path="src/Cart.java", lines=tuple(SOURCE.split("\n")), blob="0" * 40)
 modules = extract_modules(snapshot)
 print(f"extracted {len(modules)} modules:")
 for m in modules:

@@ -81,7 +81,7 @@ class CommitMeta:
 class FileSnapshot:
     path: str
     lines: Tuple[str, ...]
-    commit: CommitId
+    blob: str  # the sha of the blob the lines were read from
 
 
 class GitRepo:
@@ -309,11 +309,12 @@ class GitRepo:
 
     def file_lines(self, commit: CommitId, path: str) -> Tuple[str, ...]:
         """Lines of a file at a commit; an absent file reads as empty."""
-        sha = self._ls_tree(commit).get(path.encode())
-        return self.blob_lines(sha) if sha else ()
+        return self.snapshot(commit, path).lines
 
     def snapshot(self, commit: CommitId, path: str) -> FileSnapshot:
-        return FileSnapshot(path=path, lines=self.file_lines(commit, path), commit=commit)
+        """A file at a commit, with the blob it was read from; an absent file reads as empty, from blob ""."""
+        sha = self._ls_tree(commit).get(path.encode(), "")
+        return FileSnapshot(path, self.blob_lines(sha) if sha else (), sha)
 
     def diff_churn(self, path_old: str, path_new: str, c: CommitId, c_prime: CommitId) -> int:
         """Added + deleted lines between two blobs; an absent blob is empty."""

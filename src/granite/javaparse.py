@@ -620,7 +620,7 @@ def extract_modules(snapshot: FileSnapshot, dropped_ids: Optional[List[ModuleId]
     text = "\n".join(snapshot.lines)
     parsed = parse_source(text)
     if parsed.error:
-        log.warning("%s@%s: skipped, parse failed: %s", snapshot.path, snapshot.commit[:10], parsed.error)
+        log.warning("%s@%s: skipped, parse failed: %s", snapshot.path, snapshot.blob[:10], parsed.error)
         return None
     defs: List[ModuleDef] = []
     seen: Dict[ModuleId, bool] = {}

@@ -91,8 +91,6 @@ def match_renames(
             if p.id.kind != c.id.kind:
                 continue
             total = len(p.body) + len(c.body)
-            if total == 0:
-                continue
             if 2.0 * min(len(p.body), len(c.body)) / total < RENAME_SIMILARITY:
                 continue  # similarity upper bound already below threshold
             sim = similarity(p.body, c.body)
@@ -146,11 +144,13 @@ class HistoryScanner:
     unchanged file keep their identity and history without matching, and
     rename matching and body diffs run over the modules of the changed files
     alone.  Modules are cached per (blob, path), so each blob is parsed or
-    derived once.  A changed blob is derived from the path's blob in the map
-    (javaparse.derive_modules) when the edit between them lies inside one
+    derived once, and a blob that does not parse is warned about once, by
+    path and blob.  A changed blob is derived from its path's last blob that
+    parsed and dropped no declaration, whatever blob the map holds
+    (javaparse.derive_modules), when the edit between them lies inside one
     method body, and parsed in full otherwise; for this the scanner keeps
-    the lines of each path's last blob that parsed and dropped no
-    declaration, and no other blob's.  Snapshots are built at the first and
+    that blob's lines and modules, and no other blob's lines.  So a blob's
+    modules depend on the blob alone.  Snapshots are built at the first and
     last commit.  The cache lives as long as the scanner, and most lines of
     a blob repeat a line of an earlier blob, so the scanner keeps one string
     per distinct line read and every cached module body is made of those
@@ -165,19 +165,17 @@ class HistoryScanner:
         # each distinct line, module id and body read -> its one kept copy; one table, since a line (a str) never
         # equals a tuple and a body (a tuple of str) never equals a ModuleId, whose last field is None or a tuple
         self._kept: Dict[object, object] = {}
-        # path -> (sha, lines) of the last blob of it read that parsed, if its parse dropped nothing
-        self._tips: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
+        # path -> (modules, lines) of the last blob of it read that parsed, if its parse dropped nothing
+        self._tips: Dict[str, Tuple[List[ModuleDef], Tuple[str, ...]]] = {}
 
-    def _file_modules(
-        self, commit: CommitId, path: str, sha: str, base: Optional[str] = None
-    ) -> Optional[List[ModuleDef]]:
-        """The blob's modules; None when it does not parse.  base, a parsed blob of path, may be derived from."""
+    def _file_modules(self, path: str, sha: str) -> Optional[List[ModuleDef]]:
+        """The blob's modules; None when it does not parse."""
         key = (sha, path)
         if key not in self._defs_cache:
             lines = self.repo.blob_lines(sha)
-            snapshot = FileSnapshot(path, tuple(map(self._kept.setdefault, lines, lines)), commit)
+            snapshot = FileSnapshot(path, tuple(map(self._kept.setdefault, lines, lines)), sha)
             tip = self._tips.get(path)
-            defs = derive_modules(self._defs_cache[base, path], tip[1], snapshot) if tip and tip[0] == base else None
+            defs = derive_modules(*tip, snapshot) if tip else None
             dropped: List[ModuleId] = []
             if defs is None:
                 defs = extract_modules(snapshot, dropped)
@@ -186,7 +184,7 @@ class HistoryScanner:
                 if dropped:
                     self._tips.pop(path, None)  # a blob derived from this one would miss the warnings of its full parse
                 else:
-                    self._tips[path] = (sha, snapshot.lines)
+                    self._tips[path] = (defs, snapshot.lines)
             self._defs_cache[key] = defs
         return self._defs_cache[key]
 
@@ -195,14 +193,14 @@ class HistoryScanner:
         mid, body = self._kept.setdefault(d.id, d.id), self._kept.setdefault(d.body, d.body)
         return d if mid is d.id and body is d.body else ModuleDef(mid, d.span, body, d.decl)
 
-    def snapshot_modules(self, commit: CommitId, files: Files) -> Snapshot:
+    def snapshot_modules(self, files: Files) -> Snapshot:
         # module ids carry their file's path
-        return {d.id: d for p, sha in files.items() if sha for d in self._file_modules(commit, p, sha) or ()}
+        return {d.id: d for p, sha in files.items() if sha for d in self._file_modules(p, sha) or ()}
 
-    def adjacent_delta(self, a: CommitId, b: CommitId, changed: Files, files: Files) -> _Delta:
-        """From a to its child b over the files whose blob differs: changed gives their blobs at b, files all at a."""
-        prev = {d.id: d for p in changed if (old := files.get(p)) for d in self._file_modules(a, p, old) or ()}
-        cur = {d.id: d for p, new in changed.items() if new for d in self._file_modules(b, p, new) or ()}
+    def adjacent_delta(self, changed: Files, files: Files) -> _Delta:
+        """One commit step over the files whose blob differs: changed gives their new blobs, files all the parent's."""
+        prev = {d.id: d for p in changed if (old := files.get(p)) for d in self._file_modules(p, old) or ()}
+        cur = {d.id: d for p, new in changed.items() if new for d in self._file_modules(p, new) or ()}
         mapping = match_renames(list(prev.values()), list(cur.values()))
         changes: Dict[ModuleId, Tuple[int, int, int]] = {}
         for pid, cid in mapping.items():
@@ -220,16 +218,13 @@ class HistoryScanner:
         if prior is not None and prior.commits[-1] != commits[0]:
             raise ValueError(f"the prior scan ends at {prior.commits[-1]}, not at {commits[0]}")
         files = dict(prior.files) if prior is not None else self.repo.source_files(commits[0])
-        start = self.snapshot_modules(commits[0], files)
+        start = self.snapshot_modules(files)
         histories = {mid: ChangeHistory(mid, [], commits[0]) for mid in start}
         alive: Dict[ModuleId, ChangeHistory] = dict(histories)  # id at the current commit -> lineage
-        for a, b, changed in zip(commits, commits[1:], self.repo.first_parent_changes(commits)):
+        for commit, changed in zip(commits[1:], self.repo.first_parent_changes(commits)):
             # a blob that does not parse is left out, so files keeps the path's last parsed blob
-            changed = {
-                p: sha for p, sha in changed.items()
-                if sha is None or self._file_modules(b, p, sha, files.get(p)) is not None
-            }
-            delta = self.adjacent_delta(a, b, changed, files)
+            changed = {p: sha for p, sha in changed.items() if sha is None or self._file_modules(p, sha) is not None}
+            delta = self.adjacent_delta(changed, files)
             files.update(changed)
             stepped = {pid: alive.pop(pid) for pid in delta.prev}
             co_changed = Counter(cid.kind for cid in delta.changes)
@@ -237,10 +232,10 @@ class HistoryScanner:
                 history = alive[cid] = stepped[pid]
                 change = delta.changes.get(cid)
                 if change is not None:
-                    history.events.append(ChangeEvent(b, *change, co_changed[cid.kind]))
+                    history.events.append(ChangeEvent(commit, *change, co_changed[cid.kind]))
             for bid in delta.births:
-                alive[bid] = ChangeHistory(bid, [], b)
-        end = self.snapshot_modules(commits[-1], files)
+                alive[bid] = ChangeHistory(bid, [], commit)
+        end = self.snapshot_modules(files)
         end_defs = {h.module: end[cid] for cid, h in alive.items() if h.birth_commit == commits[0]}
         chain = tuple(commits)
         if prior is not None:

@@ -7,11 +7,9 @@ skipped when no clone is available (set GRANITE_COMMONS_IO to enable it).
 """
 
 import itertools
-import json
 import os
 import random
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +17,6 @@ import pytest
 from granite.dataset import label_change_prone
 from granite.evaluation import (
     ChangeSizes,
-    ConfusionCounts,
     change_sizes,
     classification_scores,
     confusion_counts,

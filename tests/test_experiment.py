@@ -437,13 +437,13 @@ def test_each_blob_is_parsed_or_derived_once(fixture_repo, tmp_path, monkeypatch
         return parse(*args, **kwargs)
 
     def recording_extract(snapshot, *args):
-        extracted.append((snapshot.commit, snapshot.path))
+        extracted.append((snapshot.blob, snapshot.path))
         return extract(snapshot, *args)
 
     def recording_derive(parent_defs, parent_lines, snapshot):
         defs = derive(parent_defs, parent_lines, snapshot)
         if defs is not None:
-            derived.append((snapshot.commit, snapshot.path))
+            derived.append((snapshot.blob, snapshot.path))
         return defs
 
     # `from x import f` copies the binding, so replace it in every granite module
@@ -455,9 +455,7 @@ def test_each_blob_is_parsed_or_derived_once(fixture_repo, tmp_path, monkeypatch
                     if value is old:
                         monkeypatch.setattr(module, attr, new)
     assert run_experiment(make_config(fixture_repo, tmp_path / "out")) == 0
-    with GitRepo(fixture_repo.root) as repo:
-        parsed = {(repo.source_files(commit)[path], path) for commit, path in extracted}
-        made = {(repo.source_files(commit)[path], path) for commit, path in derived}
+    parsed, made = set(extracted), set(derived)
     assert parsed and made  # the fixture's one-line body edits are derived
     assert parses == len(extracted) == len(parsed)
     assert len(derived) == len(made)
@@ -465,17 +463,24 @@ def test_each_blob_is_parsed_or_derived_once(fixture_repo, tmp_path, monkeypatch
 
 
 def test_each_adjacent_delta_is_computed_once(fixture_repo, tmp_path, monkeypatch):
-    delta = HistoryScanner.adjacent_delta
-    computed = []
+    changes, delta = GitRepo.first_parent_changes, HistoryScanner.adjacent_delta
+    steps, computed = [], 0
 
-    def recording_delta(self, a, b, *args):
-        computed.append((a, b))
-        return delta(self, a, b, *args)
+    def recording_changes(self, commits):
+        steps.extend(zip(commits, commits[1:]))
+        return changes(self, commits)
 
-    monkeypatch.setattr(HistoryScanner, "adjacent_delta", recording_delta)
+    def counting_delta(self, *args):
+        nonlocal computed
+        computed += 1
+        return delta(self, *args)
+
+    # the scan reads each range's steps at once and computes one delta per step read
+    monkeypatch.setattr(GitRepo, "first_parent_changes", recording_changes)
+    monkeypatch.setattr(HistoryScanner, "adjacent_delta", counting_delta)
     assert run_experiment(make_config(fixture_repo, tmp_path / "out")) == 0
-    assert computed
-    assert len(computed) == len(set(computed))
+    assert steps
+    assert computed == len(steps) == len(set(steps))
 
 
 def _svc_source(name="compute", total_line="total += 1;", extra=False):

@@ -338,9 +338,10 @@ def test_blob_lines_end_where_java_ends_them(tmp_path, source, spans):
     rb.write("B.java", source)
     head = rb.commit("c1")
     with GitRepo(rb.root) as repo:
-        lines = repo.blob_lines(repo.source_files(head)["B.java"])
+        sha = repo.source_files(head)["B.java"]
+        lines = repo.blob_lines(sha)
     assert len(lines) == 4
-    assert {str(d.id): d.span for d in extract_modules(FileSnapshot("B.java", lines, head))} == spans
+    assert {str(d.id): d.span for d in extract_modules(FileSnapshot("B.java", lines, sha))} == spans
 
 
 def test_commit_meta_reads_an_author_name_with_a_line_separator(tmp_path):

@@ -29,7 +29,7 @@ from granite.javaparse import (
 
 
 def snap(source, path="src/Sample.java"):
-    return FileSnapshot(path=path, lines=tuple(textwrap.dedent(source).split("\n")), commit="0" * 40)
+    return FileSnapshot(path=path, lines=tuple(textwrap.dedent(source).split("\n")), blob="0" * 40)
 
 
 def ids(defs):

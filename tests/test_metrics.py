@@ -33,7 +33,7 @@ CATALOG = Path(__file__).resolve().parent.parent / "docs" / "metrics.md"
 
 
 def modules_of(source, path="src/T.java"):
-    snapshot = FileSnapshot(path=path, lines=tuple(textwrap.dedent(source).split("\n")), commit="0" * 40)
+    snapshot = FileSnapshot(path=path, lines=tuple(textwrap.dedent(source).split("\n")), blob="0" * 40)
     return extract_modules(snapshot)
 
 

@@ -1,8 +1,8 @@
 """The package imports nothing itself, `granite.cli` loads every layer the benchmark's tracer binds,
 neither it nor the modules `mine` and `eval` need load numpy, and both commands run with numpy blocked;
 the forest loads no scoring and cross-validation no `numpy.ma`, `granite run` loads neither
-`numpy.random` nor OpenSSL's `_hashlib` and `granite mine` no `_hashlib`; no module imports a name it
-does not use, and every name a module reads is bound.
+`numpy.random` nor OpenSSL's `_hashlib` and `granite mine` no `_hashlib`; no module of the package,
+the tests or the demos imports a name it does not use, and every name such a module reads is bound.
 
 perfbench/tracer.py imports `granite.cli` and then looks each layer of its
 LAYERS table up in `sys.modules`, so the command line must keep loading them
@@ -10,7 +10,9 @@ all; `granite.metrics`, `granite.dataset` and `granite.forest` import numpy
 inside the functions that use it, so loading them maps no numpy.  Each import
 check runs in a fresh interpreter, where no other test has imported anything
 yet.  The unused-import and undefined-name checks read the sources with `ast`:
-the second catches a function that reads `np` but lost its local import.
+the second catches a function that reads `np` but lost its local import.  They
+leave perfbench/ out, whose bare `import granite` lines load the package on
+purpose.
 """
 
 import ast
@@ -27,7 +29,9 @@ from granite.cli import main
 from granite.experiment import ExperimentConfig, RepoSpec
 from test_benchmark_bindings import _tracer_layers
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+LINTED = sorted(p for folder in (SRC / "granite", ROOT / "tests", ROOT / "demos") for p in folder.glob("*.py"))
 
 
 def _modules_after(statement, prefix="granite"):
@@ -133,8 +137,8 @@ def _unused_imports(source):
 
 def test_every_imported_name_is_used():
     unused = {
-        path.name: found
-        for path in sorted((SRC / "granite").glob("*.py"))
+        str(path.relative_to(ROOT)): found
+        for path in LINTED
         if (found := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
@@ -231,8 +235,8 @@ def _undefined_names(source):
 
 def test_every_name_read_is_bound():
     undefined = {
-        path.name: found
-        for path in sorted((SRC / "granite").glob("*.py"))
+        str(path.relative_to(ROOT)): found
+        for path in LINTED
         if (found := _undefined_names(path.read_text(encoding="utf-8")))
     }
     assert undefined == {}

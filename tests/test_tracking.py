@@ -382,7 +382,27 @@ def test_end_histories_are_keyed_by_the_modules_of_the_last_commit(fixture_repo)
         scanner = HistoryScanner(repo)
         scan = scanner.change_histories(chain)
         assert len(chain) > 20
-        assert set(scan.end_histories) == set(scanner.snapshot_modules(chain[-1], repo.source_files(chain[-1])))
+        assert set(scan.end_histories) == set(scanner.snapshot_modules(repo.source_files(chain[-1])))
+
+
+def test_the_readme_library_example_runs_on_the_fixture_repository(fixture_repo, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    listings, source_files = [], GitRepo.source_files
+
+    def recording_source_files(self, commit):
+        listings.append(commit)
+        return source_files(self, commit)
+
+    monkeypatch.setattr(GitRepo, "source_files", recording_source_files)
+    names = {}
+    exec(example.replace("/path/to/repo", str(fixture_repo.root)), names)
+    pairs = list(fixture_repo.pairs)
+    assert len(pairs) > 1 and names["pair"].label == pairs[-1]
+    assert len(listings) == 1  # the fixture's pairs are consecutive, so the example lists the tree once
+    with GitRepo(fixture_repo.root) as repo:
+        fresh = HistoryScanner(repo).change_histories(names["pair"].commits)
+    assert names["sizes"] == {m: change_sizes(fresh, m) for m in sorted(fresh.start_defs)}
 
 
 def test_a_scan_that_continues_a_prior_one_is_one_walk(fixture_repo):
@@ -413,7 +433,7 @@ def test_a_blob_that_does_not_parse_keeps_its_files_last_parsed_modules(tmp_path
     rb.write("src/A.java", source.format(2))
     c2 = rb.commit("c2 edit f()")
     rb.write("src/A.java", "public class A {\n    int f() {\n")
-    rb.commit("c3 does not parse")
+    c3 = rb.commit("c3 does not parse")
     rb.write("src/A.java", source.format(2))
     rb.commit("c4 restore c2")
     rb.write("src/A.java", source.format(3))
@@ -421,13 +441,14 @@ def test_a_blob_that_does_not_parse_keeps_its_files_last_parsed_modules(tmp_path
     rb.tag("r2")
     with caplog.at_level(logging.WARNING, logger="granite.javaparse"), GitRepo(rb.root) as repo:
         scan = HistoryScanner(repo).change_histories(repo.release_pairs("r*")[0].commits)
+        broken = repo.source_files(c3)["src/A.java"]
     for module in (ModuleId("class", "src/A.java", "A"), ModuleId("method", "src/A.java", "A", "f", ())):
         assert [e.commit for e in scan.histories[module].events] == [c2, c5]
         assert module in scan.end_defs
         sizes = change_sizes(scan, module)
         assert (sizes.delta_release, sizes.delta_commit) == (2, 4)
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-    assert len(warnings) == 1 and warnings[0].startswith("src/A.java@") and "parse failed" in warnings[0]
+    assert len(warnings) == 1 and warnings[0].startswith(f"src/A.java@{broken[:10]}:") and "parse failed" in warnings[0]
 
 
 def test_commit_step_matches_only_the_files_whose_blob_changed(tmp_path, monkeypatch):
@@ -669,13 +690,13 @@ def test_derived_modules_equal_a_full_parse_on_every_changed_blob_of_the_bench_r
         parents = {}  # path -> (lines, modules) of its current blob
         for path, sha in repo.source_files(commits[0]).items():
             lines = repo.blob_lines(sha)
-            parents[path] = (lines, extract_modules(FileSnapshot(path, lines, commits[0])))
+            parents[path] = (lines, extract_modules(FileSnapshot(path, lines, sha)))
         for commit, changed in zip(commits[1:], repo.first_parent_changes(commits)):
             for path, sha in changed.items():
                 base = parents.pop(path, None)
                 if sha is None:
                     continue
-                snapshot = FileSnapshot(path, repo.blob_lines(sha), commit)
+                snapshot = FileSnapshot(path, repo.blob_lines(sha), sha)
                 full = extract_modules(snapshot)
                 made = derive_modules(base[1], base[0], snapshot) if base else None
                 if made is not None:
@@ -788,6 +809,7 @@ def _scan_fields(scan):
 @example([(0, ("edit", 0, 0, "} else {")), (1, ("insert", 2, 1, "if (a > 0) {"))])
 @example([(0, ("rename", 1, "renamed")), (0, ("rename", 3, "f")), (1, ("delete", 3, 0))])
 @example([(0, ("break",)), (0, ("insert", 2, 1, "y();")), (0, ("move",)), (0, ("edit", 0, 0, "y();"))])
+@example([(0, ("edit", 0, 0, "y();")), (0, ("edit", 0, 0, "x = 1;")), (0, ("edit", 0, 1, "z();"))])
 def test_a_scan_that_derives_blobs_equals_one_that_parses_every_blob(steps):
     with tempfile.TemporaryDirectory() as tmp:
         rb = RepoBuilder(Path(tmp) / "repo")
@@ -844,3 +866,29 @@ def test_a_body_edit_after_a_blob_that_does_not_parse_is_derived_from_the_last_t
     assert made == [False, True]  # c2 is parsed, and fails; c3 is derived from c1
     assert _module_fields(scan.end_defs.values()) == _module_fields(full)
     assert ["parse failed" in r.getMessage() for r in caplog.records] == [True]
+
+
+def test_a_body_edit_after_a_revert_is_derived_from_the_paths_last_parse(tmp_path):
+    # c3 restores c1's blob, whose modules are cached, so c2's blob is the path's last parse; c4 edits it
+    rb = RepoBuilder(tmp_path / "revert")
+    source = "public class A {{\n    int f() {{\n        return {};\n    }}\n}}\n"
+    commits = []
+    for k, value in enumerate((1, 2, 1, 3), 1):
+        rb.write("src/A.java", source.format(value))
+        commits.append(rb.commit(f"c{k}"))
+    made = []
+
+    def recording_derive(*args):
+        defs = derive_modules(*args)
+        made.append(defs is not None)
+        return defs
+
+    with GitRepo(rb.root) as repo:
+        with mock.patch.object(tracking, "derive_modules", recording_derive):
+            derived = HistoryScanner(repo).change_histories(commits)
+        with mock.patch.object(tracking, "derive_modules", lambda *args: None):
+            parsed = HistoryScanner(repo).change_histories(commits)
+    assert made == [True, True]  # c2 is derived from c1, and c4 from c2
+    assert _scan_fields(derived) == _scan_fields(parsed)
+    f = ModuleId("method", "src/A.java", "A", "f", ())
+    assert [e.commit for e in derived.histories[f].events] == commits[1:]
